@@ -57,10 +57,9 @@ class EigenResult:
 def _dense(matrix: PcMatrix) -> np.ndarray:
     if not matrix.is_complete():
         raise IncompleteMatrixError("incomplete matrix: every ratio must be specified")
-    dense = np.array(matrix.entries, dtype=float)
-    if not np.all(np.isfinite(dense)) or np.any(dense <= 0):
+    if not np.all(np.isfinite(matrix.array)) or np.any(matrix.array <= 0):
         raise ValueError("matrix entries must be positive finite ratios")
-    return dense
+    return matrix.array
 
 
 def principal_eigen(matrix: PcMatrix) -> EigenResult:

@@ -8,16 +8,7 @@ import sys
 
 from .baselines import WeightVector, ev_weights, gm_weights
 from .diagnostics import cop_check, estimation_error, inconsistency_report
-from .errors import (
-    HreError,
-    IncompleteMatrixError,
-    InadmissibleSolutionError,
-    NonConvergenceError,
-    ParseError,
-    SingularSystemError,
-    SolveFailedError,
-    ValidationError,
-)
+from .errors import HreError, ParseError, ValidationError
 from .hre_solver import hre_rank
 from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
 from .min_error_solver import solve_min_error
@@ -38,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -81,32 +79,27 @@ def _cmd_rank(args) -> int:
         print(f"notice: {notice}", file=sys.stderr)
         extra_warnings.append(notice)
 
-    report = validate(problem)
-    if not report.ok:
-        _print_fatal(report)
-        return EXIT_INPUT_ERROR
-
+    prepared = preprocess(problem)  # the one validation of this request
     path: str | None
     if args.method == "hre":
-        outcome = hre_rank(problem, max_iterations=args.iterations, normalize=args.normalize)
+        outcome = hre_rank(prepared, max_iterations=args.iterations, normalize=args.normalize)
         weights = outcome.weights
         path = outcome.path
         warnings = extra_warnings + list(outcome.warnings)
         error = outcome.error
     else:
-        prepared, issues = preprocess(problem)
-        warnings = extra_warnings + [str(i) for i in issues]
+        warnings = extra_warnings + [str(i) for i in prepared.warnings]
         if args.method == "ev":
             weights, path = ev_weights(problem.matrix), None
         elif args.method == "gm":
             weights, path = gm_weights(problem.matrix), None
         else:
-            result = solve_min_error(problem)
+            result = solve_min_error(prepared)
             weights = result.weights_normalized if args.normalize else result.weights_raw
             path = "min-error"
             if not result.verified_minimum:
                 warnings.append("least-squares stationary point not verified as a minimum")
-        _, error = estimation_error(prepared, weights)
+        _, error = estimation_error(prepared.problem, weights)
 
     indices = inconsistency_report(problem.matrix)
     if args.json:
@@ -261,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="derive a weight vector")
     rank.add_argument("--input", required=True, help="matrix file")
     rank.add_argument("--method", required=True, choices=["hre", "ev", "gm", "min-error"])
-    rank.add_argument("--iterations", type=int, default=10, help="fallback iteration budget")
+    rank.add_argument("--iterations", type=_positive_int, default=10, help="fallback iteration budget (>= 1)")
     rank.add_argument("--normalize", action="store_true", help="rescale weights to sum 1")
     rank.add_argument("--json", action="store_true")
     rank.set_defaults(func=_cmd_rank)
@@ -295,28 +288,13 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValidationError as exc:
         _print_fatal(exc.report)
         return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (
-        IncompleteMatrixError,
-        SingularSystemError,
-        InadmissibleSolutionError,
-        NonConvergenceError,
-        SolveFailedError,
-    ) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
-    except HreError as exc:  # pragma: no cover - defensive catch-all
+    except HreError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baselines import WeightVector, principal_eigen
 from .errors import IncompleteMatrixError
-from .matrix_core import PcMatrix, Problem, restore_reciprocity
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _ordered_sum, _unknown_rows, restore_reciprocity
 
-TRIAD_CONSISTENT_TOL = 1e-12
+TRIAD_BLOCK = 1 << 16  # entries per block of triad ratios: 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -48,48 +51,55 @@ class CopReport:
         return not self.pop_violations and not self.poip_violations
 
 
+def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
+    """Koczkodaj's index and the number of complete triads, in one pass.
+
+    Each triad i < j < k with m_ij, m_ik and m_kj specified contributes
+    min(|1 - q|, |1 - 1/q|) with q = (m_ik m_kj) / m_ij.  That contribution
+    only grows as q moves away from 1 on either side (also in floating
+    point, where each step rounds monotonically), so the index is the
+    larger contribution of the smallest and the largest q; no other triad
+    is evaluated.  The q values are formed in blocks of pivots k of at most
+    TRIAD_BLOCK entries (one pivot's n x n slab when n is larger), never as
+    an n x n x n array.  Returns (None, 0) when no complete triad exists.
+    """
+    a = matrix.array
+    n = len(a)
+    above = _above_diagonal(n)
+    upper = np.where(above, a, np.nan)  # m_ij, i < j
+    lower = np.where(above.T, a, np.nan)  # m_kj, j < k
+    low, high, count = math.inf, -math.inf, 0
+    step = max(1, TRIAD_BLOCK // (n * n))  # pivots per block
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k0 in range(2, n, step):
+            k1 = min(n, k0 + step)
+            # q[k, i, j] = (m_ik * m_kj) / m_ij, NaN unless i < j < k and all three are given
+            q = upper[:k1, k0:k1].T[:, :, None] * lower[k0:k1, None, :k1]
+            q /= upper[:k1, :k1]
+            found = q.size - int(np.count_nonzero(np.isnan(q)))
+            if found:
+                count += found
+                low = min(low, float(np.fmin.reduce(q, axis=None)))
+                high = max(high, float(np.fmax.reduce(q, axis=None)))
+    if not count:
+        return None, 0
+    return max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) for q in (low, high)), count
+
+
 def koczkodaj_index(matrix: PcMatrix) -> float | None:
     """Worst triad-level inconsistency of a reciprocal matrix.
 
     Each fully specified triad {i, j, k} contributes
     min(|1 - m_ij/(m_ik m_kj)|, |1 - (m_ik m_kj)/m_ij|); the index is the
-    maximum contribution.  Returns None when no complete triad exists (only
-    possible for incomplete matrices).  Run `restore_reciprocity` first:
-    on a reciprocal matrix the contribution does not depend on the triad's
-    orientation, which is what makes the unordered-triad scan valid.
+    maximum contribution, found by `triad_scan`.  Returns None when no
+    complete triad exists (only possible for incomplete matrices).  Run
+    `restore_reciprocity` first: on a reciprocal matrix the contribution
+    does not depend on the triad's orientation, which is what makes the
+    unordered-triad scan valid.
     """
-    n = matrix.n
-    if n <= 2:
+    if matrix.n <= 2:
         raise ValueError("the triad-based index needs at least 3 concepts")
-    worst: float | None = None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                m_ij = matrix.entry(i, j)
-                m_ik = matrix.entry(i, k)
-                m_kj = matrix.entry(k, j)
-                if m_ij is None or m_ik is None or m_kj is None:
-                    continue
-                q = m_ik * m_kj / m_ij
-                contribution = min(abs(1.0 - q), abs(1.0 - 1.0 / q))
-                if worst is None or contribution > worst:
-                    worst = contribution
-    return worst
-
-
-def count_complete_triads(matrix: PcMatrix) -> int:
-    n = matrix.n
-    count = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                if (
-                    matrix.entry(i, j) is not None
-                    and matrix.entry(i, k) is not None
-                    and matrix.entry(k, j) is not None
-                ):
-                    count += 1
-    return count
+    return triad_scan(matrix)[0]
 
 
 def saaty_ci(matrix: PcMatrix) -> float:
@@ -107,12 +117,7 @@ def inconsistency_report(matrix: PcMatrix) -> InconsistencyReport:
         ci = saaty_ci(matrix)
     except IncompleteMatrixError:
         ci = None
-    if matrix.n > 2:
-        restored = restore_reciprocity(matrix)
-        k = koczkodaj_index(restored)
-        triads = count_complete_triads(restored)
-    else:
-        k, triads = None, 0
+    k, triads = triad_scan(restore_reciprocity(matrix))
     return InconsistencyReport(ci, k, triads)
 
 
@@ -128,25 +133,20 @@ def estimation_error(problem: Problem, mu: WeightVector) -> tuple[dict[int, floa
     Raises ValueError if mu has the wrong length or some unknown concept has
     no specified ratio at all (an unreachable concept).
     """
-    m = problem.matrix
     n = problem.n
     if len(mu) != n:
         raise ValueError(f"weight vector has {len(mu)} entries, expected {n}")
-    per_concept: dict[int, float] = {}
-    for j in problem.unknown_indices:
-        deviations = []
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            ratio = m.entry(j, i)
-            if ratio is None:
-                continue
-            deviations.append(abs(mu.values[j - 1] - mu.values[i - 1] * ratio))
-        if not deviations:
-            raise ValueError(f"concept {j} has no specified ratio to estimate it from")
-        per_concept[j] = sum(deviations) / len(deviations)
-    mean_error = sum(per_concept.values()) / len(per_concept) if per_concept else 0.0
-    return per_concept, mean_error
+    unknowns = problem.unknown_indices
+    if not unknowns:
+        return {}, 0.0
+    rows, ratios, sampled = _unknown_rows(problem)
+    counts = np.count_nonzero(sampled, axis=1)
+    if not counts.all():
+        raise ValueError(f"concept {unknowns[int(np.argmin(counts))]} has no specified ratio to estimate it from")
+    w = np.array(mu.values)
+    deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0)
+    per = (_ordered_sum(deviations, axis=1) / counts).tolist()
+    return dict(zip(unknowns, per)), sum(per) / len(per)
 
 
 def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
@@ -170,10 +170,10 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     if len(mu) != n:
         raise ValueError(f"weight vector has {len(mu)} entries, expected {n}")
     pairs = [
-        (i, j, matrix.entry(i, j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and matrix.present(i, j)
+        (i, j, v)
+        for i, row in enumerate(matrix.array.tolist(), start=1)
+        for j, v in enumerate(row, start=1)
+        if i != j and v == v
     ]
     strict = [(i, j, v) for i, j, v in pairs if v > 1.0]
     comparable = [(i, j, v) for i, j, v in pairs if v >= 1.0]

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
     SolveFailedError,
 )
-from .matrix_core import Problem, preprocess
+from .matrix_core import Prepared, Problem, _ordered_sum, _unknown_rows, preprocess
 
 PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
@@ -94,24 +94,32 @@ def build_system(problem: Problem) -> LinearSystem:
 
     Expects a preprocessed problem: complete matrix, at least one reference.
     """
-    m = problem.matrix
-    n = problem.n
+    unknowns, block, constants = _system_parts(problem, "the averaging system is undefined, use the iterative route")
+    coefficients = block * -(1.0 / (problem.n - 1))
+    np.fill_diagonal(coefficients, 1.0)
+    return LinearSystem(tuple(map(tuple, coefficients.tolist())), constants, unknowns)
+
+
+def _system_parts(problem: Problem, undefined: str) -> tuple[tuple[int, ...], np.ndarray, tuple[float, ...]]:
+    """Unknown indices, unknown-by-unknown block and constants, shared by both systems.
+
+    The constant for unknown u is sum over references c of m(u, c) * weight(c) / (n-1).
+    Raises unless the problem has references, unknowns and every ratio.
+    """
     unknowns = problem.unknown_indices
     if not problem.references:
         raise ValueError("at least one reference concept is required")
     if not unknowns:
         raise ValueError("no unknown concepts: nothing to solve")
-    if not m.is_complete():
-        raise IncompleteMatrixError(
-            "incomplete matrix: the averaging system is undefined, use the iterative route"
-        )
-    scale = 1.0 / (n - 1)
-    refs = sorted(problem.references.items())
-    coefficients = tuple(
-        tuple(1.0 if v == u else -m.entry(u, v) * scale for v in unknowns) for u in unknowns
-    )
-    constants = tuple(sum(m.entry(u, c) * w for c, w in refs) * scale for u in unknowns)
-    return LinearSystem(coefficients, constants, unknowns)
+    if not problem.matrix.is_complete():
+        raise IncompleteMatrixError(f"incomplete matrix: {undefined}")
+    index = [u - 1 for u in unknowns]
+    rows = problem.matrix.array[index]
+    total = 0.0
+    for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
+        total = total + rows[:, c - 1] * w
+    constants = tuple((total * (1.0 / (problem.n - 1))).tolist())
+    return unknowns, rows[:, index], constants
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
@@ -152,11 +160,9 @@ def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
     Either kind guarantees the Jacobi iteration converges; neither holding
     proves nothing (the iteration may still converge).
     """
-    k = system.k
-    a = system.coefficients
-    row_dominant = all(sum(abs(a[i][j]) for j in range(k) if j != i) < 1.0 for i in range(k))
-    column_dominant = all(sum(abs(a[i][j]) for i in range(k) if i != j) < 1.0 for j in range(k))
-    return row_dominant, column_dominant
+    off = np.abs(np.array(system.coefficients, dtype=float).reshape(system.k, system.k))
+    np.fill_diagonal(off, 0.0)
+    return tuple(bool((_ordered_sum(off, axis) < 1.0).all()) for axis in (1, 0))
 
 
 def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
@@ -180,61 +186,31 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    m = problem.matrix
-    n = problem.n
-    refs = problem.references
-    unknowns = problem.unknown_indices
-
-    estimates: dict[int, float] = {}
+    rows, ratios, sampled = _unknown_rows(problem)
+    current = np.full(problem.n, np.nan)
+    current[[c - 1 for c in problem.references]] = list(problem.references.values())
     iterates: list[tuple[float | None, ...]] = []
-    previous: tuple[float | None, ...] | None = None
-    converged = False
-    diverged = False
-
+    previous: np.ndarray | None = None
+    converged = diverged = False
     for _ in range(max_r):
-        new_estimates: dict[int, float] = {}
-        for j in unknowns:
-            total = 0.0
-            count = 0
-            for i in range(1, n + 1):
-                if i == j:
-                    continue
-                ratio = m.entry(j, i)
-                if ratio is None:
-                    continue
-                if i in refs:
-                    value = refs[i]
-                elif i in estimates:
-                    value = estimates[i]
-                else:
-                    continue
-                total += ratio * value
-                count += 1
-            if count:
-                new_estimates[j] = total / count
-        current = tuple(
-            refs[i] if i in refs else new_estimates.get(i) for i in range(1, n + 1)
-        )
-        iterates.append(current)
-        if any(
-            v is not None and (not math.isfinite(v) or abs(v) > DIVERGENCE_LIMIT)
-            for v in current
-        ):
+        # every unknown averages ratio * estimate over the concepts estimated so far;
+        # an ordered sum keeps the arithmetic of the sample-by-sample loop
+        known = ~np.isnan(current)
+        counts = np.count_nonzero(sampled & known, axis=1)
+        totals = _ordered_sum(ratios * np.where(known, current, 0.0), axis=1)
+        current = current.copy()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            current[rows] = np.where(counts > 0, totals / counts, np.nan)
+        iterates.append(tuple(None if v != v else v for v in current.tolist()))
+        estimated = current[~np.isnan(current)]
+        if not np.isfinite(estimated).all() or (np.abs(estimated) > DIVERGENCE_LIMIT).any():
             diverged = True
             break
-        if (
-            previous is not None
-            and all(v is not None for v in current)
-            and all(v is not None for v in previous)
-        ):
-            change = max(abs(c - p) for c, p in zip(current, previous))
-            scale = max(abs(v) for v in current)
-            if change <= JACOBI_STOP_TOL * scale:
+        if previous is not None and len(estimated) == len(current) and not np.isnan(previous).any():
+            if np.abs(current - previous).max() <= JACOBI_STOP_TOL * np.abs(current).max():
                 converged = True
                 break
-        estimates = new_estimates
         previous = current
-
     return JacobiRun(tuple(iterates), converged, diverged)
 
 
@@ -283,7 +259,9 @@ def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVecto
     return raw, raw.normalize()
 
 
-def hre_rank(problem: Problem, *, max_iterations: int = 10, normalize: bool = False) -> RankOutcome:
+def hre_rank(
+    problem: Problem | Prepared, *, max_iterations: int = 10, normalize: bool = False
+) -> RankOutcome:
     """Full solution pipeline: validate, repair, solve, attach provenance.
 
     Complete matrices are solved directly; a singular or non-positive
@@ -292,15 +270,21 @@ def hre_rank(problem: Problem, *, max_iterations: int = 10, normalize: bool = Fa
     Incomplete matrices use the iterative route: its limit when it
     converges, otherwise again the best early iterate.
 
+    A `Prepared` problem from `preprocess` is solved as it is, without
+    validating or repairing it again.
+
     Raises ValidationError for fatally invalid input (including unreachable
-    concepts), ValueError when no reference concept is given, and
-    SolveFailedError when every strategy fails.
+    concepts), ValueError when no reference concept is given or
+    ``max_iterations`` is below 1, and SolveFailedError when every
+    strategy fails.
     """
     from . import min_error_solver  # deferred: that module builds on this one
 
-    if not problem.references:
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    prepared, issues = ready = preprocess(problem)
+    if not prepared.references:
         raise ValueError("rating estimation needs at least one reference concept")
-    prepared, issues = preprocess(problem)
     warnings = [str(issue) for issue in issues]
 
     convergence_ok: bool | None = None
@@ -329,7 +313,7 @@ def hre_rank(problem: Problem, *, max_iterations: int = 10, normalize: bool = Fa
                 warnings.append("direct solution has non-positive weights")
             admissible = False
             try:
-                result = min_error_solver.solve_min_error(prepared)
+                result = min_error_solver.solve_min_error(ready)
                 raw, unit = result.weights_raw, result.weights_normalized
                 path = "min-error"
                 if not result.verified_minimum:

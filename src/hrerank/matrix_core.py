@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -24,9 +27,13 @@ FATAL_CATEGORIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class PcMatrix:
-    """Square grid of optional positive ratios; ``None`` marks a missing entry.
+    """Square grid of optional positive ratios, held as one read-only float64 array.
+
+    ``array[i - 1, j - 1]`` is the ratio of concept i to concept j; NaN
+    marks a missing entry.  The constructor takes rows of numbers with
+    ``None`` for a missing entry.  A NaN value is refused there, since it
+    would read as a missing comparison.
 
     Structural soundness (squareness, n >= 2) is enforced on construction.
     Numeric soundness (positivity, unit diagonal) is checked by `validate`,
@@ -34,42 +41,70 @@ class PcMatrix:
     to represent it.
     """
 
-    entries: tuple[tuple[float | None, ...], ...]
+    __slots__ = ("_array",)
 
-    def __post_init__(self):
-        rows = tuple(
-            tuple(None if v is None else float(v) for v in row) for row in self.entries
-        )
+    def __init__(self, entries):
+        rows = [list(row) for row in entries]
         if len(rows) < 2:
             raise ValueError("a comparison matrix needs at least 2 concepts")
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("comparison matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        array = np.array(rows, dtype=float)  # None becomes NaN
+        for i, j in np.argwhere(np.isnan(array)).tolist():
+            if rows[i][j] is not None:
+                raise ValueError(f"entry ({i + 1},{j + 1}) is NaN; use None for a missing comparison")
+        array.flags.writeable = False
+        self._array = array
+
+    @classmethod
+    def _from_array(cls, array: np.ndarray) -> PcMatrix:
+        """Wrap a square float array the package built itself; NaN means missing."""
+        matrix = object.__new__(cls)
+        array.flags.writeable = False
+        matrix._array = array
+        return matrix
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._array
+
+    @property
+    def entries(self) -> tuple[tuple[float | None, ...], ...]:
+        """The grid as tuples, ``None`` for a missing entry."""
+        return tuple(tuple(None if v != v else v for v in row) for row in self._array.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self._array.shape[0]
 
     def entry(self, i: int, j: int) -> float | None:
         """Ratio of concept i to concept j (1-based), or None if unspecified."""
-        return self.entries[i - 1][j - 1]
+        v = float(self._array[i - 1, j - 1])
+        return None if v != v else v
 
     def present(self, i: int, j: int) -> bool:
-        return self.entries[i - 1][j - 1] is not None
+        return not math.isnan(self._array[i - 1, j - 1])
 
     def is_complete(self) -> bool:
-        return all(v is not None for row in self.entries for v in row)
+        return not np.isnan(self._array).any()
 
     def is_reciprocal(self, tol: float = RECIPROCAL_WARN_TOL) -> bool:
         """True if every fully specified pair satisfies m_ij * m_ji = 1 +/- tol."""
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                a, b = self.entries[i][j], self.entries[j][i]
-                if a is not None and b is not None and abs(a * b - 1.0) > tol:
-                    return False
-                if (a is None) != (b is None):
-                    return False
-        return True
+        a = self._array
+        far = np.abs(a * a.T - 1.0) > tol  # false where an entry is missing
+        np.fill_diagonal(far, False)
+        return not far.any() and bool((np.isnan(a) == np.isnan(a.T)).all())
+
+    def __eq__(self, other):
+        if not isinstance(other, PcMatrix):
+            return NotImplemented
+        return np.array_equal(self._array, other._array, equal_nan=True)
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"PcMatrix({self.entries!r})"
 
 
 @dataclass(frozen=True)
@@ -159,9 +194,12 @@ def _parse_value(token: str, line_no: int, col: int) -> float | None:
             raise ParseError(f"zero denominator in '{token}'", line_no, col)
         return float(m.group(1)) / den
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"invalid value '{token}'", line_no, col) from None
+    if value != value:
+        raise ParseError(f"'{token}' is not a ratio; write '?' for a missing comparison", line_no, col)
+    return value
 
 
 def parse_matrix(text: str) -> Problem:
@@ -230,7 +268,7 @@ def parse_matrix(text: str) -> Problem:
         raise ParseError("empty input, expected matrix size", max(last_line, 1))
     if len(rows) < n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}", last_line)
-    return Problem(PcMatrix(tuple(tuple(r) for r in rows)), references)
+    return Problem(PcMatrix(rows), references)
 
 
 def validate(problem: Problem) -> ValidationReport:
@@ -239,54 +277,39 @@ def validate(problem: Problem) -> ValidationReport:
     Fatal categories: nonpositive-entry, bad-diagonal, non-square and
     unreachable-concept (only checked when reference concepts exist, since
     reachability is a solver precondition).  Non-reciprocal pairs are
-    warnings; reciprocity restoration handles them.
+    warnings; reciprocity restoration handles them.  Issues come in that
+    order, each kind by row and then column.
     """
-    m = problem.matrix
-    n = m.n
+    a = problem.matrix.array
+    bad = (a <= 0) | (a == math.inf)  # a missing (NaN) entry compares false
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.abs(a * a.T - 1.0) > RECIPROCAL_WARN_TOL  # symmetric: reported for i < j only
     issues: list[Issue] = []
+    if bad.any():
+        far &= ~(bad | bad.T)
+        rows, cols = np.nonzero(bad)
+        for i, j, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+            message = f"entry {v!r} is not a positive finite ratio"
+            issues.append(Issue(f"({i + 1},{j + 1})", "nonpositive-entry", message))
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = m.entry(i, j)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                issues.append(
-                    Issue(f"({i},{j})", "nonpositive-entry", f"entry {v!r} is not a positive finite ratio")
-                )
-    for i in range(1, n + 1):
-        v = m.entry(i, i)
-        if v is None:
-            issues.append(Issue(f"({i},{i})", "bad-diagonal", "diagonal entry is missing"))
-        elif math.isfinite(v) and v > 0 and abs(v - 1.0) > DIAGONAL_TOL:
-            issues.append(Issue(f"({i},{i})", "bad-diagonal", f"diagonal entry {v!r} is not 1"))
+    diagonal = a.diagonal()
+    if not (np.abs(diagonal - 1.0) <= DIAGONAL_TOL).all():
+        for i, v in enumerate(diagonal.tolist(), start=1):
+            if v != v:
+                issues.append(Issue(f"({i},{i})", "bad-diagonal", "diagonal entry is missing"))
+            elif 0 < v < math.inf and abs(v - 1.0) > DIAGONAL_TOL:
+                issues.append(Issue(f"({i},{i})", "bad-diagonal", f"diagonal entry {v!r} is not 1"))
 
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = m.entry(i, j), m.entry(j, i)
-            if a is None or b is None:
-                continue
-            if not all(math.isfinite(v) and v > 0 for v in (a, b)):
-                continue
-            if abs(a * b - 1.0) > RECIPROCAL_WARN_TOL:
-                issues.append(
-                    Issue(
-                        f"({i},{j})",
-                        "non-reciprocal-pair",
-                        f"m({i},{j})={a:g} and m({j},{i})={b:g} are not mutual inverses",
-                    )
-                )
+    if far.any():
+        rows, cols = np.nonzero(far)
+        for i, j, x, y in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist(), a[cols, rows].tolist()):
+            if i < j:
+                message = f"m({i + 1},{j + 1})={x:g} and m({j + 1},{i + 1})={y:g} are not mutual inverses"
+                issues.append(Issue(f"({i + 1},{j + 1})", "non-reciprocal-pair", message))
 
     if problem.references:
-        ok, unreachable = is_reachable(problem)
-        if not ok:
-            for idx in unreachable:
-                issues.append(
-                    Issue(
-                        f"c{idx}",
-                        "unreachable-concept",
-                        "no chain of specified ratios links it to a reference concept",
-                    )
-                )
-
+        message = "no chain of specified ratios links it to a reference concept"
+        issues.extend(Issue(f"c{idx}", "unreachable-concept", message) for idx in is_reachable(problem)[1])
     return ValidationReport(tuple(issues))
 
 
@@ -296,24 +319,17 @@ def restore_reciprocity(matrix: PcMatrix) -> PcMatrix:
     For a fully specified pair both entries move to the geometric mean of
     the entry and the inverse of its counterpart; a half-specified pair is
     completed with the exact inverse; fully missing pairs stay missing.
-    Already-reciprocal matrices pass through unchanged (this is a fixpoint),
-    so the solve pipeline applies it unconditionally.
+    The diagonal is left as it is.  Already-reciprocal matrices pass
+    through unchanged (this is a fixpoint), so the solve pipeline applies
+    it unconditionally.
 
     Expects entries to be positive (run `validate` first on foreign input).
     """
-    grid = [list(row) for row in matrix.entries]
-    n = matrix.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = grid[i][j], grid[j][i]
-            if a is not None and b is not None:
-                grid[i][j] = math.sqrt(a / b)
-                grid[j][i] = math.sqrt(b / a)
-            elif a is not None:
-                grid[j][i] = 1.0 / a
-            elif b is not None:
-                grid[i][j] = 1.0 / b
-    return PcMatrix(tuple(tuple(r) for r in grid))
+    a = matrix.array
+    with np.errstate(divide="ignore", invalid="ignore"):
+        restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), 1.0 / a.T, np.sqrt(a / a.T)))
+    np.fill_diagonal(restored, np.diagonal(a))
+    return PcMatrix._from_array(restored)
 
 
 def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
@@ -326,24 +342,25 @@ def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
     one unknown concept are never modified.
     """
     refs = problem.references
-    grid = [list(row) for row in problem.matrix.entries]
-    issues: list[Issue] = []
     known = sorted(refs)
-    for a_pos, a in enumerate(known):
-        for b in known[a_pos + 1 :]:
+    rows, cols, targets = [], [], []
+    for pos, a in enumerate(known):
+        for b in known[pos + 1 :]:
             target = refs[a] / refs[b]
-            for i, j, t in ((a, b, target), (b, a, 1.0 / target)):
-                old = grid[i - 1][j - 1]
-                if old is not None and abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t):
-                    issues.append(
-                        Issue(
-                            f"({i},{j})",
-                            "known-known-mismatch",
-                            f"provided ratio {old:g} replaced by reference-defined {t:g}",
-                        )
-                    )
-                grid[i - 1][j - 1] = t
-    return Problem(PcMatrix(tuple(tuple(r) for r in grid)), refs), tuple(issues)
+            rows += (a - 1, b - 1)
+            cols += (b - 1, a - 1)
+            targets += (target, 1.0 / target)
+    if not targets:
+        return problem, ()
+    grid = problem.matrix.array.copy()
+    provided = grid[rows, cols].tolist()
+    grid[rows, cols] = targets
+    issues = tuple(
+        Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
+        for i, j, old, t in zip(rows, cols, provided, targets)
+        if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
+    )
+    return Problem(PcMatrix._from_array(grid), refs), issues
 
 
 def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
@@ -353,36 +370,67 @@ def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
     specified ratio (which is exactly the presence pattern after reciprocity
     restoration).  Returns (all reachable, sorted unreachable indices).
     """
-    n = problem.n
-    m = problem.matrix
-    known = set(problem.references)
-    seen = set(known)
-    stack = list(known)
-    while stack:
-        i = stack.pop()
-        for j in range(1, n + 1):
-            if j in seen or j == i:
-                continue
-            if m.present(i, j) or m.present(j, i):
-                seen.add(j)
-                stack.append(j)
-    unreachable = tuple(i for i in problem.unknown_indices if i not in seen)
+    linked = ~np.isnan(problem.matrix.array)
+    linked |= linked.T
+    seen = np.zeros(problem.n, dtype=bool)
+    seen[[i - 1 for i in problem.references]] = True
+    count, previous = len(problem.references), -1
+    while count != previous:  # one more hop per step, until nothing new is reached
+        seen = seen @ linked | seen
+        count, previous = np.count_nonzero(seen), count
+    unreachable = tuple((np.flatnonzero(~seen) + 1).tolist())
     return (not unreachable, unreachable)
 
 
-def preprocess(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
+class Prepared(NamedTuple):
+    """A validated, repaired problem and its warnings, as `preprocess` returns them.
+
+    Every solver accepts one in place of a `Problem` and then neither
+    validates nor repairs again.
+    """
+
+    problem: Problem
+    warnings: tuple[Issue, ...]
+
+
+def preprocess(problem: Problem | Prepared) -> Prepared:
     """Validation + reciprocity restoration + known-ratio fill, in that order.
 
     The standard entry gate for every solver.  Raises ValidationError when
     the report contains fatal issues; returns the repaired problem together
-    with the accumulated warnings.
+    with the accumulated warnings.  An already prepared problem is returned
+    as it is.
     """
+    if isinstance(problem, Prepared):
+        return problem
     report = validate(problem)
     if not report.ok:
         raise ValidationError(report)
-    restored = Problem(restore_reciprocity(problem.matrix), problem.references)
-    if problem.references:
-        filled, fill_issues = fill_known_ratios(restored)
-    else:
-        filled, fill_issues = restored, ()
-    return filled, report.warnings + fill_issues
+    filled, fill_issues = fill_known_ratios(Problem(restore_reciprocity(problem.matrix), problem.references))
+    return Prepared(filled, report.warnings + fill_issues)
+
+
+def _above_diagonal(n: int) -> np.ndarray:
+    """Boolean n x n mask of the strict upper triangle (i < j), rows first."""
+    index = np.arange(n)
+    return index[:, None] < index
+
+
+def _unknown_rows(problem: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unknowns' row indices, their rows with missing and diagonal entries zeroed, the kept-entry mask."""
+    rows = np.array(problem.unknown_indices, dtype=np.intp) - 1
+    ratios = problem.matrix.array[rows]
+    sampled = ~np.isnan(ratios)
+    sampled[np.arange(len(rows)), rows] = False
+    return rows, np.where(sampled, ratios, 0.0), sampled
+
+
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` from first to last element, like Python's built-in sum.
+
+    numpy's own sum adds pairwise, which can change the last bit; results
+    printed at full precision depend on the order being kept.
+    """
+    if a.shape[axis] == 0:
+        return np.zeros(np.delete(a.shape, axis))
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)

@@ -13,10 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .baselines import WeightVector
 from .errors import IncompleteMatrixError, InadmissibleSolutionError
-from .hre_solver import ADMISSIBLE_TOL, LinearSystem, solve_linear, synthesize
-from .matrix_core import Problem, preprocess
+from .hre_solver import ADMISSIBLE_TOL, LinearSystem, _system_parts, solve_linear, synthesize
+from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
 
 GRID_REFINEMENTS = 10  # halvings of the brute-force grid step around the incumbent
 BRUTE_FORCE_MAX_UNKNOWNS = 3
@@ -47,36 +49,20 @@ class MinErrorResult:
 
 def build_error_system(problem: Problem) -> ErrorSystem:
     """Assemble the normal system for a preprocessed, complete problem."""
-    m = problem.matrix
-    n = problem.n
-    unknowns = problem.unknown_indices
-    if not problem.references:
-        raise ValueError("at least one reference concept is required")
-    if not unknowns:
-        raise ValueError("no unknown concepts: nothing to solve")
-    if not m.is_complete():
-        raise IncompleteMatrixError(
-            "incomplete matrix: the squared-error system is undefined"
-        )
-    scale = 1.0 / (n - 1)
-    refs = sorted(problem.references.items())
-    s_values = tuple(
-        sum(m.entry(v, u) ** 2 for v in unknowns if v != u) * scale for u in unknowns
-    )
-    coefficients = tuple(
-        tuple(
-            1.0 + s_values[r] if v == u else -(m.entry(u, v) + m.entry(v, u)) * scale
-            for v in unknowns
-        )
-        for r, u in enumerate(unknowns)
-    )
-    constants = tuple(sum(m.entry(u, c) * w for c, w in refs) * scale for u in unknowns)
-    k = len(unknowns)
-    dominant = all(
-        abs(coefficients[i][i]) > sum(abs(coefficients[i][j]) for j in range(k) if j != i)
-        for i in range(k)
-    )
-    return ErrorSystem(LinearSystem(coefficients, constants, unknowns), s_values, dominant)
+    unknowns, block, constants = _system_parts(problem, "the squared-error system is undefined")
+    scale = 1.0 / (problem.n - 1)
+    # Python's ** (the C library's pow) rounds differently from x * x in
+    # about one case in a thousand; keep its squares
+    squares = np.array([v**2 for v in block.ravel().tolist()]).reshape(block.shape)
+    np.fill_diagonal(squares, 0.0)
+    s_values = _ordered_sum(squares, axis=0) * scale
+    coefficients = (block + block.T) * -scale
+    np.fill_diagonal(coefficients, 1.0 + s_values)
+    off = np.abs(coefficients)
+    np.fill_diagonal(off, 0.0)
+    dominant = bool((np.abs(np.diagonal(coefficients)) > _ordered_sum(off, axis=1)).all())
+    system = LinearSystem(tuple(map(tuple, coefficients.tolist())), constants, unknowns)
+    return ErrorSystem(system, tuple(s_values.tolist()), dominant)
 
 
 def hessian(error_system: ErrorSystem, n: int) -> tuple[tuple[float, ...], ...]:
@@ -93,7 +79,7 @@ def squared_error(problem: Problem, unknown_values: tuple[float, ...]) -> float:
     ``unknown_values`` are aligned with ``problem.unknown_indices``; the sum
     runs over all ordered (unknown, other) pairs of the complete matrix.
     """
-    m = problem.matrix
+    m = problem.matrix.entries
     unknowns = problem.unknown_indices
     if len(unknown_values) != len(unknowns):
         raise ValueError(f"expected {len(unknowns)} values, got {len(unknown_values)}")
@@ -104,11 +90,11 @@ def squared_error(problem: Problem, unknown_values: tuple[float, ...]) -> float:
         for i in range(1, problem.n + 1):
             if i == j:
                 continue
-            total += (mu[j] - mu[i] * m.entry(j, i)) ** 2
+            total += (mu[j] - mu[i] * m[j - 1][i - 1]) ** 2
     return total
 
 
-def solve_min_error(problem: Problem) -> MinErrorResult:
+def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """Solve the normal system and gate the result on admissibility.
 
     Succeeds when the system is non-singular and every solved weight is
@@ -117,7 +103,8 @@ def solve_min_error(problem: Problem) -> MinErrorResult:
     minimum here; the result is still returned, flagged accordingly
     (dominance is sufficient for positive definiteness, not necessary).
 
-    Raises SingularSystemError or InadmissibleSolutionError on failure.
+    A `Prepared` problem from `preprocess` is solved as it is.  Raises
+    SingularSystemError or InadmissibleSolutionError on failure.
     """
     prepared, _ = preprocess(problem)
     error_system = build_error_system(prepared)

@@ -13,10 +13,12 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagnostics import koczkodaj_index
 from .errors import HreError
 from .hre_solver import ADMISSIBLE_TOL, build_system, solve_linear, synthesize
-from .matrix_core import PcMatrix, Problem, preprocess
+from .matrix_core import PcMatrix, Prepared, Problem, _above_diagonal, preprocess
 from .min_error_solver import solve_min_error
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
@@ -68,12 +70,9 @@ def generate_consistent(
         raise ValueError("weight_range must satisfy 0 < low < high")
     rng = random.Random(seed)
     weights = tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n))
-    grid = [[1.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            grid[i][j] = weights[i] / weights[j]
-            grid[j][i] = 1.0 / grid[i][j]
-    return PcMatrix(tuple(tuple(row) for row in grid)), weights
+    w = np.array(weights)
+    ratios = w[:, None] / w  # w_i / w_j, exactly 1 on the diagonal
+    return PcMatrix._from_array(np.where(_above_diagonal(n), ratios, 1.0 / ratios.T)), weights
 
 
 def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
@@ -87,33 +86,30 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
     if noise_level < 0:
         raise ValueError("noise level must be non-negative")
     rng = random.Random(seed)
-    n = matrix.n
-    grid = [list(row) for row in matrix.entries]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if grid[i][j] is None:
-                continue
-            grid[i][j] *= math.exp(rng.uniform(-noise_level, noise_level))
-            grid[j][i] = 1.0 / grid[i][j]
-    return PcMatrix(tuple(tuple(row) for row in grid))
+    grid = matrix.array.copy()
+    rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(grid))
+    # one draw per specified upper entry, in row order; math.exp rather than
+    # np.exp, whose last bit can differ, keeps the recorded experiments
+    grid[rows, cols] *= [math.exp(rng.uniform(-noise_level, noise_level)) for _ in rows]
+    grid[cols, rows] = 1.0 / grid[rows, cols]
+    return PcMatrix._from_array(grid)
 
 
 def _solve_averaging_direct(problem: Problem) -> tuple[float, ...] | None:
-    """Direct solve of the averaging system; None when singular or non-positive."""
+    """Direct solve of a prepared averaging system; None when singular or non-positive."""
     try:
-        prepared, _ = preprocess(problem)
-        solution = solve_linear(build_system(prepared))
+        solution = solve_linear(build_system(problem))
         if min(solution) <= ADMISSIBLE_TOL:
             return None
-        _, unit = synthesize(solution, prepared)
+        _, unit = synthesize(solution, problem)
         return unit.values
     except HreError:
         return None
 
 
-def _solve_least_squares(problem: Problem) -> tuple[float, ...] | None:
+def _solve_least_squares(prepared: Prepared) -> tuple[float, ...] | None:
     try:
-        return solve_min_error(problem).weights_normalized.values
+        return solve_min_error(prepared).weights_normalized.values
     except HreError:
         return None
 
@@ -134,10 +130,13 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
             matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
             noisy = perturb(matrix, noise, gen_seed + 1)
             references = {i + 1: weights[i] for i in range(config.reference_count)}
-            problem = Problem(noisy, references)
-
-            averaging = _solve_averaging_direct(problem)
-            least_squares = _solve_least_squares(problem)
+            try:
+                prepared = preprocess(Problem(noisy, references))
+            except HreError:
+                averaging = least_squares = None
+            else:
+                averaging = _solve_averaging_direct(prepared.problem)
+                least_squares = _solve_least_squares(prepared)
             solved = averaging is not None and least_squares is not None
             if solved:
                 distance = max(abs(a - b) for a, b in zip(averaging, least_squares))

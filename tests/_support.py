@@ -1,4 +1,8 @@
-"""Shared test helpers: printed-value tolerances, generators, independent oracles."""
+"""Shared test helpers: printed-value tolerances, generators, independent oracles.
+
+The ``*_loop`` functions are entry-by-entry references for the package's
+array kernels: the same arithmetic in the same order, one entry at a time.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,8 @@ import math
 import random
 from pathlib import Path
 
-from hrerank import PcMatrix, Problem
+from hrerank import Issue, PcMatrix, Problem
+from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -172,3 +177,174 @@ def diverging_incomplete_problem() -> Problem:
         (None, 8.0, 1.0 / 8.0, 1.0),
     )
     return Problem(PcMatrix(rows), {1: 1.0})
+
+
+def triad_scan_loop(matrix: PcMatrix) -> tuple[float | None, int]:
+    """Koczkodaj's index and the complete-triad count, triad by triad."""
+    m = matrix.entries
+    n = len(m)
+    worst: float | None = None
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                m_ij, m_ik, m_kj = m[i][j], m[i][k], m[k][j]
+                if m_ij is None or m_ik is None or m_kj is None:
+                    continue
+                count += 1
+                q = m_ik * m_kj / m_ij
+                contribution = min(abs(1.0 - q), abs(1.0 - 1.0 / q))
+                if worst is None or contribution > worst:
+                    worst = contribution
+    return worst, count
+
+
+def is_reachable_loop(problem: Problem) -> tuple[bool, tuple[int, ...]]:
+    m = problem.matrix.entries
+    n = problem.n
+    seen = set(problem.references)
+    stack = list(seen)
+    while stack:
+        i = stack.pop()
+        for j in range(1, n + 1):
+            if j in seen or j == i:
+                continue
+            if m[i - 1][j - 1] is not None or m[j - 1][i - 1] is not None:
+                seen.add(j)
+                stack.append(j)
+    unreachable = tuple(i for i in problem.unknown_indices if i not in seen)
+    return (not unreachable, unreachable)
+
+
+def validate_loop(problem: Problem) -> tuple[Issue, ...]:
+    """The validation issues, in order, checked entry by entry."""
+    m = problem.matrix.entries
+    n = problem.n
+    issues = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            v = m[i - 1][j - 1]
+            if v is not None and not (math.isfinite(v) and v > 0):
+                issues.append(
+                    Issue(f"({i},{j})", "nonpositive-entry", f"entry {v!r} is not a positive finite ratio")
+                )
+    for i in range(1, n + 1):
+        v = m[i - 1][i - 1]
+        if v is None:
+            issues.append(Issue(f"({i},{i})", "bad-diagonal", "diagonal entry is missing"))
+        elif math.isfinite(v) and v > 0 and abs(v - 1.0) > DIAGONAL_TOL:
+            issues.append(Issue(f"({i},{i})", "bad-diagonal", f"diagonal entry {v!r} is not 1"))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = m[i - 1][j - 1], m[j - 1][i - 1]
+            if a is None or b is None or not all(math.isfinite(v) and v > 0 for v in (a, b)):
+                continue
+            if abs(a * b - 1.0) > RECIPROCAL_WARN_TOL:
+                issues.append(
+                    Issue(
+                        f"({i},{j})",
+                        "non-reciprocal-pair",
+                        f"m({i},{j})={a:g} and m({j},{i})={b:g} are not mutual inverses",
+                    )
+                )
+    if problem.references:
+        for idx in is_reachable_loop(problem)[1]:
+            issues.append(
+                Issue(
+                    f"c{idx}",
+                    "unreachable-concept",
+                    "no chain of specified ratios links it to a reference concept",
+                )
+            )
+    return tuple(issues)
+
+
+def restore_reciprocity_loop(matrix: PcMatrix) -> tuple[tuple[float | None, ...], ...]:
+    grid = [list(row) for row in matrix.entries]
+    n = matrix.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = grid[i][j], grid[j][i]
+            if a is not None and b is not None:
+                grid[i][j] = math.sqrt(a / b)
+                grid[j][i] = math.sqrt(b / a)
+            elif a is not None:
+                grid[j][i] = 1.0 / a
+            elif b is not None:
+                grid[i][j] = 1.0 / b
+    return tuple(tuple(row) for row in grid)
+
+
+def jacobi_loop(problem: Problem, max_r: int, stop_tol: float, divergence_limit: float):
+    """Averaging iterates, sample by sample: (iterates, converged, diverged)."""
+    m = problem.matrix.entries
+    n = problem.n
+    refs = problem.references
+    estimates: dict[int, float] = {}
+    iterates = []
+    previous = None
+    for _ in range(max_r):
+        new_estimates = {}
+        for j in problem.unknown_indices:
+            total, count = 0.0, 0
+            for i in range(1, n + 1):
+                ratio = m[j - 1][i - 1]
+                if i == j or ratio is None:
+                    continue
+                value = refs.get(i, estimates.get(i))
+                if value is None:
+                    continue
+                total += ratio * value
+                count += 1
+            if count:
+                new_estimates[j] = total / count
+        current = tuple(refs[i] if i in refs else new_estimates.get(i) for i in range(1, n + 1))
+        iterates.append(current)
+        if any(v is not None and (not math.isfinite(v) or abs(v) > divergence_limit) for v in current):
+            return iterates, False, True
+        if previous is not None and None not in current and None not in previous:
+            change = max(abs(c - p) for c, p in zip(current, previous))
+            if change <= stop_tol * max(abs(v) for v in current):
+                return iterates, True, False
+        estimates = new_estimates
+        previous = current
+    return iterates, False, False
+
+
+def random_problem(
+    seed: int,
+    n: int,
+    missing: float,
+    noise: float,
+    references: int,
+    reciprocal: bool = True,
+    connected: bool = True,
+    corrupt: int = 0,
+) -> Problem:
+    """Noisy consistent matrix with a random missing pattern and reference set.
+
+    ``connected`` keeps every pair (i, i+1) so the comparison graph stays
+    connected; ``reciprocal=False`` draws each lower entry's noise on its own
+    and leaves some pairs half specified; ``corrupt`` overwrites that many
+    random entries with invalid or off-diagonal values.
+    """
+    rng = random.Random(seed)
+    weights = random_weights(n, rng)
+    grid = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < missing and not (connected and j == i + 1):
+                grid[i][j] = grid[j][i] = None
+                continue
+            grid[i][j] = weights[i] / weights[j] * math.exp(rng.uniform(-noise, noise))
+            if reciprocal:
+                grid[j][i] = 1.0 / grid[i][j]
+            elif rng.random() < 0.2:
+                grid[j][i] = None
+            else:
+                grid[j][i] = weights[j] / weights[i] * math.exp(rng.uniform(-noise, noise))
+    for _ in range(corrupt):
+        i, j = rng.randrange(n), rng.randrange(n)
+        grid[i][j] = rng.choice([0.0, -1.5, math.inf, -math.inf, None, 2.0, 1.0 + 1e-9])
+    chosen = rng.sample(range(1, n + 1), min(references, n))
+    return Problem(PcMatrix(grid), {c: weights[c - 1] for c in chosen})

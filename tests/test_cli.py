@@ -175,6 +175,26 @@ class TestErrorPaths:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["rank", "diagnose"])
+    def test_nan_token_is_rejected_with_its_location(self, tmp_path, capsys, command):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("2\n1 nan\n1 1\nref 1 1.0\n", encoding="utf-8")
+        args = [command, "--input", str(bad)] + (["--method", "hre"] if command == "rank" else [])
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert "line 2, column 3" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_iteration_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, err = run_cli(
+            ["rank", "--input", str(DATA_DIR / "example4.txt"), "--method", "hre",
+             "--iterations", budget],
+            capsys,
+        )
+        assert code == 1
+        assert "--iterations" in err and out == ""
+
     def test_fatal_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 -3\n1 1\nref 1 1.0\n", encoding="utf-8")

@@ -294,6 +294,22 @@ class TestSynthesize:
 
 
 class TestHreRank:
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_iteration_budget_below_one_rejected(self, example4, budget):
+        with pytest.raises(ValueError, match="max_iterations"):
+            hre_rank(example4, max_iterations=budget)
+
+    def test_prepared_problem_is_not_validated_again(self, example3, monkeypatch):
+        from hrerank import hre_solver, matrix_core
+
+        ready = preprocess(example3)
+        expected = hre_rank(example3)
+        monkeypatch.setattr(matrix_core, "validate", None)  # any call would fail
+        outcome = hre_rank(ready)
+        assert outcome.weights == expected.weights
+        assert outcome.warnings == expected.warnings
+        assert hre_solver.preprocess(ready) is ready
+
     def test_example1_direct(self, example1):
         outcome = hre_rank(example1, normalize=True)
         assert outcome.path == "direct"

@@ -77,6 +77,13 @@ class TestParse:
             parse_matrix(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan"])
+    def test_nan_token_is_not_a_missing_entry(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"2\n1 {token}\n1 1\n")
+        assert (err.value.line, err.value.column) == (2, 3)
+        assert "'?'" in str(err.value)
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as err:
             parse_matrix("3\n1 2 3\n1/2 1 oops\n1/3 1 1\n")
@@ -97,6 +104,11 @@ class TestValidate:
         report = validate(Problem(matrix))
         assert not report.ok
         assert report.fatal_issues[0].category == "nonpositive-entry"
+
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.inf, -math.inf])
+    def test_nonpositive_and_infinite_entries_are_fatal(self, value):
+        report = validate(Problem(PcMatrix(((1.0, value), (1.0, 1.0)))))
+        assert [(i.location, i.category) for i in report.fatal_issues] == [("(1,2)", "nonpositive-entry")]
 
     def test_bad_and_missing_diagonal(self):
         report = validate(Problem(PcMatrix(((2.0, 1.0), (1.0, None)))))
@@ -247,6 +259,12 @@ def test_preprocess_collects_warnings(example3):
     prepared, issues = preprocess(example3)
     assert prepared.matrix.is_reciprocal()
     assert [i.category for i in issues] == ["non-reciprocal-pair"]
+
+
+def test_pc_matrix_rejects_nan_with_its_location():
+    with pytest.raises(ValueError, match=r"\(2,1\) is NaN"):
+        PcMatrix(((1.0, 2.0), (math.nan, 1.0)))
+    assert PcMatrix(((1.0, None), (None, 1.0))).entries == ((1.0, None), (None, 1.0))
 
 
 def test_pc_matrix_rejects_bad_shapes():
