@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
 
 from .baselines import WeightVector, ev_weights, gm_weights
-from .diagnostics import cop_check, estimation_error, inconsistency_report
+from .diagnostics import CopReport, cop_check, estimation_error, inconsistency_report
 from .errors import HreError, ParseError, ValidationError
 from .hre_solver import hre_rank
 from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
@@ -40,6 +42,42 @@ def _positive_int(text: str) -> int:
 
 def _fmt(value: float) -> str:
     return format(value, ".6g")
+
+
+# `cop --json` layout, as json.dumps(payload, indent=2) writes it
+_QUADRUPLE_JSON = '    {{\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
+_PAIR_JSON = '        [\n          {},\n          {}\n        ]'
+_POP_JSON = {
+    count: _QUADRUPLE_JSON + '      "failed_pairs": [\n' + ",\n".join([_PAIR_JSON] * count) + "\n      ]\n    }}"
+    for count in (1, 2)
+}
+_POIP_JSON = _QUADRUPLE_JSON + '      "lhs": {},\n      "rhs": {}\n    }}'
+
+
+def _json_float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_list(key: str, items: list[str]) -> str:
+    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
+
+
+def _cop_json(result: CopReport) -> str:
+    """The report with the bytes of json.dumps(payload, indent=2), one template per violation.
+
+    With ``indent`` set, json falls back to its pure-Python encoder, which is
+    slow on the hundreds of thousands of violations a mid-sized matrix can have.
+    """
+    pop = [
+        _POP_JSON[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
+        for v in result.pop_violations
+    ]
+    poip = [_POIP_JSON.format(*v.quadruple, _json_float(v.lhs), _json_float(v.rhs)) for v in result.poip_violations]
+    return (
+        f'{{\n  "satisfies_cop": {"true" if result.satisfies_cop else "false"},\n'
+        f'  "quadruples_checked": {result.quadruples_checked},\n'
+        f'{_json_list("pop_violations", pop)},\n{_json_list("poip_violations", poip)}\n}}'
+    )
 
 
 def _load_problem(path: str) -> Problem:
@@ -190,19 +228,7 @@ def _cmd_cop(args) -> int:
     result = cop_check(problem.matrix, weights)
 
     if args.json:
-        payload = {
-            "satisfies_cop": result.satisfies_cop,
-            "quadruples_checked": result.quadruples_checked,
-            "pop_violations": [
-                {"quadruple": list(v.quadruple), "failed_pairs": [list(p) for p in v.failed_pairs]}
-                for v in result.pop_violations
-            ],
-            "poip_violations": [
-                {"quadruple": list(v.quadruple), "lhs": v.lhs, "rhs": v.rhs}
-                for v in result.poip_violations
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        print(_cop_json(result))
     else:
         print(f"quadruples checked: {result.quadruples_checked}")
         if result.pop_violations:

@@ -11,7 +11,7 @@ from .baselines import WeightVector, principal_eigen
 from .errors import IncompleteMatrixError
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _ordered_sum, _unknown_rows, restore_reciprocity
 
-TRIAD_BLOCK = 1 << 16  # entries per block of triad ratios: 512 KiB of float64
+SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
     point, where each step rounds monotonically), so the index is the
     larger contribution of the smallest and the largest q; no other triad
     is evaluated.  The q values are formed in blocks of pivots k of at most
-    TRIAD_BLOCK entries (one pivot's n x n slab when n is larger), never as
+    SCAN_BLOCK entries (one pivot's n x n slab when n is larger), never as
     an n x n x n array.  Returns (None, 0) when no complete triad exists.
     """
     a = matrix.array
@@ -69,7 +69,7 @@ def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
     upper = np.where(above, a, np.nan)  # m_ij, i < j
     lower = np.where(above.T, a, np.nan)  # m_kj, j < k
     low, high, count = math.inf, -math.inf, 0
-    step = max(1, TRIAD_BLOCK // (n * n))  # pivots per block
+    step = max(1, SCAN_BLOCK // (n * n))  # pivots per block
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k0 in range(2, n, step):
             k1 = min(n, k0 + step)
@@ -164,38 +164,47 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
       ratios count as violations).
 
     The verdict depends on mu only through its ratios, so it is invariant
-    under uniform rescaling.  Enumeration is O(n^4); fine at survey scale.
+    under uniform rescaling.  Quadruples are counted with one sort of the
+    judgments and found with boolean masks over blocks of at most SCAN_BLOCK
+    (strict, comparable) pairs, so memory stays bounded; violations come in
+    row-major order of (i,j), then of (k,l).
     """
     n = matrix.n
     if len(mu) != n:
         raise ValueError(f"weight vector has {len(mu)} entries, expected {n}")
-    pairs = [
-        (i, j, v)
-        for i, row in enumerate(matrix.array.tolist(), start=1)
-        for j, v in enumerate(row, start=1)
-        if i != j and v == v
-    ]
-    strict = [(i, j, v) for i, j, v in pairs if v > 1.0]
-    comparable = [(i, j, v) for i, j, v in pairs if v >= 1.0]
+    a = matrix.array
+    i, j = np.nonzero((a >= 1.0) & ~np.eye(n, dtype=bool))  # comparable judgments, row-major; NaN compares false
+    m = a[i, j]
+    w = np.array(mu.values)
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = w[i] / w[j]
+    unranked = w[i] <= w[j]  # mu does not put i above j
+    fails_as_kl = unranked & (m > 1.0)
+    strict = np.flatnonzero(m > 1.0)
+    checked = int(np.searchsorted(np.sort(m), m[strict], side="left").sum())
 
-    pop: list[PopViolation] = []
-    poip: list[PoipViolation] = []
-    checked = 0
-    w = mu.values
-    for i, j, m_ij in strict:
-        for k, l, m_kl in comparable:
-            if (i, j) == (k, l) or m_ij <= m_kl:
-                continue
-            checked += 1
-            failed = []
-            if w[i - 1] <= w[j - 1]:
-                failed.append((i, j))
-            if m_kl > 1.0 and w[k - 1] <= w[l - 1]:
-                failed.append((k, l))
-            if failed:
-                pop.append(PopViolation((i, j, k, l), tuple(failed)))
-            lhs = w[i - 1] / w[j - 1]
-            rhs = w[k - 1] / w[l - 1]
-            if lhs <= rhs:
-                poip.append(PoipViolation((i, j, k, l), lhs, rhs))
-    return CopReport(tuple(pop), tuple(poip), checked)
+    width = len(m) or 1
+    pop_at, poip_at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # flat (strict, comparable) indices
+    step = max(1, SCAN_BLOCK // width)  # strict pairs per block
+    for s0 in range(0, len(strict), step):
+        s = strict[s0 : s0 + step]
+        beats = m[s, None] > m  # the quadruples of this block
+        pop_at.append(np.flatnonzero(beats & (unranked[s, None] | fails_as_kl)) + s0 * width)
+        poip_at.append(np.flatnonzero(beats & (ratio[s, None] <= ratio)) + s0 * width)
+
+    pairs = np.stack([i, j], axis=1) + 1
+
+    def located(at):
+        s, c = np.divmod(np.concatenate(at), width)
+        s = strict[s]
+        return s, c, list(map(tuple, np.concatenate([pairs[s], pairs[c]], axis=1).tolist()))
+
+    s, c, quads = located(pop_at)
+    failed = [
+        (q[:2], q[2:]) if first and second else (q[:2],) if first else (q[2:],)
+        for q, first, second in zip(quads, unranked[s].tolist(), fails_as_kl[c].tolist())
+    ]
+    pop = tuple(map(PopViolation, quads, failed))
+    s, c, quads = located(poip_at)
+    poip = tuple(map(PoipViolation, quads, ratio[s].tolist(), ratio[c].tolist()))
+    return CopReport(pop, poip, checked)

@@ -123,7 +123,7 @@ def _system_parts(problem: Problem, undefined: str) -> tuple[tuple[int, ...], np
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
-    """Gaussian elimination with partial pivoting.
+    """Gaussian elimination with partial pivoting on the augmented array [A | b].
 
     Raises SingularSystemError when some pivot drops below 1e-12 in
     magnitude (the practical "determinant differs from 0" test) or when the
@@ -133,25 +133,24 @@ def solve_linear(system: LinearSystem) -> tuple[float, ...]:
     k = system.k
     a = np.array(system.coefficients, dtype=float)
     b = np.array(system.constants, dtype=float)
-    x = b.copy()
-    u = a.copy()
+    u = np.empty((k, k + 1))  # eliminated in place
+    u[:, :k], u[:, k] = a, b
     for col in range(k):
-        pivot = col + int(np.argmax(np.abs(u[col:, col])))
+        pivot = col + int(np.abs(u[col:, col]).argmax())
         if abs(u[pivot, col]) < PIVOT_TOL:
             raise SingularSystemError(f"pivot {u[pivot, col]:.3e} in column {col + 1} below tolerance")
         if pivot != col:
             u[[col, pivot]] = u[[pivot, col]]
-            x[[col, pivot]] = x[[pivot, col]]
-        factors = u[col + 1 :, col] / u[col, col]
-        u[col + 1 :] -= factors[:, None] * u[col]
-        x[col + 1 :] -= factors * x[col]
+        # columns up to col are not read again
+        u[col + 1 :, col + 1 :] -= np.multiply.outer(u[col + 1 :, col] / u[col, col], u[col, col + 1 :])
+    x = u[:, k].copy()
     for col in range(k - 1, -1, -1):
-        x[col] = (x[col] - u[col, col + 1 :] @ x[col + 1 :]) / u[col, col]
+        x[col] = (x[col] - u[col, col + 1 : k] @ x[col + 1 :]) / u[col, col]
 
     residual = float(np.max(np.abs(a @ x - b)))
     if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
-    return tuple(float(v) for v in x)
+    return tuple(x.tolist())
 
 
 def check_convergence(system: LinearSystem) -> tuple[bool, bool]:

@@ -176,30 +176,46 @@ _FRACTION_RE = re.compile(r"^(\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")
 _TOKEN_RE = re.compile(r"[^\s,]+")
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Tokens of one line with 1-based columns; '#' starts a comment."""
+def _tokens(line: str) -> list[str]:
+    """Tokens of one line; '#' starts a comment."""
     cut = line.find("#")
     if cut >= 0:
         line = line[:cut]
-    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+    return line.replace(",", " ").split()  # str.split() and _TOKEN_RE agree on whitespace
 
 
-def _parse_value(token: str, line_no: int, col: int) -> float | None:
+def _column(line: str, index: int) -> int:
+    """1-based column of token ``index``, for an error message; a comment only cuts the line's end."""
+    return [m.start() + 1 for m in _TOKEN_RE.finditer(line)][index]
+
+
+def _parse_value(token: str, line_no: int, line: str, index: int) -> float | None:
     if token == "?":
         return None
-    m = _FRACTION_RE.match(token)
-    if m:
-        den = float(m.group(2))
-        if den == 0:
-            raise ParseError(f"zero denominator in '{token}'", line_no, col)
-        return float(m.group(1)) / den
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"invalid value '{token}'", line_no, col) from None
+        m = _FRACTION_RE.match(token)  # float() refuses every fraction, so it is tried second
+        if not m:
+            raise ParseError(f"invalid value '{token}'", line_no, _column(line, index)) from None
+        den = float(m.group(2))
+        if den == 0:
+            raise ParseError(f"zero denominator in '{token}'", line_no, _column(line, index)) from None
+        return float(m.group(1)) / den
     if value != value:
-        raise ParseError(f"'{token}' is not a ratio; write '?' for a missing comparison", line_no, col)
+        message = f"'{token}' is not a ratio; write '?' for a missing comparison"
+        raise ParseError(message, line_no, _column(line, index))
     return value
+
+
+def _parse_row(tokens: list[str], line_no: int, line: str) -> list[float | None]:
+    try:
+        row = list(map(float, tokens))  # the usual row: plain numbers only
+        if not any(map(math.isnan, row)):
+            return row
+    except ValueError:
+        pass
+    return [_parse_value(token, line_no, line, index) for index, token in enumerate(tokens)]
 
 
 def parse_matrix(text: str) -> Problem:
@@ -226,42 +242,36 @@ def parse_matrix(text: str) -> Problem:
             continue
         if n is None:
             if len(toks) != 1:
-                raise ParseError("expected a single matrix size", line_no, toks[1][1])
-            tok, col = toks[0]
+                raise ParseError("expected a single matrix size", line_no, _column(raw, 1))
             try:
-                n = int(tok)
+                n = int(toks[0])
             except ValueError:
-                raise ParseError(f"matrix size must be an integer, got '{tok}'", line_no, col) from None
+                raise ParseError(f"matrix size must be an integer, got '{toks[0]}'", line_no, _column(raw, 0)) from None
             if n < 2:
-                raise ParseError("matrix size must be at least 2", line_no, col)
+                raise ParseError("matrix size must be at least 2", line_no, _column(raw, 0))
         elif len(rows) < n:
             if len(toks) != n:
-                raise ParseError(
-                    f"row {len(rows) + 1} has {len(toks)} values, expected {n}",
-                    line_no,
-                    toks[0][1],
-                )
-            rows.append([_parse_value(tok, line_no, col) for tok, col in toks])
+                raise ParseError(f"row {len(rows) + 1} has {len(toks)} values, expected {n}", line_no, _column(raw, 0))
+            rows.append(_parse_row(toks, line_no, raw))
         else:
-            tok, col = toks[0]
-            if tok != "ref":
-                raise ParseError(f"expected 'ref' line, got '{tok}'", line_no, col)
+            if toks[0] != "ref":
+                raise ParseError(f"expected 'ref' line, got '{toks[0]}'", line_no, _column(raw, 0))
             if len(toks) != 3:
-                raise ParseError("ref line needs exactly: ref <index> <weight>", line_no, col)
+                raise ParseError("ref line needs exactly: ref <index> <weight>", line_no, _column(raw, 0))
             try:
-                idx = int(toks[1][0])
+                idx = int(toks[1])
             except ValueError:
-                raise ParseError(f"reference index must be an integer, got '{toks[1][0]}'", line_no, toks[1][1]) from None
+                raise ParseError(f"reference index must be an integer, got '{toks[1]}'", line_no, _column(raw, 1)) from None
             if not (1 <= idx <= n):
-                raise ParseError(f"reference index {idx} outside 1..{n}", line_no, toks[1][1])
+                raise ParseError(f"reference index {idx} outside 1..{n}", line_no, _column(raw, 1))
             if idx in references:
-                raise ParseError(f"duplicate reference line for concept {idx}", line_no, toks[1][1])
+                raise ParseError(f"duplicate reference line for concept {idx}", line_no, _column(raw, 1))
             try:
-                weight = float(toks[2][0])
+                weight = float(toks[2])
             except ValueError:
-                raise ParseError(f"invalid reference weight '{toks[2][0]}'", line_no, toks[2][1]) from None
+                raise ParseError(f"invalid reference weight '{toks[2]}'", line_no, _column(raw, 2)) from None
             if not (math.isfinite(weight) and weight > 0):
-                raise ParseError("reference weight must be a positive number", line_no, toks[2][1])
+                raise ParseError("reference weight must be a positive number", line_no, _column(raw, 2))
             references[idx] = weight
 
     if n is None:
@@ -326,8 +336,15 @@ def restore_reciprocity(matrix: PcMatrix) -> PcMatrix:
     Expects entries to be positive (run `validate` first on foreign input).
     """
     a = matrix.array
-    with np.errstate(divide="ignore", invalid="ignore"):
-        restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), 1.0 / a.T, np.sqrt(a / a.T)))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="raise", under="raise"):
+            ratio, inverse = np.sqrt(a / a.T), 1.0 / a.T
+    except FloatingPointError:  # some value is near the end of the float range
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            quotient, inverse = a / a.T, 1.0 / a.T
+            extreme = (quotient == math.inf) | (quotient < np.finfo(float).tiny)  # take the roots first there
+            ratio = np.where(extreme, np.sqrt(a) / np.sqrt(a.T), np.sqrt(quotient))
+    restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), inverse, ratio))
     np.fill_diagonal(restored, np.diagonal(a))
     return PcMatrix._from_array(restored)
 

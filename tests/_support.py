@@ -2,15 +2,21 @@
 
 The ``*_loop`` functions are entry-by-entry references for the package's
 array kernels: the same arithmetic in the same order, one entry at a time.
+``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
+and ``solve_linear_oracle`` the elimination that updates A and b separately.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from pathlib import Path
 
-from hrerank import Issue, PcMatrix, Problem
+import numpy as np
+
+from hrerank import CopReport, Issue, ParseError, PcMatrix, PoipViolation, PopViolation, Problem, SingularSystemError
+from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -348,3 +354,155 @@ def random_problem(
         grid[i][j] = rng.choice([0.0, -1.5, math.inf, -math.inf, None, 2.0, 1.0 + 1e-9])
     chosen = rng.sample(range(1, n + 1), min(references, n))
     return Problem(PcMatrix(grid), {c: weights[c - 1] for c in chosen})
+
+
+def cop_check_loop(matrix: PcMatrix, mu) -> CopReport:
+    """The COP check quadruple by quadruple, in the order the report lists them."""
+    n = matrix.n
+    if len(mu) != n:
+        raise ValueError(f"weight vector has {len(mu)} entries, expected {n}")
+    pairs = [
+        (i, j, v)
+        for i, row in enumerate(matrix.array.tolist(), start=1)
+        for j, v in enumerate(row, start=1)
+        if i != j and v == v
+    ]
+    strict = [(i, j, v) for i, j, v in pairs if v > 1.0]
+    comparable = [(i, j, v) for i, j, v in pairs if v >= 1.0]
+
+    pop: list[PopViolation] = []
+    poip: list[PoipViolation] = []
+    checked = 0
+    w = mu.values
+    for i, j, m_ij in strict:
+        for k, l, m_kl in comparable:
+            if (i, j) == (k, l) or m_ij <= m_kl:
+                continue
+            checked += 1
+            failed = []
+            if w[i - 1] <= w[j - 1]:
+                failed.append((i, j))
+            if m_kl > 1.0 and w[k - 1] <= w[l - 1]:
+                failed.append((k, l))
+            if failed:
+                pop.append(PopViolation((i, j, k, l), tuple(failed)))
+            lhs = w[i - 1] / w[j - 1]
+            rhs = w[k - 1] / w[l - 1]
+            if lhs <= rhs:
+                poip.append(PoipViolation((i, j, k, l), lhs, rhs))
+    return CopReport(tuple(pop), tuple(poip), checked)
+
+
+_FRACTION_RE_ORACLE = re.compile(r"^(\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")
+_TOKEN_RE_ORACLE = re.compile(r"[^\s,]+")
+
+
+def _tokens_oracle(line: str) -> list[tuple[str, int]]:
+    """Tokens of one line with 1-based columns; '#' starts a comment."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE_ORACLE.finditer(line)]
+
+
+def _parse_value_oracle(token: str, line_no: int, col: int) -> float | None:
+    if token == "?":
+        return None
+    m = _FRACTION_RE_ORACLE.match(token)
+    if m:
+        den = float(m.group(2))
+        if den == 0:
+            raise ParseError(f"zero denominator in '{token}'", line_no, col)
+        return float(m.group(1)) / den
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"invalid value '{token}'", line_no, col) from None
+    if value != value:
+        raise ParseError(f"'{token}' is not a ratio; write '?' for a missing comparison", line_no, col)
+    return value
+
+
+def parse_matrix_oracle(text: str) -> Problem:
+    """The parser as first written: the fraction regex before float(), a column per token."""
+    n: int | None = None
+    rows: list[list[float | None]] = []
+    references: dict[int, float] = {}
+    last_line = 0
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        toks = _tokens_oracle(raw)
+        if not toks:
+            continue
+        if n is None:
+            if len(toks) != 1:
+                raise ParseError("expected a single matrix size", line_no, toks[1][1])
+            tok, col = toks[0]
+            try:
+                n = int(tok)
+            except ValueError:
+                raise ParseError(f"matrix size must be an integer, got '{tok}'", line_no, col) from None
+            if n < 2:
+                raise ParseError("matrix size must be at least 2", line_no, col)
+        elif len(rows) < n:
+            if len(toks) != n:
+                raise ParseError(
+                    f"row {len(rows) + 1} has {len(toks)} values, expected {n}",
+                    line_no,
+                    toks[0][1],
+                )
+            rows.append([_parse_value_oracle(tok, line_no, col) for tok, col in toks])
+        else:
+            tok, col = toks[0]
+            if tok != "ref":
+                raise ParseError(f"expected 'ref' line, got '{tok}'", line_no, col)
+            if len(toks) != 3:
+                raise ParseError("ref line needs exactly: ref <index> <weight>", line_no, col)
+            try:
+                idx = int(toks[1][0])
+            except ValueError:
+                raise ParseError(f"reference index must be an integer, got '{toks[1][0]}'", line_no, toks[1][1]) from None
+            if not (1 <= idx <= n):
+                raise ParseError(f"reference index {idx} outside 1..{n}", line_no, toks[1][1])
+            if idx in references:
+                raise ParseError(f"duplicate reference line for concept {idx}", line_no, toks[1][1])
+            try:
+                weight = float(toks[2][0])
+            except ValueError:
+                raise ParseError(f"invalid reference weight '{toks[2][0]}'", line_no, toks[2][1]) from None
+            if not (math.isfinite(weight) and weight > 0):
+                raise ParseError("reference weight must be a positive number", line_no, toks[2][1])
+            references[idx] = weight
+
+    if n is None:
+        raise ParseError("empty input, expected matrix size", max(last_line, 1))
+    if len(rows) < n:
+        raise ParseError(f"expected {n} matrix rows, got {len(rows)}", last_line)
+    return Problem(PcMatrix(rows), references)
+
+
+def solve_linear_oracle(system) -> tuple[float, ...]:
+    """Gaussian elimination with partial pivoting, A and b updated as two arrays."""
+    k = system.k
+    a = np.array(system.coefficients, dtype=float)
+    b = np.array(system.constants, dtype=float)
+    x = b.copy()
+    u = a.copy()
+    for col in range(k):
+        pivot = col + int(np.argmax(np.abs(u[col:, col])))
+        if abs(u[pivot, col]) < PIVOT_TOL:
+            raise SingularSystemError(f"pivot {u[pivot, col]:.3e} in column {col + 1} below tolerance")
+        if pivot != col:
+            u[[col, pivot]] = u[[pivot, col]]
+            x[[col, pivot]] = x[[pivot, col]]
+        factors = u[col + 1 :, col] / u[col, col]
+        u[col + 1 :] -= factors[:, None] * u[col]
+        x[col + 1 :] -= factors * x[col]
+    for col in range(k - 1, -1, -1):
+        x[col] = (x[col] - u[col, col + 1 :] @ x[col + 1 :]) / u[col, col]
+
+    residual = float(np.max(np.abs(a @ x - b)))
+    if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):
+        raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
+    return tuple(float(v) for v in x)

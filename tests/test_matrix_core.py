@@ -150,6 +150,18 @@ class TestRestoreReciprocity:
         matrix = PcMatrix(rows)
         assert restore_reciprocity(matrix).entries == rows
 
+    def test_extreme_reciprocal_pair_is_fixpoint(self):
+        # m12 / m21 = 1e600 overflows and m21 / m12 underflows; the roots are taken first there
+        rows = ((1.0, 1e300, 4.0), (1e-300, 1.0, 0.5), (0.25, 2.0, 1.0))
+        matrix = PcMatrix(rows)
+        assert matrix.is_reciprocal() and not validate(Problem(matrix)).issues
+        restored = restore_reciprocity(matrix)
+        assert restored.entry(1, 2) == pytest.approx(1e300, rel=2**-52)
+        assert restored.entry(2, 1) == 1e-300
+        assert [row[2] for row in restored.entries] == [4.0, 0.5, 1.0]  # every other entry keeps its bits
+        assert restored.entries[2] == rows[2]
+        assert restore_reciprocity(restored) == restored
+
     def test_one_sided_pair_completed(self):
         rows = ((1.0, 4.0, 1.0), (None, 1.0, 1.0), (1.0, 1.0, 1.0))
         restored = restore_reciprocity(PcMatrix(rows))

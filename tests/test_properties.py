@@ -3,34 +3,54 @@
 Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
 restored matrix and the validation issues must match bit for bit; the
-estimation error and the Jacobi iterates within 1e-12 relative.
+estimation error and the Jacobi iterates within 1e-12 relative.  The COP
+report, the `cop --json` text, the parsed problem (or parse error) and the
+linear solve must equal their references exactly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from unittest.mock import patch
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrerank import (
+    CopReport,
+    LinearSystem,
+    ParseError,
+    PcMatrix,
+    PoipViolation,
+    PopViolation,
+    SingularSystemError,
     WeightVector,
+    cop_check,
     estimation_error,
     jacobi_iterate,
     koczkodaj_index,
+    parse_matrix,
     preprocess,
     restore_reciprocity,
+    solve_linear,
     triad_scan,
     validate,
 )
+from hrerank import diagnostics
+from hrerank.cli import _cop_json
+from hrerank.diagnostics import SCAN_BLOCK
 from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL
 
 from _support import (
+    cop_check_loop,
     estimation_error_oracle,
     jacobi_loop,
+    parse_matrix_oracle,
     random_problem,
     restore_reciprocity_loop,
+    solve_linear_oracle,
     triad_scan_loop,
     validate_loop,
 )
@@ -109,3 +129,131 @@ def test_jacobi_iterates_match_loop(problem, steps):
     for vector, expected in zip(run.iterates, iterates):
         assert [v is None for v in vector] == [v is None for v in expected]
         assert all(close(v, e) for v, e in zip(vector, expected) if v is not None)
+
+
+judgments = st.one_of(
+    st.none(),
+    st.just(1.0),
+    st.sampled_from([0.25, 1 / 3, 0.5, 2.0, 3.0, 4.0]),
+    st.floats(0.1, 10.0).map(lambda v: round(v, 1)),  # rounding makes ties
+)
+cop_weights = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-300, 1e300]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def cop_inputs(draw):
+    n = draw(st.integers(2, 12))
+    grid = draw(st.lists(st.lists(judgments, min_size=n, max_size=n), min_size=n, max_size=n))
+    weights = draw(st.lists(cop_weights, min_size=n, max_size=n))
+    return PcMatrix(grid), WeightVector(tuple(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cop_inputs(), st.sampled_from([1, 7, 64, SCAN_BLOCK]))
+def test_cop_report_matches_loop(inputs, block):
+    matrix, mu = inputs
+    with patch.object(diagnostics, "SCAN_BLOCK", block):  # small blocks: many blocks per scan
+        assert cop_check(matrix, mu) == cop_check_loop(matrix, mu)
+
+
+def cop_payload(report: CopReport) -> dict:
+    """What `cop --json` prints, as the payload json.dumps(indent=2) used to serialise."""
+    return {
+        "satisfies_cop": report.satisfies_cop,
+        "quadruples_checked": report.quadruples_checked,
+        "pop_violations": [
+            {"quadruple": list(v.quadruple), "failed_pairs": [list(p) for p in v.failed_pairs]}
+            for v in report.pop_violations
+        ],
+        "poip_violations": [
+            {"quadruple": list(v.quadruple), "lhs": v.lhs, "rhs": v.rhs} for v in report.poip_violations
+        ],
+    }
+
+
+concepts = st.integers(1, 60)
+quadruples = st.tuples(concepts, concepts, concepts, concepts)
+pop_violations = quadruples.flatmap(
+    lambda q: st.sampled_from([(q[:2],), (q[2:],), (q[:2], q[2:])]).map(lambda failed: PopViolation(q, failed))
+)
+poip_violations = st.builds(PoipViolation, quadruples, st.floats(), st.floats())
+cop_reports = st.builds(
+    CopReport,
+    st.lists(pop_violations, max_size=5).map(tuple),
+    st.lists(poip_violations, max_size=5).map(tuple),
+    st.integers(0, 10**9),
+)
+# mu_1 / mu_2 = 1e600 overflows to inf: json writes Infinity
+OVERFLOW_REPORT = cop_check(PcMatrix([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [1 / 3, 0.25, 1.0]]),
+                            WeightVector((1e300, 1e-300, 1.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cop_reports)
+@example(CopReport((), (), 0))
+@example(OVERFLOW_REPORT)
+def test_cop_json_matches_json_dumps(report):
+    assert _cop_json(report) == json.dumps(cop_payload(report), indent=2)
+
+
+def test_overflow_report_has_an_infinite_ratio():
+    assert any(math.inf in (v.lhs, v.rhs) for v in OVERFLOW_REPORT.poip_violations)
+    assert "Infinity" in _cop_json(OVERFLOW_REPORT)
+
+
+tokens = st.one_of(
+    st.sampled_from(["1", "2.5", "1/3", "3/0", "0/0", "1.5/2.5", "2/", "/2", "1//2", "?", "??", "nan", "-NaN",
+                     "inf", "-1", "0", "1e3", "1_0", "+4", "0x10", "abc", "ref", "\u0663", "\u0663/\u0664"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+separators = st.sampled_from([" ", "  ", "\t", ",", " , ", "\u00a0", "\u2003", "\x1f"])
+size_lines = st.sampled_from(["{n}", "{n} # size", " {n}", "{n} {n}", "x", "1", ""])
+ref_lines = st.sampled_from(["ref 1 2", "ref 2 0.5", "ref 1", "ref x 2", "ref 9 1", "ref 1 -2", "ref 1 inf",
+                             "ref 1 1/2", "ref 1 2 3", "foo 1 2", "# ref 1 2"])
+
+
+@st.composite
+def matrix_texts(draw):
+    n = draw(st.integers(1, 4))
+    lines = [draw(size_lines).format(n=n)]
+    for _ in range(draw(st.integers(0, n + 2))):
+        count = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        line = "".join(draw(separators) + token for token in draw(st.lists(tokens, min_size=count, max_size=count)))
+        lines.append(line + draw(st.sampled_from(["", "", " # note", "#x"])))
+    lines += draw(st.lists(ref_lines, max_size=3))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), matrix_texts()))
+@example("3\n1 2 4\n1/2 1 2\n1/4 1/2 1\nref 1 1.0\n")
+@example("2\n1 nan\n1 1\n")
+@example("2\n1,  3/0 # c\n1 1\n")
+def test_parser_matches_oracle(text):
+    assert parsed(parse_matrix, text) == parsed(parse_matrix_oracle, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), seeds, st.sampled_from([0.0, 1.0, 30.0]), st.booleans())
+def test_solve_linear_matches_oracle(k, seed, shift, repeat_row):
+    rng = random.Random(seed)
+    a = [[rng.gauss(0.0, 1.0) + (shift if i == j else 0.0) for j in range(k)] for i in range(k)]
+    if repeat_row and k > 1:
+        a[-1] = list(a[0])  # singular
+    system = LinearSystem(tuple(map(tuple, a)), tuple(rng.gauss(0.0, 1.0) for _ in range(k)), tuple(range(1, k + 1)))
+    results = []
+    for solve in (solve_linear, solve_linear_oracle):
+        try:
+            results.append(solve(system))
+        except SingularSystemError as exc:  # the same message
+            results.append(str(exc))
+    assert results[0] == results[1]
