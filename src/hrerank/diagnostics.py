@@ -165,9 +165,10 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
 
     The verdict depends on mu only through its ratios, so it is invariant
     under uniform rescaling.  Quadruples are counted with one sort of the
-    judgments and found with boolean masks over blocks of at most SCAN_BLOCK
-    (strict, comparable) pairs, so memory stays bounded; violations come in
-    row-major order of (i,j), then of (k,l).
+    judgments; violations come from boolean masks over blocks of (strict,
+    comparable) pairs of at most SCAN_BLOCK entries, or one strict pair's
+    row when there are more comparable judgments than that, in row-major
+    order of (i,j), then of (k,l).  The result grows with the violations.
     """
     n = matrix.n
     if len(mu) != n:
@@ -183,28 +184,19 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     strict = np.flatnonzero(m > 1.0)
     checked = int(np.searchsorted(np.sort(m), m[strict], side="left").sum())
 
-    width = len(m) or 1
-    pop_at, poip_at = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]  # flat (strict, comparable) indices
-    step = max(1, SCAN_BLOCK // width)  # strict pairs per block
+    pairs = list(zip((i + 1).tolist(), (j + 1).tolist()))
+    fails_ij, fails_kl, ratios = unranked.tolist(), fails_as_kl.tolist(), ratio.tolist()
+    pop: list[PopViolation] = []
+    poip: list[PoipViolation] = []
+    step = max(1, SCAN_BLOCK // max(1, len(m)))  # strict pairs per block
     for s0 in range(0, len(strict), step):
         s = strict[s0 : s0 + step]
         beats = m[s, None] > m  # the quadruples of this block
-        pop_at.append(np.flatnonzero(beats & (unranked[s, None] | fails_as_kl)) + s0 * width)
-        poip_at.append(np.flatnonzero(beats & (ratio[s, None] <= ratio)) + s0 * width)
-
-    pairs = np.stack([i, j], axis=1) + 1
-
-    def located(at):
-        s, c = np.divmod(np.concatenate(at), width)
-        s = strict[s]
-        return s, c, list(map(tuple, np.concatenate([pairs[s], pairs[c]], axis=1).tolist()))
-
-    s, c, quads = located(pop_at)
-    failed = [
-        (q[:2], q[2:]) if first and second else (q[:2],) if first else (q[2:],)
-        for q, first, second in zip(quads, unranked[s].tolist(), fails_as_kl[c].tolist())
-    ]
-    pop = tuple(map(PopViolation, quads, failed))
-    s, c, quads = located(poip_at)
-    poip = tuple(map(PoipViolation, quads, ratio[s].tolist(), ratio[c].tolist()))
-    return CopReport(pop, poip, checked)
+        r, c = np.nonzero(beats & (unranked[s, None] | fails_as_kl))  # row-major: (i,j), then (k,l)
+        pop += (
+            PopViolation(pairs[x] + pairs[y], (pairs[x],) * fails_ij[x] + (pairs[y],) * fails_kl[y])
+            for x, y in zip(s[r].tolist(), c.tolist())
+        )
+        r, c = np.nonzero(beats & (ratio[s, None] <= ratio))
+        poip += (PoipViolation(pairs[x] + pairs[y], ratios[x], ratios[y]) for x, y in zip(s[r].tolist(), c.tolist()))
+    return CopReport(tuple(pop), tuple(poip), checked)

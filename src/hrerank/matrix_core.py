@@ -21,6 +21,7 @@ from .errors import ParseError, ValidationError
 DIAGONAL_TOL = 1e-12          # diagonal entries must equal 1 within this
 RECIPROCAL_WARN_TOL = 1e-9    # |m_ij * m_ji - 1| beyond this is flagged
 KNOWN_RATIO_WARN_TOL = 1e-6   # relative deviation of a provided known-known ratio
+_TINY = np.finfo(float).tiny  # smallest normal float64
 
 FATAL_CATEGORIES = frozenset(
     {"nonpositive-entry", "bad-diagonal", "non-square", "unreachable-concept"}
@@ -203,19 +204,8 @@ def _parse_value(token: str, line_no: int, line: str, index: int) -> float | Non
             raise ParseError(f"zero denominator in '{token}'", line_no, _column(line, index)) from None
         return float(m.group(1)) / den
     if value != value:
-        message = f"'{token}' is not a ratio; write '?' for a missing comparison"
-        raise ParseError(message, line_no, _column(line, index))
+        raise ParseError(f"'{token}' is not a ratio; write '?' for a missing comparison", line_no, _column(line, index))
     return value
-
-
-def _parse_row(tokens: list[str], line_no: int, line: str) -> list[float | None]:
-    try:
-        row = list(map(float, tokens))  # the usual row: plain numbers only
-        if not any(map(math.isnan, row)):
-            return row
-    except ValueError:
-        pass
-    return [_parse_value(token, line_no, line, index) for index, token in enumerate(tokens)]
 
 
 def parse_matrix(text: str) -> Problem:
@@ -252,7 +242,7 @@ def parse_matrix(text: str) -> Problem:
         elif len(rows) < n:
             if len(toks) != n:
                 raise ParseError(f"row {len(rows) + 1} has {len(toks)} values, expected {n}", line_no, _column(raw, 0))
-            rows.append(_parse_row(toks, line_no, raw))
+            rows.append([_parse_value(tok, line_no, raw, index) for index, tok in enumerate(toks)])
         else:
             if toks[0] != "ref":
                 raise ParseError(f"expected 'ref' line, got '{toks[0]}'", line_no, _column(raw, 0))
@@ -336,15 +326,13 @@ def restore_reciprocity(matrix: PcMatrix) -> PcMatrix:
     Expects entries to be positive (run `validate` first on foreign input).
     """
     a = matrix.array
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="raise", under="raise"):
-            ratio, inverse = np.sqrt(a / a.T), 1.0 / a.T
-    except FloatingPointError:  # some value is near the end of the float range
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-            quotient, inverse = a / a.T, 1.0 / a.T
-            extreme = (quotient == math.inf) | (quotient < np.finfo(float).tiny)  # take the roots first there
-            ratio = np.where(extreme, np.sqrt(a) / np.sqrt(a.T), np.sqrt(quotient))
-    restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), inverse, ratio))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        quotient = a / a.T
+        ratio = np.sqrt(quotient)
+        # a quotient leaves the float range only together with its mirror, which then falls below tiny
+        if np.fmin.reduce(quotient, axis=None) < _TINY:  # take the roots first there
+            ratio = np.where((quotient == math.inf) | (quotient < _TINY), np.sqrt(a) / np.sqrt(a.T), ratio)
+        restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), 1.0 / a.T, ratio))
     np.fill_diagonal(restored, np.diagonal(a))
     return PcMatrix._from_array(restored)
 

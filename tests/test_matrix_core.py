@@ -162,6 +162,15 @@ class TestRestoreReciprocity:
         assert restored.entries[2] == rows[2]
         assert restore_reciprocity(restored) == restored
 
+    def test_extreme_pair_leaves_other_pairs_alone(self):
+        # the (1,3) and (2,3) pairs are not reciprocal, and sqrt(a / b) differs from sqrt(a) / sqrt(b) on them
+        plain = ((1.0, 1.0, 3.0), (1.0, 1.0, 1.8), (0.2, 0.3, 1.0))
+        extreme = ((1.0, 1e300, 3.0), (1e-300, 1.0, 1.8), (0.2, 0.3, 1.0))
+        expected = restore_reciprocity(PcMatrix(plain)).entries
+        restored = restore_reciprocity(PcMatrix(extreme)).entries
+        assert [row[2] for row in restored] == [row[2] for row in expected]
+        assert restored[2] == expected[2]
+
     def test_one_sided_pair_completed(self):
         rows = ((1.0, 4.0, 1.0), (None, 1.0, 1.0), (1.0, 1.0, 1.0))
         restored = restore_reciprocity(PcMatrix(rows))

@@ -238,6 +238,7 @@ def parsed(parse, text):
 @example("3\n1 2 4\n1/2 1 2\n1/4 1/2 1\nref 1 1.0\n")
 @example("2\n1 nan\n1 1\n")
 @example("2\n1,  3/0 # c\n1 1\n")
+@example("2\n1 ??\n1 1\n")
 def test_parser_matches_oracle(text):
     assert parsed(parse_matrix, text) == parsed(parse_matrix_oracle, text)
 
