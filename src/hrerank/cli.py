@@ -54,6 +54,13 @@ _POP_JSON = {
 _POIP_JSON = _QUADRUPLE_JSON + '      "lhs": {},\n      "rhs": {}\n    }}'
 
 
+# `cop` text layout, one line per violation
+_POP_TEXT = {
+    count: "  - ({},{}) vs ({},{}): " + ", ".join(["mu(c{}) <= mu(c{})"] * count) for count in (1, 2)
+}
+_POIP_TEXT = "  - ({0},{1}) vs ({2},{3}): mu(c{0})/mu(c{1}) = {4:.6g} <= mu(c{2})/mu(c{3}) = {5:.6g}"
+
+
 def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
@@ -78,6 +85,20 @@ def _cop_json(result: CopReport) -> str:
         f'  "quadruples_checked": {result.quadruples_checked},\n'
         f'{_json_list("pop_violations", pop)},\n{_json_list("poip_violations", poip)}\n}}'
     )
+
+
+def _cop_text(result: CopReport) -> str:
+    """The human-readable report, one line per violation, built as one string."""
+    lines = [f"quadruples checked: {result.quadruples_checked}"]
+    lines.append("POP violations:" if result.pop_violations else "POP violations: none")
+    lines.extend(
+        _POP_TEXT[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
+        for v in result.pop_violations
+    )
+    lines.append("POIP violations:" if result.poip_violations else "POIP violations: none")
+    lines.extend(_POIP_TEXT.format(*v.quadruple, v.lhs, v.rhs) for v in result.poip_violations)
+    lines.append(f"satisfies COP: {'yes' if result.satisfies_cop else 'no'}")
+    return "\n".join(lines)
 
 
 def _load_problem(path: str) -> Problem:
@@ -227,29 +248,7 @@ def _cmd_cop(args) -> int:
     weights = _load_weights(args.weights, problem.n)
     result = cop_check(problem.matrix, weights)
 
-    if args.json:
-        print(_cop_json(result))
-    else:
-        print(f"quadruples checked: {result.quadruples_checked}")
-        if result.pop_violations:
-            print("POP violations:")
-            for v in result.pop_violations:
-                i, j, k, l = v.quadruple
-                broken = ", ".join(f"mu(c{a}) <= mu(c{b})" for a, b in v.failed_pairs)
-                print(f"  - ({i},{j}) vs ({k},{l}): {broken}")
-        else:
-            print("POP violations: none")
-        if result.poip_violations:
-            print("POIP violations:")
-            for v in result.poip_violations:
-                i, j, k, l = v.quadruple
-                print(
-                    f"  - ({i},{j}) vs ({k},{l}): "
-                    f"mu(c{i})/mu(c{j}) = {_fmt(v.lhs)} <= mu(c{k})/mu(c{l}) = {_fmt(v.rhs)}"
-                )
-        else:
-            print("POIP violations: none")
-        print(f"satisfies COP: {'yes' if result.satisfies_cop else 'no'}")
+    print(_cop_json(result) if args.json else _cop_text(result))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SingularSystemError,
     SolveFailedError,
 )
-from .matrix_core import Prepared, Problem, _ordered_sum, _unknown_rows, preprocess
+from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
 
 PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
@@ -177,39 +177,60 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
 
     Concepts that cannot be sampled yet simply stay unestimated for the
     round (None in the returned iterate); on a reachable problem every
-    concept acquires an estimate after enough steps.  Iteration stops early
-    once two consecutive fully-defined iterates agree to a relative 1e-10
-    in the max-norm, or as soon as any component leaves (0, 1e12).
+    concept has an estimate after at most the comparison graph's diameter
+    in steps.  Until then each step recounts which estimates exist and how
+    many samples each row has; from then on the counts cannot change and
+    are reused.  Iteration stops early once two consecutive fully-defined
+    iterates agree to a relative 1e-10 in the max-norm, or as soon as any
+    estimate is infinite or beyond 1e12 in magnitude.
+
+    Each concept's samples are added one at a time in column order, as a
+    sample-by-sample loop adds them, so the iterates are reproducible to
+    the bit.  The ratios are held transposed (row i holds every concept's
+    ratio to i; zero where it is missing, on the diagonal and in reference
+    columns) and summed down axis 0, which numpy does row after row: it
+    sums pairwise only along a contiguous reduction, and an n x n array
+    with n >= 2 has none down axis 0.  A zero adds exactly +0.0.
 
     Expects a preprocessed (reciprocal) problem with references.
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    rows, ratios, sampled = _unknown_rows(problem)
-    current = np.full(problem.n, np.nan)
-    current[[c - 1 for c in problem.references]] = list(problem.references.values())
+    matrix = problem.matrix.array
+    anchors = np.full(problem.n, np.nan)
+    anchors[[c - 1 for c in problem.references]] = list(problem.references.values())
+    fixed = ~np.isnan(anchors)
+    sampled = ~np.isnan(matrix) & ~fixed[:, None]  # row j: the samples unknown j may use
+    np.fill_diagonal(sampled, False)
+    ratios_t = np.where(sampled, matrix, 0.0).T.copy()
+    current = anchors
     iterates: list[tuple[float | None, ...]] = []
     previous: np.ndarray | None = None
     converged = diverged = False
-    for _ in range(max_r):
-        # every unknown averages ratio * estimate over the concepts estimated so far;
-        # an ordered sum keeps the arithmetic of the sample-by-sample loop
-        known = ~np.isnan(current)
-        counts = np.count_nonzero(sampled & known, axis=1)
-        totals = _ordered_sum(ratios * np.where(known, current, 0.0), axis=1)
-        current = current.copy()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            current[rows] = np.where(counts > 0, totals / counts, np.nan)
-        iterates.append(tuple(None if v != v else v for v in current.tolist()))
-        estimated = current[~np.isnan(current)]
-        if not np.isfinite(estimated).all() or (np.abs(estimated) > DIVERGENCE_LIMIT).any():
-            diverged = True
-            break
-        if previous is not None and len(estimated) == len(current) and not np.isnan(previous).any():
-            if np.abs(current - previous).max() <= JACOBI_STOP_TOL * np.abs(current).max():
-                converged = True
+    filling = True
+    with np.errstate(over="ignore"):  # an overflow to inf ends the run as diverged
+        for _ in range(max_r):
+            if filling:
+                known = ~np.isnan(current)
+                counts = np.count_nonzero(sampled & known, axis=1)
+                divisors = np.where(counts > 0, counts, np.nan)  # no sample yet: no estimate
+                filling = not known.all()
+                estimates = np.where(known, current, 0.0)
+            else:
+                estimates = current
+            current = np.where(fixed, anchors, np.add.reduce(ratios_t * estimates[:, None]) / divisors)
+            values = current.tolist()  # NaN stands for no estimate yet, which only a filling step leaves
+            iterates.append(tuple(None if v != v else v for v in values) if filling else tuple(values))
+            size = np.fmax.reduce(np.abs(current))  # fmax skips the unestimated NaNs
+            if size > DIVERGENCE_LIMIT:  # inf included
+                diverged = True
                 break
-        previous = current
+            # not filling: the previous iterate had every estimate, so this one has too
+            if not filling and previous is not None:
+                if np.abs(current - previous).max() <= JACOBI_STOP_TOL * size:
+                    converged = True
+                    break
+            previous = current
     return JacobiRun(tuple(iterates), converged, diverged)
 
 

@@ -92,9 +92,11 @@ class PcMatrix:
     def is_reciprocal(self, tol: float = RECIPROCAL_WARN_TOL) -> bool:
         """True if every fully specified pair satisfies m_ij * m_ji = 1 +/- tol."""
         a = self._array
-        far = np.abs(a * a.T - 1.0) > tol  # false where an entry is missing
+        present = ~np.isnan(a)
+        with np.errstate(invalid="ignore", over="ignore"):
+            far = ~(np.abs(a * a.T - 1.0) <= tol) & present & present.T  # a NaN product (inf * 0) is far
         np.fill_diagonal(far, False)
-        return not far.any() and bool((np.isnan(a) == np.isnan(a.T)).all())
+        return not far.any() and bool((present == present.T).all())
 
     def __eq__(self, other):
         if not isinstance(other, PcMatrix):

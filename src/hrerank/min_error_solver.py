@@ -9,19 +9,14 @@ matrix up to the positive factor 2(n-1)).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import WeightVector
-from .errors import IncompleteMatrixError, InadmissibleSolutionError
+from .errors import InadmissibleSolutionError
 from .hre_solver import ADMISSIBLE_TOL, LinearSystem, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
-
-GRID_REFINEMENTS = 10  # halvings of the brute-force grid step around the incumbent
-BRUTE_FORCE_MAX_UNKNOWNS = 3
 
 
 @dataclass(frozen=True)
@@ -65,35 +60,6 @@ def build_error_system(problem: Problem) -> ErrorSystem:
     return ErrorSystem(system, tuple(s_values.tolist()), dominant)
 
 
-def hessian(error_system: ErrorSystem, n: int) -> tuple[tuple[float, ...], ...]:
-    """Hessian of the squared-error objective: 2(n-1) times the system matrix."""
-    factor = 2 * (n - 1)
-    return tuple(
-        tuple(factor * v for v in row) for row in error_system.system.coefficients
-    )
-
-
-def squared_error(problem: Problem, unknown_values: tuple[float, ...]) -> float:
-    """The quadratic objective itself, for oracles and gradient checks.
-
-    ``unknown_values`` are aligned with ``problem.unknown_indices``; the sum
-    runs over all ordered (unknown, other) pairs of the complete matrix.
-    """
-    m = problem.matrix.entries
-    unknowns = problem.unknown_indices
-    if len(unknown_values) != len(unknowns):
-        raise ValueError(f"expected {len(unknowns)} values, got {len(unknown_values)}")
-    mu = dict(problem.references)
-    mu.update(zip(unknowns, unknown_values))
-    total = 0.0
-    for j in unknowns:
-        for i in range(1, problem.n + 1):
-            if i == j:
-                continue
-            total += (mu[j] - mu[i] * m[j - 1][i - 1]) ** 2
-    return total
-
-
 def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """Solve the normal system and gate the result on admissibility.
 
@@ -115,56 +81,3 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
         )
     raw, unit = synthesize(solution, prepared)
     return MinErrorResult(raw, unit, verified_minimum=error_system.hessian_dominant)
-
-
-def brute_force_min_error(
-    problem: Problem,
-    bounds: tuple[float, float] | None = None,
-    grid_points: int = 11,
-) -> WeightVector:
-    """Grid-search oracle for the squared-error objective (k <= 3 only).
-
-    Scans a uniform grid over ``bounds`` per unknown axis, then refines by
-    halving the step around the incumbent 10 times, re-scanning the same
-    number of points each pass.  The returned optimum is accurate to about
-    the final step, (hi - lo) / (grid_points - 1) / 2**10 per axis.
-    Default bounds: (1e-3, 10 * largest reference weight).
-    """
-    prepared, _ = preprocess(problem)
-    unknowns = prepared.unknown_indices
-    k = len(unknowns)
-    if k > BRUTE_FORCE_MAX_UNKNOWNS:
-        raise ValueError(f"grid search is exponential in the unknowns; {k} > {BRUTE_FORCE_MAX_UNKNOWNS}")
-    if not prepared.matrix.is_complete():
-        raise IncompleteMatrixError("grid oracle needs a complete matrix")
-    if bounds is None:
-        bounds = (1e-3, 10.0 * max(prepared.references.values()))
-    lo, hi = bounds
-    if not (0 < lo < hi):
-        raise ValueError("bounds must satisfy 0 < low < high")
-    if grid_points < 3:
-        raise ValueError("grid needs at least 3 points per axis")
-
-    step = (hi - lo) / (grid_points - 1)
-    axis = [lo + t * step for t in range(grid_points)]
-    best_point = None
-    best_value = math.inf
-    for point in itertools.product(axis, repeat=k):
-        value = squared_error(prepared, point)
-        if value < best_value:
-            best_point, best_value = point, value
-
-    half_span = grid_points // 2
-    for _ in range(GRID_REFINEMENTS):
-        step /= 2.0
-        axes = [
-            [min(hi, max(lo, center + t * step)) for t in range(-half_span, half_span + 1)]
-            for center in best_point
-        ]
-        for point in itertools.product(*axes):
-            value = squared_error(prepared, point)
-            if value < best_value:
-                best_point, best_value = point, value
-
-    raw, _ = synthesize(best_point, prepared)
-    return raw

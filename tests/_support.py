@@ -4,10 +4,13 @@ The ``*_loop`` functions are entry-by-entry references for the package's
 array kernels: the same arithmetic in the same order, one entry at a time.
 ``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
 and ``solve_linear_oracle`` the elimination that updates A and b separately.
+``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
+least-squares solver from the objective itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -15,7 +18,21 @@ from pathlib import Path
 
 import numpy as np
 
-from hrerank import CopReport, Issue, ParseError, PcMatrix, PoipViolation, PopViolation, Problem, SingularSystemError
+from hrerank import (
+    CopReport,
+    ErrorSystem,
+    IncompleteMatrixError,
+    Issue,
+    ParseError,
+    PcMatrix,
+    PoipViolation,
+    PopViolation,
+    Problem,
+    SingularSystemError,
+    WeightVector,
+    preprocess,
+    synthesize,
+)
 from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL
 
@@ -356,6 +373,28 @@ def random_problem(
     return Problem(PcMatrix(grid), {c: weights[c - 1] for c in chosen})
 
 
+def graph_problem(seed: int, n: int, shape: str, noise: float, references: int) -> Problem:
+    """Noisy consistent ratios on a ring (each concept next to two others) or a random spanning tree.
+
+    All other pairs are missing, so the comparison graph's diameter is about
+    n/2 on a ring and up to n - 1 on a tree.
+    """
+    rng = random.Random(seed)
+    weights = random_weights(n, rng)
+    if shape == "ring":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif shape == "tree":
+        edges = [(rng.randrange(j), j) for j in range(1, n)]
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    grid = [[1.0 if i == j else None for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        grid[i][j] = weights[i] / weights[j] * math.exp(rng.uniform(-noise, noise))
+        grid[j][i] = 1.0 / grid[i][j]
+    chosen = rng.sample(range(1, n + 1), min(references, n))
+    return Problem(PcMatrix(grid), {c: weights[c - 1] for c in chosen})
+
+
 def cop_check_loop(matrix: PcMatrix, mu) -> CopReport:
     """The COP check quadruple by quadruple, in the order the report lists them."""
     n = matrix.n
@@ -506,3 +545,89 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
     if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
     return tuple(float(v) for v in x)
+
+
+GRID_REFINEMENTS = 10  # halvings of the brute-force grid step around the incumbent
+BRUTE_FORCE_MAX_UNKNOWNS = 3
+
+
+def hessian(error_system: ErrorSystem, n: int) -> tuple[tuple[float, ...], ...]:
+    """Hessian of the squared-error objective: 2(n-1) times the system matrix."""
+    factor = 2 * (n - 1)
+    return tuple(
+        tuple(factor * v for v in row) for row in error_system.system.coefficients
+    )
+
+
+def squared_error(problem: Problem, unknown_values: tuple[float, ...]) -> float:
+    """The quadratic objective itself, for oracles and gradient checks.
+
+    ``unknown_values`` are aligned with ``problem.unknown_indices``; the sum
+    runs over all ordered (unknown, other) pairs of the complete matrix.
+    """
+    m = problem.matrix.entries
+    unknowns = problem.unknown_indices
+    if len(unknown_values) != len(unknowns):
+        raise ValueError(f"expected {len(unknowns)} values, got {len(unknown_values)}")
+    mu = dict(problem.references)
+    mu.update(zip(unknowns, unknown_values))
+    total = 0.0
+    for j in unknowns:
+        for i in range(1, problem.n + 1):
+            if i == j:
+                continue
+            total += (mu[j] - mu[i] * m[j - 1][i - 1]) ** 2
+    return total
+
+
+def brute_force_min_error(
+    problem: Problem,
+    bounds: tuple[float, float] | None = None,
+    grid_points: int = 11,
+) -> WeightVector:
+    """Grid-search oracle for the squared-error objective (k <= 3 only).
+
+    Scans a uniform grid over ``bounds`` per unknown axis, then refines by
+    halving the step around the incumbent 10 times, re-scanning the same
+    number of points each pass.  The returned optimum is accurate to about
+    the final step, (hi - lo) / (grid_points - 1) / 2**10 per axis.
+    Default bounds: (1e-3, 10 * largest reference weight).
+    """
+    prepared, _ = preprocess(problem)
+    unknowns = prepared.unknown_indices
+    k = len(unknowns)
+    if k > BRUTE_FORCE_MAX_UNKNOWNS:
+        raise ValueError(f"grid search is exponential in the unknowns; {k} > {BRUTE_FORCE_MAX_UNKNOWNS}")
+    if not prepared.matrix.is_complete():
+        raise IncompleteMatrixError("grid oracle needs a complete matrix")
+    if bounds is None:
+        bounds = (1e-3, 10.0 * max(prepared.references.values()))
+    lo, hi = bounds
+    if not (0 < lo < hi):
+        raise ValueError("bounds must satisfy 0 < low < high")
+    if grid_points < 3:
+        raise ValueError("grid needs at least 3 points per axis")
+
+    step = (hi - lo) / (grid_points - 1)
+    axis = [lo + t * step for t in range(grid_points)]
+    best_point = None
+    best_value = math.inf
+    for point in itertools.product(axis, repeat=k):
+        value = squared_error(prepared, point)
+        if value < best_value:
+            best_point, best_value = point, value
+
+    half_span = grid_points // 2
+    for _ in range(GRID_REFINEMENTS):
+        step /= 2.0
+        axes = [
+            [min(hi, max(lo, center + t * step)) for t in range(-half_span, half_span + 1)]
+            for center in best_point
+        ]
+        for point in itertools.product(*axes):
+            value = squared_error(prepared, point)
+            if value < best_value:
+                best_point, best_value = point, value
+
+    raw, _ = synthesize(best_point, prepared)
+    return raw

@@ -17,7 +17,6 @@ from hrerank import (
     PcMatrix,
     Problem,
     WeightVector,
-    brute_force_min_error,
     build_error_system,
     build_system,
     check_convergence,
@@ -25,7 +24,6 @@ from hrerank import (
     estimation_error,
     ev_weights,
     gm_weights,
-    hessian,
     hre_rank,
     jacobi_iterate,
     koczkodaj_index,
@@ -35,7 +33,6 @@ from hrerank import (
     saaty_ci,
     solve_linear,
     solve_min_error,
-    squared_error,
     summarize,
 )
 from hrerank.cli import main
@@ -45,12 +42,15 @@ from _support import (
     GOLDEN_DIR,
     assert_printed,
     assert_vector_printed,
+    brute_force_min_error,
     consistent_matrix,
+    hessian,
     max_abs_diff,
     noisy_consistent,
     permute_problem,
     random_weights,
     spearman,
+    squared_error,
     unpermute,
 )
 from test_cli import GOLDEN_CASES, resolve

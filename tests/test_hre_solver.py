@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -227,6 +228,15 @@ class TestJacobiIterate:
         run = jacobi_iterate(prepared, 1000)
         assert run.diverged and not run.converged
         assert len(run.iterates) < 1000
+
+    def test_overflow_counts_as_divergence(self):
+        # 1e300 * 1e10 overflows to inf in the first step
+        problem = Problem(PcMatrix(((1.0, 1e-300), (1e300, 1.0))), {1: 1e10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = jacobi_iterate(_prepared(problem), 1000)
+        assert run.diverged and not run.converged
+        assert run.iterates == ((1e10, math.inf),)
 
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):

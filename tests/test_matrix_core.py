@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -280,6 +281,17 @@ def test_preprocess_collects_warnings(example3):
     prepared, issues = preprocess(example3)
     assert prepared.matrix.is_reciprocal()
     assert [i.category for i in issues] == ["non-reciprocal-pair"]
+
+
+def test_is_reciprocal_rejects_undefined_products_without_warning():
+    # inf * 0 is NaN, which compares false against any tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not PcMatrix([[1.0, math.inf], [0.0, 1.0]]).is_reciprocal()
+        assert not PcMatrix([[1.0, 1e300], [1e300, 1.0]]).is_reciprocal()  # the product overflows
+        assert PcMatrix([[1.0, 1e300], [1e-300, 1.0]]).is_reciprocal()
+        assert PcMatrix([[1.0, None], [None, 1.0]]).is_reciprocal()
+        assert not PcMatrix([[1.0, 2.0], [None, 1.0]]).is_reciprocal()
 
 
 def test_pc_matrix_rejects_nan_with_its_location():

@@ -7,23 +7,23 @@ from hrerank import (
     IncompleteMatrixError,
     PcMatrix,
     Problem,
-    brute_force_min_error,
     build_error_system,
     build_system,
-    hessian,
     hre_rank,
     koczkodaj_index,
     preprocess,
     solve_min_error,
-    squared_error,
 )
 
 from _support import (
+    brute_force_min_error,
     consistent_matrix,
+    hessian,
     max_abs_diff,
     max_rel_diff,
     noisy_consistent,
     random_weights,
+    squared_error,
 )
 
 

@@ -46,6 +46,7 @@ from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL
 from _support import (
     cop_check_loop,
     estimation_error_oracle,
+    graph_problem,
     jacobi_loop,
     parse_matrix_oracle,
     random_problem,
@@ -118,17 +119,27 @@ def test_estimation_error_matches_loop(problem, seed):
     assert close(mean, mean_loop)
 
 
-@settings(max_examples=60, deadline=None)
-@given(solvable_problem, st.integers(1, 30))
+# long paths keep concepts unestimated for many steps, and most of a long run comes after every one has an estimate
+long_path_problem = st.builds(
+    graph_problem, seed=seeds, n=sizes, shape=st.sampled_from(["ring", "tree"]), noise=noise, references=st.sampled_from([1, 3])
+)
+# a single unknown sums one column, which numpy would add pairwise if that column were contiguous
+one_unknown_problem = st.builds(
+    lambda seed, n, missing_share, noise_level: random_problem(seed, n, missing_share, noise_level, references=n - 1),
+    seeds, st.integers(9, 40), missing, noise,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(solvable_problem, long_path_problem, one_unknown_problem), st.integers(1, 300))
+@example(graph_problem(1, 40, "ring", 0.3, 1), 300)
+@example(graph_problem(2, 40, "tree", 0.3, 3), 300)
 def test_jacobi_iterates_match_loop(problem, steps):
     prepared = preprocess(problem).problem
     run = jacobi_iterate(prepared, steps)
     iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
     assert (run.converged, run.diverged) == (converged, diverged)
-    assert len(run.iterates) == len(iterates)
-    for vector, expected in zip(run.iterates, iterates):
-        assert [v is None for v in vector] == [v is None for v in expected]
-        assert all(close(v, e) for v, e in zip(vector, expected) if v is not None)
+    assert run.iterates == tuple(iterates)  # bit for bit: the same additions in the same order
 
 
 judgments = st.one_of(
