@@ -219,8 +219,8 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
             else:
                 estimates = current
             current = np.where(fixed, anchors, np.add.reduce(ratios_t * estimates[:, None]) / divisors)
-            values = current.tolist()  # NaN stands for no estimate yet, which only a filling step leaves
-            iterates.append(tuple(None if v != v else v for v in values) if filling else tuple(values))
+            # NaN stands for no estimate yet, which only a filling step leaves
+            iterates.append(tuple(None if v != v else v for v in current.tolist()))
             size = np.fmax.reduce(np.abs(current))  # fmax skips the unestimated NaNs
             if size > DIVERGENCE_LIMIT:  # inf included
                 diverged = True

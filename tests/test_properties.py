@@ -2,8 +2,8 @@
 
 Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
-restored matrix and the validation issues must match bit for bit; the
-estimation error and the Jacobi iterates within 1e-12 relative.  The COP
+restored matrix, the validation issues and the Jacobi iterates must match
+bit for bit; the estimation error within 1e-12 relative.  The COP
 report, the `cop --json` text, the parsed problem (or parse error) and the
 linear solve must equal their references exactly.
 """
