@@ -50,13 +50,27 @@ class LinearSystem:
         return len(self.constants)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field has no usable == or hash
 class JacobiRun:
-    """All iterates of one averaging run; entries are None until estimated."""
+    """All iterates of one averaging run, one row per step.
 
-    iterates: tuple[tuple[float | None, ...], ...]
+    ``array`` is a read-only steps x n float64 array in which NaN marks a
+    concept with no estimate yet, as in `PcMatrix.array`.  ``iterates`` is
+    the same run as tuples of floats with None for NaN, built when read.
+    """
+
+    array: np.ndarray
     converged: bool
     diverged: bool
+
+    @property
+    def iterates(self) -> tuple[tuple[float | None, ...], ...]:
+        return _iterate_tuples(self.array)
+
+
+def _iterate_tuples(rows: np.ndarray) -> tuple[tuple[float | None, ...], ...]:
+    """Rows of iterates as tuples of floats, None where an estimate is NaN."""
+    return tuple(tuple(None if v != v else v for v in row) for row in rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -176,35 +190,42 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     later step averages over all n-1 other concepts.
 
     Concepts that cannot be sampled yet simply stay unestimated for the
-    round (None in the returned iterate); on a reachable problem every
-    concept has an estimate after at most the comparison graph's diameter
-    in steps.  Until then each step recounts which estimates exist and how
-    many samples each row has; from then on the counts cannot change and
-    are reused.  Iteration stops early once two consecutive fully-defined
-    iterates agree to a relative 1e-10 in the max-norm, or as soon as any
-    estimate is infinite or beyond 1e12 in magnitude.
+    round (NaN in that row of the returned array, None in `iterates`); on a
+    reachable problem every concept has an estimate after at most the
+    comparison graph's diameter in steps.  Until then each step recounts
+    which estimates exist and how many samples each row has; from then on
+    the counts cannot change and are reused.  Iteration stops early once
+    two consecutive fully-defined iterates agree to a relative 1e-10 in the
+    max-norm, or as soon as any estimate is infinite or beyond 1e12 in
+    magnitude.
 
     Each concept's samples are added one at a time in column order, as a
     sample-by-sample loop adds them, so the iterates are reproducible to
     the bit.  The ratios are held transposed (row i holds every concept's
-    ratio to i; zero where it is missing, on the diagonal and in reference
-    columns) and summed down axis 0, which numpy does row after row: it
-    sums pairwise only along a contiguous reduction, and an n x n array
-    with n >= 2 has none down axis 0.  A zero adds exactly +0.0.
+    ratio to i; zero where it is missing and on an unknown's diagonal) and
+    summed down axis 0, which numpy does row after row: it sums pairwise
+    only along a contiguous reduction, and an n x n array with n >= 2 has
+    none down axis 0.  A zero adds exactly +0.0.  A reference's column holds
+    only its own ratio 1, counted as its one sample, so the same step gives
+    back its weight bit for bit: the run stops at the first infinite
+    estimate, so no 0 * inf term can turn that sum into NaN.
 
     Expects a preprocessed (reciprocal) problem with references.
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
     matrix = problem.matrix.array
+    fixed = [c - 1 for c in problem.references]
     anchors = np.full(problem.n, np.nan)
-    anchors[[c - 1 for c in problem.references]] = list(problem.references.values())
-    fixed = ~np.isnan(anchors)
-    sampled = ~np.isnan(matrix) & ~fixed[:, None]  # row j: the samples unknown j may use
+    anchors[fixed] = list(problem.references.values())
+    sampled = ~np.isnan(matrix) & np.isnan(anchors)[:, None]  # row j: the samples unknown j may use
     np.fill_diagonal(sampled, False)
     ratios_t = np.where(sampled, matrix, 0.0).T.copy()
+    sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
+    ratios_t[fixed, fixed] = 1.0
+    products = np.empty_like(ratios_t)
     current = anchors
-    iterates: list[tuple[float | None, ...]] = []
+    rows: list[np.ndarray] = []
     previous: np.ndarray | None = None
     converged = diverged = False
     filling = True
@@ -218,9 +239,10 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                 estimates = np.where(known, current, 0.0)
             else:
                 estimates = current
-            current = np.where(fixed, anchors, np.add.reduce(ratios_t * estimates[:, None]) / divisors)
-            # NaN stands for no estimate yet, which only a filling step leaves
-            iterates.append(tuple(None if v != v else v for v in current.tolist()))
+            np.multiply(ratios_t, estimates[:, None], out=products)
+            current = np.add.reduce(products)
+            current /= divisors
+            rows.append(current)
             size = np.fmax.reduce(np.abs(current))  # fmax skips the unestimated NaNs
             if size > DIVERGENCE_LIMIT:  # inf included
                 diverged = True
@@ -231,7 +253,9 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                     converged = True
                     break
             previous = current
-    return JacobiRun(tuple(iterates), converged, diverged)
+    array = np.array(rows).reshape(len(rows), problem.n)
+    array.flags.writeable = False
+    return JacobiRun(array, converged, diverged)
 
 
 def select_best_iterate(
@@ -343,15 +367,15 @@ def hre_rank(
             except (SingularSystemError, InadmissibleSolutionError) as exc:
                 warnings.append(f"least-squares heuristic failed: {exc}")
                 run = jacobi_iterate(prepared, max_iterations)
-                iterations_used = len(run.iterates)
+                iterations_used = len(run.array)
                 raw = select_best_iterate(run.iterates, prepared)
                 unit = raw.normalize()
                 path = "best-iterate"
     else:
         run = jacobi_iterate(prepared, JACOBI_MAX_ITER)
-        iterations_used = len(run.iterates)
-        if run.converged:
-            raw = WeightVector(run.iterates[-1])
+        iterations_used = len(run.array)
+        if run.converged:  # a converged run's last row has every estimate
+            raw = WeightVector(run.array[-1].tolist())
             unit = raw.normalize()
             path, admissible = "jacobi", True
         else:
@@ -359,7 +383,7 @@ def hre_rank(
                 "iteration did not converge; selecting the best early iterate"
             )
             admissible = False
-            raw = select_best_iterate(run.iterates[:max_iterations], prepared)
+            raw = select_best_iterate(_iterate_tuples(run.array[:max_iterations]), prepared)
             unit = raw.normalize()
             path = "best-iterate"
 

@@ -120,16 +120,17 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     Trials are paired across noise levels: trial t reuses the same base
     matrix and the same noise directions at every level, so the recorded
     distances are directly comparable between levels (common random
-    numbers).  Trials where either heuristic fails keep both_solved=False
-    and a nan distance.
+    numbers), so each trial's base matrix is generated once and perturbed
+    at every level in turn.  Trials where either heuristic fails keep
+    both_solved=False and a nan distance.
     """
-    records: list[TrialRecord] = []
-    for noise in config.noise_levels:
-        for trial in range(config.trials):
-            gen_seed = config.seed * _SEED_STRIDE + 2 * trial
-            matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
+    by_level: list[list[TrialRecord]] = [[] for _ in config.noise_levels]
+    for trial in range(config.trials):
+        gen_seed = config.seed * _SEED_STRIDE + 2 * trial
+        matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
+        references = {i + 1: weights[i] for i in range(config.reference_count)}
+        for noise, records in zip(config.noise_levels, by_level):
             noisy = perturb(matrix, noise, gen_seed + 1)
-            references = {i + 1: weights[i] for i in range(config.reference_count)}
             try:
                 prepared = preprocess(Problem(noisy, references))
             except HreError:
@@ -152,7 +153,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                     both_solved=solved,
                 )
             )
-    return records
+    return [record for records in by_level for record in records]
 
 
 def write_csv(records: list[TrialRecord], path: str) -> None:

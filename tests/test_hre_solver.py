@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from hrerank import (
@@ -22,6 +23,7 @@ from hrerank import (
     solve_linear,
     synthesize,
 )
+from hrerank.hre_solver import JACOBI_MAX_ITER
 
 from _support import (
     assert_printed,
@@ -29,6 +31,7 @@ from _support import (
     consistent_matrix,
     diverging_incomplete_problem,
     estimation_error_oracle,
+    graph_problem,
     inadmissible_direct_problem,
     max_abs_diff,
     noisy_consistent,
@@ -242,6 +245,35 @@ class TestJacobiIterate:
         with pytest.raises(ValueError):
             jacobi_iterate(Problem(example1.matrix), 5)
 
+    def test_array_is_read_only_and_matches_iterates(self, example4):
+        run = jacobi_iterate(_prepared(example4), 1000)
+        assert run.array.shape == (len(run.iterates), 4)
+        with pytest.raises(ValueError):
+            run.array[0, 0] = 2.0
+        # NaN in the array exactly where the tuple view has None
+        assert np.isnan(run.array).tolist() == [[v is None for v in it] for it in run.iterates]
+        assert run.iterates == tuple(
+            tuple(None if math.isnan(v) else v for v in row.tolist()) for row in run.array
+        )
+
+    def test_references_keep_input_bits_in_every_row(self):
+        diverging = diverging_incomplete_problem()
+        problems = [
+            graph_problem(3, 30, "ring", 0.1, 3),
+            graph_problem(4, 20, "tree", 0.5, 1),
+            Problem(diverging.matrix, {1: 0.1 + 0.2}),
+            Problem(PcMatrix(((1.0, 1e-300), (1e300, 1.0))), {1: 1e10 / 3}),
+        ]
+        diverged = []
+        for problem in problems:
+            prepared = _prepared(problem)
+            run = jacobi_iterate(prepared, 1000)
+            assert len(run.array) > 0
+            for c, w in prepared.references.items():
+                assert {v.hex() for v in run.array[:, c - 1].tolist()} == {w.hex()}
+            diverged.append(run.diverged)
+        assert diverged == [False, False, True, True]
+
 
 class TestSelectBestIterate:
     def test_picks_minimal_error(self):
@@ -357,6 +389,11 @@ class TestHreRank:
         raw = outcome.weights_raw.values
         assert_printed(raw[0] / raw[2], "2.4")
         assert_printed(raw[3] / raw[0], "0.375")
+
+    def test_iterations_used_counts_jacobi_steps(self, example4):
+        for problem in (example4, diverging_incomplete_problem(), graph_problem(5, 30, "ring", 0.1, 1)):
+            run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER)
+            assert hre_rank(problem).iterations_used == len(run.array)
 
     def test_all_concepts_known(self):
         matrix = consistent_matrix((2.0, 4.0, 8.0))

@@ -119,6 +119,15 @@ class TestRunExperiment:
         # the trial seed depends only on the trial index, not the noise level
         assert [r.seed for r in records[:5]] == [r.seed for r in records[5:]]
 
+    def test_repeated_noise_level_repeats_records(self):
+        config = ExperimentConfig(
+            n=5, trials=4, noise_levels=(0.1, 0.1), reference_count=1, seed=31
+        )
+        records = run_experiment(config)
+        assert len(records) == 8
+        assert records[:4] == records[4:]
+        assert [r.seed for r in records[:4]] == sorted({r.seed for r in records})
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, trials=5, noise_levels=(0.1,), reference_count=1, seed=0)
