@@ -11,6 +11,7 @@ iterative route, which simply skips samples whose ratio is unspecified.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +34,41 @@ JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
 DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields have no usable == or hash
 class LinearSystem:
-    """Dense k x k system over the unknown concepts.
+    """Dense k x k system a x = b over the unknown concepts.
 
+    ``a`` (k x k) and ``b`` (k) are read-only float64 arrays; nested tuples
+    are accepted at construction and copied.  ``coefficients`` and
+    ``constants`` are the same system as tuples of floats, built when read.
     ``unknown_index_map[r]`` is the 1-based concept index behind solver
     row/column r, in ascending concept order.
     """
 
-    coefficients: tuple[tuple[float, ...], ...]
-    constants: tuple[float, ...]
+    a: np.ndarray
+    b: np.ndarray
     unknown_index_map: tuple[int, ...]
+
+    def __post_init__(self):
+        b = np.array(self.b, dtype=float)
+        # row-major whatever the input's layout: the elimination's dot products
+        # and matrix-vector products add in an order that depends on it
+        a = np.array(self.a, dtype=float, order="C").reshape(len(b), len(b))
+        a.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def k(self) -> int:
-        return len(self.constants)
+        return len(self.b)
+
+    @property
+    def coefficients(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.a.tolist()))
+
+    @property
+    def constants(self) -> tuple[float, ...]:
+        return tuple(self.b.tolist())
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no usable == or hash
@@ -65,12 +86,7 @@ class JacobiRun:
 
     @property
     def iterates(self) -> tuple[tuple[float | None, ...], ...]:
-        return _iterate_tuples(self.array)
-
-
-def _iterate_tuples(rows: np.ndarray) -> tuple[tuple[float | None, ...], ...]:
-    """Rows of iterates as tuples of floats, None where an estimate is NaN."""
-    return tuple(tuple(None if v != v else v for v in row) for row in rows.tolist())
+        return tuple(tuple(None if v != v else v for v in row) for row in self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,11 @@ class RankOutcome:
     warnings: tuple[str, ...]
 
 
-def build_system(problem: Problem) -> LinearSystem:
+# unknown indices, unknown-by-unknown block, constants: what both systems are built from
+SystemParts = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+
+
+def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSystem:
     """Linear system whose solution is the averaging heuristic's fixed point.
 
     Row r (for unknown concept u): unit diagonal, off-diagonal
@@ -107,14 +127,18 @@ def build_system(problem: Problem) -> LinearSystem:
     sum over references c of m(u, c) * weight(c) / (n-1).
 
     Expects a preprocessed problem: complete matrix, at least one reference.
+    ``parts``, from `_system_parts` on the same problem, saves building them
+    again when the least-squares system is built from them too.
     """
-    unknowns, block, constants = _system_parts(problem, "the averaging system is undefined, use the iterative route")
+    unknowns, block, constants = _system_parts(problem) if parts is None else parts
     coefficients = block * -(1.0 / (problem.n - 1))
     np.fill_diagonal(coefficients, 1.0)
-    return LinearSystem(tuple(map(tuple, coefficients.tolist())), constants, unknowns)
+    return LinearSystem(coefficients, constants, unknowns)
 
 
-def _system_parts(problem: Problem, undefined: str) -> tuple[tuple[int, ...], np.ndarray, tuple[float, ...]]:
+def _system_parts(
+    problem: Problem, undefined: str = "the averaging system is undefined, use the iterative route"
+) -> SystemParts:
     """Unknown indices, unknown-by-unknown block and constants, shared by both systems.
 
     The constant for unknown u is sum over references c of m(u, c) * weight(c) / (n-1).
@@ -132,39 +156,71 @@ def _system_parts(problem: Problem, undefined: str) -> tuple[tuple[int, ...], np
     total = 0.0
     for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
         total = total + rows[:, c - 1] * w
-    constants = tuple((total * (1.0 / (problem.n - 1))).tolist())
-    return unknowns, rows[:, index], constants
+    return unknowns, rows[:, index], total * (1.0 / (problem.n - 1))
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
-    """Gaussian elimination with partial pivoting on the augmented array [A | b].
+    """Gaussian elimination with partial pivoting on the augmented array [a | b].
 
     Raises SingularSystemError when some pivot drops below 1e-12 in
     magnitude (the practical "determinant differs from 0" test) or when the
     computed solution fails the residual bound
-    |Ax - b|_inf <= 1e-9 * (1 + |b|_inf).
+    |ax - b|_inf <= 1e-9 * (1 + |b|_inf).  The same elimination as
+    `solve_systems` on a stack of one.
     """
-    k = system.k
-    a = np.array(system.coefficients, dtype=float)
-    b = np.array(system.constants, dtype=float)
-    u = np.empty((k, k + 1))  # eliminated in place
-    u[:, :k], u[:, k] = a, b
-    for col in range(k):
-        pivot = col + int(np.abs(u[col:, col]).argmax())
-        if abs(u[pivot, col]) < PIVOT_TOL:
-            raise SingularSystemError(f"pivot {u[pivot, col]:.3e} in column {col + 1} below tolerance")
-        if pivot != col:
-            u[[col, pivot]] = u[[pivot, col]]
-        # columns up to col are not read again
-        u[col + 1 :, col + 1 :] -= np.multiply.outer(u[col + 1 :, col] / u[col, col], u[col, col + 1 :])
-    x = u[:, k].copy()
-    for col in range(k - 1, -1, -1):
-        x[col] = (x[col] - u[col, col + 1 : k] @ x[col + 1 :]) / u[col, col]
+    (solution,) = solve_systems([system])
+    if isinstance(solution, SingularSystemError):
+        raise solution
+    return solution
 
-    residual = float(np.max(np.abs(a @ x - b)))
-    if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):
-        raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
-    return tuple(x.tolist())
+
+def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | SingularSystemError]:
+    """Solve systems of one size k as `solve_linear` solves each, in one pass.
+
+    Returns, in order, each system's solution, or the SingularSystemError
+    that `solve_linear` raises for it.  The systems are stacked into one
+    B x k x (k+1) array and eliminated together: each gets the operations it
+    gets alone, in the same order, so the results are the same to the bit.
+    A system whose pivot falls below tolerance is carried to the end with
+    the others and reported by its first such column.  The infinities and
+    NaNs its near-zero pivots produce stay in its own rows; numpy's warnings
+    about them are silenced.  Raises ValueError when the sizes differ.
+    """
+    if not systems:
+        return []
+    a = np.stack([system.a for system in systems])
+    b = np.stack([system.b for system in systems])
+    count, k = b.shape
+    u = np.concatenate((a, b[:, :, None]), axis=2)  # eliminated in place
+    at = np.arange(count)
+    with np.errstate(all="ignore"):
+        for col in range(k):
+            pivot = col + np.abs(u[:, col:, col]).argmax(axis=1)
+            rows = u[at, pivot]
+            u[at, pivot] = u[:, col]
+            u[:, col] = rows
+            # columns up to col are not read again
+            below = u[:, col + 1 :]
+            below[:, :, col + 1 :] -= (below[:, :, col] / rows[:, col, None])[:, :, None] * rows[:, None, col + 1 :]
+        x = u[:, :, k].copy()
+        for col in range(k - 1, -1, -1):
+            dot = u[:, col, None, col + 1 : k] @ x[:, col + 1 :, None]
+            x[:, col] = (x[:, col] - dot[:, 0, 0]) / u[:, col, col]
+        residuals = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1)
+        bounds = RESIDUAL_TOL * (1.0 + np.abs(b).max(axis=1))
+    pivots = np.diagonal(u, axis1=1, axis2=2)  # each column's pivot, in place after its swap
+    small = np.abs(pivots) < PIVOT_TOL
+    first = small.argmax(axis=1)
+    results: list[tuple[float, ...] | SingularSystemError] = []
+    for i, solution in enumerate(x.tolist()):
+        if small[i, first[i]]:
+            col = first[i]
+            results.append(SingularSystemError(f"pivot {pivots[i, col]:.3e} in column {col + 1} below tolerance"))
+        elif residuals[i] > bounds[i]:
+            results.append(SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance"))
+        else:
+            results.append(tuple(solution))
+    return results
 
 
 def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
@@ -173,7 +229,7 @@ def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
     Either kind guarantees the Jacobi iteration converges; neither holding
     proves nothing (the iteration may still converge).
     """
-    off = np.abs(np.array(system.coefficients, dtype=float).reshape(system.k, system.k))
+    off = np.abs(system.a)
     np.fill_diagonal(off, 0.0)
     return tuple(bool((_ordered_sum(off, axis) < 1.0).all()) for axis in (1, 0))
 
@@ -259,18 +315,20 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
 
 
 def select_best_iterate(
-    iterates: tuple[tuple[float | None, ...], ...], problem: Problem
+    iterates: np.ndarray | tuple[tuple[float | None, ...], ...], problem: Problem
 ) -> WeightVector:
     """Among fully-defined positive iterates, the one with the least mean error.
 
-    Ties go to the earliest iterate.  Raises SolveFailedError when no
-    iterate is admissible.
+    ``iterates`` is a steps x n array with NaN for "no estimate yet", such
+    as `JacobiRun.array`, or rows of floats with None for NaN.  Ties go to
+    the earliest iterate.  Raises SolveFailedError when no iterate is
+    admissible.
     """
+    rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
+    admissible = (np.isfinite(rows) & (rows > ADMISSIBLE_TOL)).all(axis=1)
     best: WeightVector | None = None
     best_error = math.inf
-    for vec in iterates:
-        if any(v is None or not math.isfinite(v) or v <= ADMISSIBLE_TOL for v in vec):
-            continue
+    for vec in rows[admissible].tolist():
         candidate = WeightVector(vec)
         _, mean_error = estimation_error(problem, candidate)
         if mean_error < best_error:
@@ -339,7 +397,8 @@ def hre_rank(
         raw, unit = synthesize((), prepared)
         path, admissible = "direct", True
     elif prepared.matrix.is_complete():
-        system = build_system(prepared)
+        parts = _system_parts(prepared)
+        system = build_system(prepared, parts)
         row_dom, col_dom = check_convergence(system)
         convergence_ok = row_dom or col_dom
         solution: tuple[float, ...] | None = None
@@ -357,7 +416,7 @@ def hre_rank(
                 warnings.append("direct solution has non-positive weights")
             admissible = False
             try:
-                result = min_error_solver.solve_min_error(ready)
+                result = min_error_solver.solve_min_error(ready, parts)
                 raw, unit = result.weights_raw, result.weights_normalized
                 path = "min-error"
                 if not result.verified_minimum:
@@ -368,7 +427,7 @@ def hre_rank(
                 warnings.append(f"least-squares heuristic failed: {exc}")
                 run = jacobi_iterate(prepared, max_iterations)
                 iterations_used = len(run.array)
-                raw = select_best_iterate(run.iterates, prepared)
+                raw = select_best_iterate(run.array, prepared)
                 unit = raw.normalize()
                 path = "best-iterate"
     else:
@@ -383,7 +442,7 @@ def hre_rank(
                 "iteration did not converge; selecting the best early iterate"
             )
             admissible = False
-            raw = select_best_iterate(_iterate_tuples(run.array[:max_iterations]), prepared)
+            raw = select_best_iterate(run.array[:max_iterations], prepared)
             unit = raw.normalize()
             path = "best-iterate"
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import WeightVector
 from .errors import InadmissibleSolutionError
-from .hre_solver import ADMISSIBLE_TOL, LinearSystem, _system_parts, solve_linear, synthesize
+from .hre_solver import ADMISSIBLE_TOL, LinearSystem, SystemParts, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
 
 
@@ -42,9 +42,14 @@ class MinErrorResult:
     verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
-def build_error_system(problem: Problem) -> ErrorSystem:
-    """Assemble the normal system for a preprocessed, complete problem."""
-    unknowns, block, constants = _system_parts(problem, "the squared-error system is undefined")
+def build_error_system(problem: Problem, parts: SystemParts | None = None) -> ErrorSystem:
+    """Assemble the normal system for a preprocessed, complete problem.
+
+    ``parts``, from `_system_parts` on the same problem, saves building them
+    again when the averaging system was built from them first.
+    """
+    undefined = "the squared-error system is undefined"
+    unknowns, block, constants = _system_parts(problem, undefined) if parts is None else parts
     scale = 1.0 / (problem.n - 1)
     # Python's ** (the C library's pow) rounds differently from x * x in
     # about one case in a thousand; keep its squares
@@ -56,11 +61,11 @@ def build_error_system(problem: Problem) -> ErrorSystem:
     off = np.abs(coefficients)
     np.fill_diagonal(off, 0.0)
     dominant = bool((np.abs(np.diagonal(coefficients)) > _ordered_sum(off, axis=1)).all())
-    system = LinearSystem(tuple(map(tuple, coefficients.tolist())), constants, unknowns)
+    system = LinearSystem(coefficients, constants, unknowns)
     return ErrorSystem(system, tuple(s_values.tolist()), dominant)
 
 
-def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
+def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = None) -> MinErrorResult:
     """Solve the normal system and gate the result on admissibility.
 
     Succeeds when the system is non-singular and every solved weight is
@@ -69,11 +74,12 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     minimum here; the result is still returned, flagged accordingly
     (dominance is sufficient for positive definiteness, not necessary).
 
-    A `Prepared` problem from `preprocess` is solved as it is.  Raises
-    SingularSystemError or InadmissibleSolutionError on failure.
+    A `Prepared` problem from `preprocess` is solved as it is; ``parts`` is
+    passed on to `build_error_system`.  Raises SingularSystemError or
+    InadmissibleSolutionError on failure.
     """
     prepared, _ = preprocess(problem)
-    error_system = build_error_system(prepared)
+    error_system = build_error_system(prepared, parts)
     solution = solve_linear(error_system.system)
     if min(solution) <= ADMISSIBLE_TOL:
         raise InadmissibleSolutionError(

@@ -17,9 +17,9 @@ import numpy as np
 
 from .diagnostics import koczkodaj_index
 from .errors import HreError
-from .hre_solver import ADMISSIBLE_TOL, build_system, solve_linear, synthesize
-from .matrix_core import PcMatrix, Prepared, Problem, _above_diagonal, preprocess
-from .min_error_solver import solve_min_error
+from .hre_solver import ADMISSIBLE_TOL, _system_parts, build_system, solve_systems, synthesize
+from .matrix_core import PcMatrix, Problem, _above_diagonal, preprocess
+from .min_error_solver import build_error_system
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
 
@@ -95,21 +95,12 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
     return PcMatrix._from_array(grid)
 
 
-def _solve_averaging_direct(problem: Problem) -> tuple[float, ...] | None:
-    """Direct solve of a prepared averaging system; None when singular or non-positive."""
-    try:
-        solution = solve_linear(build_system(problem))
-        if min(solution) <= ADMISSIBLE_TOL:
-            return None
-        _, unit = synthesize(solution, problem)
-        return unit.values
-    except HreError:
+def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
+    """Unit-sum weights from one solved system; None when it is singular or not all positive."""
+    if isinstance(solution, HreError) or min(solution) <= ADMISSIBLE_TOL:
         return None
-
-
-def _solve_least_squares(prepared: Prepared) -> tuple[float, ...] | None:
     try:
-        return solve_min_error(prepared).weights_normalized.values
+        return synthesize(solution, problem)[1].values
     except HreError:
         return None
 
@@ -121,7 +112,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     matrix and the same noise directions at every level, so the recorded
     distances are directly comparable between levels (common random
     numbers), so each trial's base matrix is generated once and perturbed
-    at every level in turn.  Trials where either heuristic fails keep
+    at every level in turn.  Both heuristics' systems at every level share
+    one build of the unknown block and constants each and are solved
+    together by `solve_systems`.  Trials where either heuristic fails keep
     both_solved=False and a nan distance.
     """
     by_level: list[list[TrialRecord]] = [[] for _ in config.noise_levels]
@@ -129,15 +122,25 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         gen_seed = config.seed * _SEED_STRIDE + 2 * trial
         matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
         references = {i + 1: weights[i] for i in range(config.reference_count)}
-        for noise, records in zip(config.noise_levels, by_level):
+        noisy_matrices, problems, systems = [], [], []
+        for noise in config.noise_levels:
             noisy = perturb(matrix, noise, gen_seed + 1)
+            noisy_matrices.append(noisy)
             try:
-                prepared = preprocess(Problem(noisy, references))
+                problem, _ = preprocess(Problem(noisy, references))
+                parts = _system_parts(problem)
             except HreError:
+                problems.append(None)
+                continue
+            problems.append(problem)
+            systems += [build_system(problem, parts), build_error_system(problem, parts).system]
+        solutions = iter(solve_systems(systems))  # both heuristics at every level, in one pass
+        for noise, noisy, problem, records in zip(config.noise_levels, noisy_matrices, problems, by_level):
+            if problem is None:
                 averaging = least_squares = None
             else:
-                averaging = _solve_averaging_direct(prepared.problem)
-                least_squares = _solve_least_squares(prepared)
+                averaging = _unit_weights(next(solutions), problem)
+                least_squares = _unit_weights(next(solutions), problem)
             solved = averaging is not None and least_squares is not None
             if solved:
                 distance = max(abs(a - b) for a, b in zip(averaging, least_squares))

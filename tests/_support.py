@@ -3,7 +3,8 @@
 The ``*_loop`` functions are entry-by-entry references for the package's
 array kernels: the same arithmetic in the same order, one entry at a time.
 ``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
-and ``solve_linear_oracle`` the elimination that updates A and b separately.
+``solve_linear_oracle`` the elimination that updates A and b separately, and
+``run_experiment_oracle`` the Monte Carlo harness solving one system at a time.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
 least-squares solver from the objective itself.
 """
@@ -21,6 +22,8 @@ import numpy as np
 from hrerank import (
     CopReport,
     ErrorSystem,
+    ExperimentConfig,
+    HreError,
     IncompleteMatrixError,
     Issue,
     ParseError,
@@ -29,11 +32,19 @@ from hrerank import (
     PopViolation,
     Problem,
     SingularSystemError,
+    TrialRecord,
     WeightVector,
+    build_system,
+    generate_consistent,
+    koczkodaj_index,
+    perturb,
     preprocess,
+    solve_linear,
+    solve_min_error,
     synthesize,
 )
-from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL
+from hrerank.hre_solver import ADMISSIBLE_TOL, PIVOT_TOL, RESIDUAL_TOL
+from hrerank.montecarlo import _SEED_STRIDE
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -546,6 +557,52 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
     return tuple(float(v) for v in x)
 
+
+
+def _averaging_direct(problem: Problem) -> tuple[float, ...] | None:
+    """Unit-sum direct solution of the averaging system; None when singular or non-positive."""
+    try:
+        solution = solve_linear(build_system(problem))
+        if min(solution) <= ADMISSIBLE_TOL:
+            return None
+        _, unit = synthesize(solution, problem)
+        return unit.values
+    except HreError:
+        return None
+
+
+def _least_squares(prepared) -> tuple[float, ...] | None:
+    try:
+        return solve_min_error(prepared).weights_normalized.values
+    except HreError:
+        return None
+
+
+def run_experiment_oracle(config: ExperimentConfig) -> list[TrialRecord]:
+    """`run_experiment` one system at a time, level by level, trial by trial.
+
+    Each noisy matrix's averaging system goes to `solve_linear` on its own
+    and its least-squares problem to `solve_min_error`, each building the
+    unknown block and constants again.
+    """
+    records = []
+    for noise in config.noise_levels:
+        for trial in range(config.trials):
+            gen_seed = config.seed * _SEED_STRIDE + 2 * trial
+            matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
+            references = {i + 1: weights[i] for i in range(config.reference_count)}
+            noisy = perturb(matrix, noise, gen_seed + 1)
+            try:
+                prepared = preprocess(Problem(noisy, references))
+            except HreError:
+                averaging = least_squares = None
+            else:
+                averaging = _averaging_direct(prepared.problem)
+                least_squares = _least_squares(prepared)
+            solved = averaging is not None and least_squares is not None
+            distance = max(abs(a - b) for a, b in zip(averaging, least_squares)) if solved else math.nan
+            records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj_index(noisy), distance, solved))
+    return records
 
 GRID_REFINEMENTS = 10  # halvings of the brute-force grid step around the incumbent
 BRUTE_FORCE_MAX_UNKNOWNS = 3

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from hrerank import (
     solve_linear,
     synthesize,
 )
-from hrerank.hre_solver import JACOBI_MAX_ITER
+from hrerank import hre_solver, min_error_solver
+from hrerank.hre_solver import JACOBI_MAX_ITER, solve_systems
 
 from _support import (
     assert_printed,
@@ -104,6 +106,91 @@ class TestBuildSystem:
         assert prepared.matrix.is_complete()
         outcome = hre_rank(problem)
         assert outcome.path == "direct"
+
+
+class TestLinearSystem:
+    def test_tuples_build_read_only_arrays(self):
+        system = LinearSystem(((1.0, 2.0), (3.0, 4.0)), (5.0, 6.0), (1, 2))
+        assert system.k == 2
+        assert system.a.dtype == np.float64 and system.a.shape == (2, 2)
+        assert system.a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert system.b.tolist() == [5.0, 6.0]
+        assert system.coefficients == ((1.0, 2.0), (3.0, 4.0))
+        assert system.constants == (5.0, 6.0)
+        for array in (system.a, system.b):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_caller_arrays_are_copied(self):
+        a, b = np.eye(2), np.ones(2)
+        system = LinearSystem(a, b, (1, 2))
+        a[0, 0] = b[0] = 9.0  # still the caller's to change
+        assert system.coefficients == ((1.0, 0.0), (0.0, 1.0))
+        assert system.constants == (1.0, 1.0)
+
+    def test_column_major_input_solves_like_tuples(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(12, 12)) + 3.0 * np.eye(12), rng.normal(size=12)
+        by_tuples = LinearSystem(tuple(map(tuple, a.tolist())), tuple(b.tolist()), tuple(range(1, 13)))
+        by_columns = LinearSystem(np.asfortranarray(a), b, tuple(range(1, 13)))
+        assert by_columns.a.flags.c_contiguous
+        assert [v.hex() for v in solve_linear(by_columns)] == [v.hex() for v in solve_linear(by_tuples)]
+
+    def test_built_views_match_entry_loop(self, example1, example2, example3):
+        for problem in (example1, example2, example3):
+            prepared = _prepared(problem)
+            system = build_system(prepared)
+            assert not system.a.flags.writeable and not system.b.flags.writeable
+            m, unknowns = prepared.matrix.entries, prepared.unknown_indices
+            scale = 1.0 / (prepared.n - 1)
+            coefficients = tuple(
+                tuple(1.0 if u == v else m[u - 1][v - 1] * -scale for v in unknowns) for u in unknowns
+            )
+            constants = []
+            for u in unknowns:
+                total = 0.0
+                for c, w in sorted(prepared.references.items()):
+                    total = total + m[u - 1][c - 1] * w
+                constants.append(total * scale)
+            assert system.coefficients == coefficients
+            assert system.constants == tuple(constants)
+            assert all(type(v) is float for row in system.coefficients for v in row)
+
+
+class TestSolveSystems:
+    def test_results_keep_input_order(self):
+        systems = [
+            LinearSystem(((2.0, 0.0), (0.0, 4.0)), (4.0, 2.0), (1, 2)),
+            LinearSystem(((1.0, 1.0), (1.0, 1.0)), (1.0, 2.0), (1, 2)),
+            LinearSystem(((0.0, 1.0), (1.0, 0.0)), (5.0, 6.0), (1, 2)),
+        ]
+        results = solve_systems(systems)
+        assert results[0] == (2.0, 0.5) and results[2] == (6.0, 5.0)
+        assert isinstance(results[1], SingularSystemError)
+        with pytest.raises(SingularSystemError) as raised:
+            solve_linear(systems[1])
+        assert str(results[1]) == str(raised.value) == "pivot 0.000e+00 in column 2 below tolerance"
+
+    def test_sizes_must_match(self):
+        with pytest.raises(ValueError):
+            solve_systems([LinearSystem(((1.0,),), (1.0,), (1,)), LinearSystem(np.eye(2), (1.0, 1.0), (1, 2))])
+
+    def test_each_system_keeps_its_residual_bound(self):
+        # a nearly repeated row: every pivot passes, the residual does not
+        rng = random.Random(3)
+        a = [[rng.gauss(0.0, 1.0) for _ in range(5)] for _ in range(5)]
+        a[-1] = [v + 1e-9 * rng.gauss(0.0, 1.0) for v in a[0]]
+        near = LinearSystem(a, [rng.gauss(0.0, 1.0) for _ in range(5)], (1, 2, 3, 4, 5))
+        with pytest.raises(SingularSystemError, match="residual"):
+            solve_linear(near)
+        # a neighbour with large constants has a looser bound, not shared
+        loose = LinearSystem(np.eye(5), np.full(5, 1e6), (1, 2, 3, 4, 5))
+        results = solve_systems([loose, near])
+        assert results[0] == (1e6,) * 5
+        assert isinstance(results[1], SingularSystemError) and "residual" in str(results[1])
+
+    def test_empty_stack(self):
+        assert solve_systems([]) == []
 
 
 class TestSolveLinear:
@@ -302,6 +389,18 @@ class TestSelectBestIterate:
         with pytest.raises(SolveFailedError):
             select_best_iterate(((1.0, None),), problem)
 
+    def test_array_rows_with_nan(self):
+        problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
+        rows = np.array([[1.0, np.nan], [1.0, -1.0], [1.0, 9.0], [1.0, np.inf]])
+        assert select_best_iterate(rows, problem).values == (1.0, 9.0)
+        with pytest.raises(SolveFailedError):
+            select_best_iterate(rows[:2], problem)
+
+    def test_array_and_tuples_agree(self, example1):
+        prepared = _prepared(example1)
+        run = jacobi_iterate(prepared, 40)
+        assert select_best_iterate(run.array, prepared) == select_best_iterate(run.iterates, prepared)
+
     def test_example1_argmin_matches_oracle(self, example1):
         prepared = _prepared(example1)
         run = jacobi_iterate(prepared, 40)
@@ -431,6 +530,19 @@ class TestHreRank:
         assert outcome.determinant_ok is True
         assert not outcome.admissible
         assert any("non-positive" in w for w in outcome.warnings)
+
+    def test_min_error_fallback_builds_system_parts_once(self):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return system_parts(*args, **kwargs)
+
+        system_parts = hre_solver._system_parts
+        with patch.object(hre_solver, "_system_parts", counted), patch.object(min_error_solver, "_system_parts", counted):
+            outcome = hre_rank(inadmissible_direct_problem())
+        assert outcome.path == "min-error"
+        assert len(calls) == 1
 
     def test_divergent_incomplete_takes_best_iterate(self):
         outcome = hre_rank(diverging_incomplete_problem())

@@ -4,8 +4,9 @@ Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
 restored matrix, the validation issues and the Jacobi iterates must match
 bit for bit; the estimation error within 1e-12 relative.  The COP
-report, the `cop --json` text, the parsed problem (or parse error) and the
-linear solve must equal their references exactly.
+report, the `cop --json` text, the parsed problem (or parse error), the
+linear solve alone and in stacks, and the Monte Carlo records must equal
+their references exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from hrerank import (
     CopReport,
+    ExperimentConfig,
     LinearSystem,
     ParseError,
     PcMatrix,
@@ -34,6 +36,7 @@ from hrerank import (
     parse_matrix,
     preprocess,
     restore_reciprocity,
+    run_experiment,
     solve_linear,
     triad_scan,
     validate,
@@ -41,7 +44,7 @@ from hrerank import (
 from hrerank import diagnostics
 from hrerank.cli import _cop_json
 from hrerank.diagnostics import SCAN_BLOCK
-from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL
+from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL, solve_systems
 
 from _support import (
     cop_check_loop,
@@ -51,6 +54,7 @@ from _support import (
     parse_matrix_oracle,
     random_problem,
     restore_reciprocity_loop,
+    run_experiment_oracle,
     solve_linear_oracle,
     triad_scan_loop,
     validate_loop,
@@ -254,14 +258,44 @@ def test_parser_matches_oracle(text):
     assert parsed(parse_matrix, text) == parsed(parse_matrix_oracle, text)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 30), seeds, st.sampled_from([0.0, 1.0, 30.0]), st.booleans())
-def test_solve_linear_matches_oracle(k, seed, shift, repeat_row):
+SINGULAR_KINDS = st.sampled_from(["", "repeat", "near", "tiny"])
+
+
+def random_system(k: int, seed: int, shift: float, singular: str) -> LinearSystem:
+    """Gaussian k x k system with ``shift`` added on the diagonal.
+
+    ``singular``: "repeat" repeats the first row last (one small pivot),
+    "near" repeats it up to 1e-10 (a pivot that passes, a residual that
+    fails), "tiny" scales every entry by 1e-14 (every pivot small).
+    """
     rng = random.Random(seed)
     a = [[rng.gauss(0.0, 1.0) + (shift if i == j else 0.0) for j in range(k)] for i in range(k)]
-    if repeat_row and k > 1:
-        a[-1] = list(a[0])  # singular
-    system = LinearSystem(tuple(map(tuple, a)), tuple(rng.gauss(0.0, 1.0) for _ in range(k)), tuple(range(1, k + 1)))
+    if singular == "repeat" and k > 1:
+        a[-1] = list(a[0])
+    elif singular == "near" and k > 1:
+        a[-1] = [v + 1e-10 * rng.gauss(0.0, 1.0) for v in a[0]]
+    elif singular == "tiny":
+        a = [[v * 1e-14 for v in row] for row in a]
+    return LinearSystem(tuple(map(tuple, a)), tuple(rng.gauss(0.0, 1.0) for _ in range(k)), tuple(range(1, k + 1)))
+
+
+def solved_bits(solve, system):
+    """A solution as the hex of each value, or the SingularSystemError message."""
+    try:
+        result = solve(system)
+    except SingularSystemError as exc:
+        return str(exc)
+    return tuple(v.hex() for v in result)
+
+
+def stacked_bits(result):
+    return str(result) if isinstance(result, SingularSystemError) else tuple(v.hex() for v in result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), seeds, st.sampled_from([0.0, 1.0, 30.0]), SINGULAR_KINDS)
+def test_solve_linear_matches_oracle(k, seed, shift, singular):
+    system = random_system(k, seed, shift, singular)
     results = []
     for solve in (solve_linear, solve_linear_oracle):
         try:
@@ -269,3 +303,38 @@ def test_solve_linear_matches_oracle(k, seed, shift, repeat_row):
         except SingularSystemError as exc:  # the same message
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.lists(st.tuples(seeds, st.sampled_from([0.0, 1.0, 30.0]), SINGULAR_KINDS), min_size=1, max_size=8),
+)
+@example(4, [(1, 0.0, "repeat"), (2, 0.0, ""), (3, 30.0, "tiny"), (4, 0.0, "near")])
+def test_stacked_solves_match_oracle(k, members):
+    systems = [random_system(k, seed, shift, singular) for seed, shift, singular in members]
+    stacked = [stacked_bits(result) for result in solve_systems(systems)]
+    assert stacked == [solved_bits(solve_linear_oracle, system) for system in systems]
+    # without its singular members a stack solves its other members to the same bits
+    kept = [i for i, result in enumerate(stacked) if isinstance(result, tuple)]
+    assert [stacked_bits(result) for result in solve_systems([systems[i] for i in kept])] == [stacked[i] for i in kept]
+
+
+@st.composite
+def experiment_configs(draw):
+    n = draw(st.integers(3, 12))
+    level = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.5, 6.0))
+    return ExperimentConfig(
+        n=n,
+        trials=draw(st.integers(1, 4)),
+        noise_levels=tuple(draw(st.lists(level, min_size=1, max_size=4))),
+        reference_count=draw(st.integers(1, n - 1)),
+        seed=draw(st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiment_configs())
+@example(ExperimentConfig(n=6, trials=3, noise_levels=(0.0, 0.5, 2.0, 6.0), reference_count=2, seed=4))
+def test_run_experiment_matches_one_system_at_a_time(config):
+    assert repr(run_experiment(config)) == repr(run_experiment_oracle(config))
