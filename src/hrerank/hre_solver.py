@@ -195,13 +195,16 @@ def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | S
     at = np.arange(count)
     with np.errstate(all="ignore"):
         for col in range(k):
-            pivot = col + np.abs(u[:, col:, col]).argmax(axis=1)
-            rows = u[at, pivot]
-            u[at, pivot] = u[:, col]
-            u[:, col] = rows
+            offset = np.abs(u[:, col:, col]).argmax(axis=1)
+            if offset.any():  # some system's pivot lies below its diagonal: swap rows
+                pivot = col + offset
+                rows = u[at, pivot]
+                u[at, pivot] = u[:, col]
+                u[:, col] = rows
+            row = u[:, col]
             # columns up to col are not read again
             below = u[:, col + 1 :]
-            below[:, :, col + 1 :] -= (below[:, :, col] / rows[:, col, None])[:, :, None] * rows[:, None, col + 1 :]
+            below[:, :, col + 1 :] -= (below[:, :, col] / row[:, col, None])[:, :, None] * row[:, None, col + 1 :]
         x = u[:, :, k].copy()
         for col in range(k - 1, -1, -1):
             dot = u[:, col, None, col + 1 : k] @ x[:, col + 1 :, None]
