@@ -6,7 +6,8 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
+
+import numpy as np
 
 from .baselines import WeightVector, ev_weights, gm_weights
 from .diagnostics import CopReport, cop_check, estimation_error, inconsistency_report
@@ -44,42 +45,80 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-# `cop --json` layout, as json.dumps(payload, indent=2) writes it
-_QUADRUPLE_JSON = '    {{\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
-_PAIR_JSON = '        [\n          {},\n          {}\n        ]'
-_POP_JSON = {
-    count: _QUADRUPLE_JSON + '      "failed_pairs": [\n' + ",\n".join([_PAIR_JSON] * count) + "\n      ]\n    }}"
-    for count in (1, 2)
-}
-_POIP_JSON = _QUADRUPLE_JSON + '      "lhs": {},\n      "rhs": {}\n    }}'
-
+# `cop --json` layout, as json.dumps(payload, indent=2) writes it; each {} is one column.  A POP
+# violation lists the first failed pair, then the second one if both failed, framed as in _PAIR_JSON.
+_POP_JSON = (
+    '    {\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
+    '      "failed_pairs": [\n        [\n          {},\n          {}\n        ]{}{}{}{}{}\n      ]\n    }'
+)
+_PAIR_JSON = (",\n        [\n          ", ",\n          ", "\n        ]")
+_POIP_JSON = (
+    '    {\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
+    '      "lhs": {},\n      "rhs": {}\n    }'
+)
 
 # `cop` text layout, one line per violation
-_POP_TEXT = {
-    count: "  - ({},{}) vs ({},{}): " + ", ".join(["mu(c{}) <= mu(c{})"] * count) for count in (1, 2)
-}
-_POIP_TEXT = "  - ({0},{1}) vs ({2},{3}): mu(c{0})/mu(c{1}) = {4:.6g} <= mu(c{2})/mu(c{3}) = {5:.6g}"
+_POP_TEXT = "  - ({},{}) vs ({},{}): mu(c{}) <= mu(c{}){}{}{}{}{}"
+_PAIR_TEXT = (", mu(c", ") <= mu(c", ")")
+_POIP_TEXT = "  - ({},{}) vs ({},{}): mu(c{})/mu(c{}) = {} <= mu(c{})/mu(c{}) = {}"
 
 
 def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-def _json_list(key: str, items: list[str]) -> str:
-    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
+def _json_list(key: str, body: str) -> str:
+    return f'  "{key}": [\n{body}\n  ]' if body else f'  "{key}": []'
+
+
+def _formatted(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt of every entry, as an object array of str of the same shape.
+
+    Each distinct bit pattern is formatted once: grouping by == would merge
+    0.0 with -0.0, which print differently.
+    """
+    keys, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    table = np.array([fmt(v) for v in keys.view(values.dtype).tolist()], dtype=object)
+    return table[inverse.reshape(values.shape)]
+
+
+def _join_rows(template: str, columns, sep: str) -> str:
+    """sep.join of template.format(*row) for each row of the columns, interleaved by slice assignment.
+
+    ``columns`` are equally long object arrays of str, one per {} of the
+    template; any other brace in it is literal text.
+    """
+    pieces = template.split("{}")
+    rows, width = len(columns[0]), 2 * len(columns) + 1
+    out = [sep + pieces[0]] * (rows * width)
+    for f, column in enumerate(columns):
+        out[2 * f + 1 :: width] = column.tolist()
+        out[2 * f + 2 :: width] = [pieces[f + 1]] * rows
+    if rows:
+        out[0] = pieces[0]
+    return "".join(out)
+
+
+def _pop_columns(result: CopReport, frame: tuple[str, str, str]) -> list[np.ndarray]:
+    """The columns of the POP templates: i, j, k, l, the first failed pair, and the second one framed
+    by ``frame`` where both pairs failed (empty strings elsewhere)."""
+    i, j, k, l = _formatted(result.pop_quadruples, str).T
+    head, tail = result.pop_failed.T
+    both, blank = head & tail, np.full(len(head), "", dtype=object)
+    second = (frame[0], k, frame[1], l, frame[2])
+    return [i, j, k, l, np.where(head, i, k), np.where(head, j, l), *(np.where(both, part, blank) for part in second)]
 
 
 def _cop_json(result: CopReport) -> str:
-    """The report with the bytes of json.dumps(payload, indent=2), one template per violation.
+    """The report with the bytes of json.dumps(payload, indent=2), rendered column by column.
 
     With ``indent`` set, json falls back to its pure-Python encoder, which is
     slow on the hundreds of thousands of violations a mid-sized matrix can have.
     """
-    pop = [
-        _POP_JSON[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
-        for v in result.pop_violations
-    ]
-    poip = [_POIP_JSON.format(*v.quadruple, _json_float(v.lhs), _json_float(v.rhs)) for v in result.poip_violations]
+    pop = _join_rows(_POP_JSON, _pop_columns(result, _PAIR_JSON), ",\n")
+    q = _formatted(result.poip_quadruples, str)
+    ratios = _formatted(np.stack((result.lhs, result.rhs)), _json_float)
+    poip = _join_rows(_POIP_JSON, [*q.T, *ratios], ",\n")
     return (
         f'{{\n  "satisfies_cop": {"true" if result.satisfies_cop else "false"},\n'
         f'  "quadruples_checked": {result.quadruples_checked},\n'
@@ -88,15 +127,18 @@ def _cop_json(result: CopReport) -> str:
 
 
 def _cop_text(result: CopReport) -> str:
-    """The human-readable report, one line per violation, built as one string."""
+    """The human-readable report, one line per violation, rendered column by column."""
     lines = [f"quadruples checked: {result.quadruples_checked}"]
-    lines.append("POP violations:" if result.pop_violations else "POP violations: none")
-    lines.extend(
-        _POP_TEXT[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
-        for v in result.pop_violations
-    )
-    lines.append("POIP violations:" if result.poip_violations else "POIP violations: none")
-    lines.extend(_POIP_TEXT.format(*v.quadruple, v.lhs, v.rhs) for v in result.poip_violations)
+    if len(result.pop_quadruples):
+        lines += ["POP violations:", _join_rows(_POP_TEXT, _pop_columns(result, _PAIR_TEXT), "\n")]
+    else:
+        lines.append("POP violations: none")
+    if len(result.poip_quadruples):
+        i, j, k, l = _formatted(result.poip_quadruples, str).T
+        lhs, rhs = _formatted(np.stack((result.lhs, result.rhs)), _fmt)
+        lines += ["POIP violations:", _join_rows(_POIP_TEXT, [i, j, k, l, i, j, lhs, k, l, rhs], "\n")]
+    else:
+        lines.append("POIP violations: none")
     lines.append(f"satisfies COP: {'yes' if result.satisfies_cop else 'no'}")
     return "\n".join(lines)
 

@@ -12,6 +12,7 @@ from .errors import IncompleteMatrixError
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _ordered_sum, _unknown_rows, restore_reciprocity
 
 SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
+_NO_INDICES = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,92 @@ class PoipViolation:
     rhs: float  # mu_k / mu_l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)  # array fields have no usable == or hash
 class CopReport:
-    pop_violations: tuple[PopViolation, ...]
-    poip_violations: tuple[PoipViolation, ...]
+    """Violations of the condition of order preservation, held as columns.
+
+    POP violations are ``pop_quadruples`` (V x 4 concept indices) and
+    ``pop_failed`` (V x 2 bool: whether the (i,j) pair, then the (k,l) pair,
+    is out of order); POIP violations are ``poip_quadruples`` (W x 4) with
+    ``lhs`` and ``rhs`` (W float64 ratios).  All are read-only arrays.
+    ``pop_violations`` and ``poip_violations`` are the same violations as
+    tuples of `PopViolation` and `PoipViolation`, built when read.
+
+    ``CopReport(pop_violations, poip_violations, quadruples_checked)`` builds
+    the columns from those tuples; a ``failed_pairs`` other than (q[:2],),
+    (q[2:],) or (q[:2], q[2:]) raises ValueError.  Two reports are equal
+    exactly when their counts and violation tuples are.
+    """
+
+    pop_quadruples: np.ndarray
+    pop_failed: np.ndarray
+    poip_quadruples: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     quadruples_checked: int
+
+    def __init__(self, pop_violations, poip_violations, quadruples_checked: int):
+        pop, poip = tuple(pop_violations), tuple(poip_violations)
+        self._store(
+            [v.quadruple for v in pop], [_failed_flags(v) for v in pop],
+            [v.quadruple for v in poip], [v.lhs for v in poip], [v.rhs for v in poip], quadruples_checked,
+        )
+
+    @classmethod
+    def _from_columns(cls, pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked) -> CopReport:
+        report = cls.__new__(cls)
+        report._store(pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked)
+        return report
+
+    def _store(self, pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked) -> None:
+        columns = {
+            "pop_quadruples": np.array(pop_quadruples, dtype=np.int64).reshape(-1, 4),
+            "pop_failed": np.array(pop_failed, dtype=bool).reshape(-1, 2),
+            "poip_quadruples": np.array(poip_quadruples, dtype=np.int64).reshape(-1, 4),
+            "lhs": np.array(lhs, dtype=float).reshape(-1),
+            "rhs": np.array(rhs, dtype=float).reshape(-1),
+        }
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "quadruples_checked", int(quadruples_checked))
+
+    @property
+    def pop_violations(self) -> tuple[PopViolation, ...]:
+        return tuple(
+            PopViolation(tuple(q), (tuple(q[:2]),) * head + (tuple(q[2:]),) * tail)
+            for q, (head, tail) in zip(self.pop_quadruples.tolist(), self.pop_failed.tolist())
+        )
+
+    @property
+    def poip_violations(self) -> tuple[PoipViolation, ...]:
+        return tuple(
+            PoipViolation(tuple(q), lhs, rhs)
+            for q, lhs, rhs in zip(self.poip_quadruples.tolist(), self.lhs.tolist(), self.rhs.tolist())
+        )
 
     @property
     def satisfies_cop(self) -> bool:
-        return not self.pop_violations and not self.poip_violations
+        return not len(self.pop_quadruples) and not len(self.poip_quadruples)
+
+    def __eq__(self, other):
+        if not isinstance(other, CopReport):
+            return NotImplemented
+        # == on the views: NaN ratios differ (each view builds fresh floats), -0.0 equals 0.0
+        return self.quadruples_checked == other.quadruples_checked and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("pop_quadruples", "pop_failed", "poip_quadruples", "lhs", "rhs")
+        )
+
+
+def _failed_flags(violation: PopViolation) -> tuple[bool, bool]:
+    """The (i,j) and (k,l) flags that reproduce ``violation.failed_pairs``."""
+    q = tuple(violation.quadruple)
+    failed = tuple(violation.failed_pairs)
+    for flags, pairs in (((True, False), (q[:2],)), ((False, True), (q[2:],)), ((True, True), (q[:2], q[2:]))):
+        if failed == pairs:
+            return flags
+    raise ValueError(f"failed pairs {failed!r} are not a non-empty ordered subset of {q[:2]} and {q[2:]}")
 
 
 def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
@@ -168,7 +246,9 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     judgments; violations come from boolean masks over blocks of (strict,
     comparable) pairs of at most SCAN_BLOCK entries, or one strict pair's
     row when there are more comparable judgments than that, in row-major
-    order of (i,j), then of (k,l).  The result grows with the violations.
+    order of (i,j), then of (k,l).  Each block keeps only the judgment
+    indices of its violations; the report's columns are gathered from the
+    judgment tables once, and no per-violation object is built.
     """
     n = matrix.n
     if len(mu) != n:
@@ -184,19 +264,21 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     strict = np.flatnonzero(m > 1.0)
     checked = int(np.searchsorted(np.sort(m), m[strict], side="left").sum())
 
-    pairs = list(zip((i + 1).tolist(), (j + 1).tolist()))
-    fails_ij, fails_kl, ratios = unranked.tolist(), fails_as_kl.tolist(), ratio.tolist()
-    pop: list[PopViolation] = []
-    poip: list[PoipViolation] = []
+    blocks = [(_NO_INDICES,) * 4]  # per block: judgment indices x, y of its POP, then its POIP violations
     step = max(1, SCAN_BLOCK // max(1, len(m)))  # strict pairs per block
     for s0 in range(0, len(strict), step):
         s = strict[s0 : s0 + step]
         beats = m[s, None] > m  # the quadruples of this block
-        r, c = np.nonzero(beats & (unranked[s, None] | fails_as_kl))  # row-major: (i,j), then (k,l)
-        pop += (
-            PopViolation(pairs[x] + pairs[y], (pairs[x],) * fails_ij[x] + (pairs[y],) * fails_kl[y])
-            for x, y in zip(s[r].tolist(), c.tolist())
-        )
-        r, c = np.nonzero(beats & (ratio[s, None] <= ratio))
-        poip += (PoipViolation(pairs[x] + pairs[y], ratios[x], ratios[y]) for x, y in zip(s[r].tolist(), c.tolist()))
-    return CopReport(tuple(pop), tuple(poip), checked)
+        pop_r, pop_c = np.nonzero(beats & (unranked[s, None] | fails_as_kl))  # row-major: (i,j), then (k,l)
+        poip_r, poip_c = np.nonzero(beats & (ratio[s, None] <= ratio))
+        blocks.append((s[pop_r], pop_c, s[poip_r], poip_c))
+    pop_x, pop_y, poip_x, poip_y = (np.concatenate(column) for column in zip(*blocks))
+    pairs = np.stack((i + 1, j + 1), axis=1)
+    return CopReport._from_columns(
+        np.concatenate((pairs[pop_x], pairs[pop_y]), axis=1),
+        np.stack((unranked[pop_x], fails_as_kl[pop_y]), axis=1),
+        np.concatenate((pairs[poip_x], pairs[poip_y]), axis=1),
+        ratio[poip_x],
+        ratio[poip_y],
+        checked,
+    )

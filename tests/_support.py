@@ -3,8 +3,10 @@
 The ``*_loop`` functions are entry-by-entry references for the package's
 array kernels: the same arithmetic in the same order, one entry at a time.
 ``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
-``solve_linear_oracle`` the elimination that updates A and b separately, and
-``run_experiment_oracle`` the Monte Carlo harness solving one system at a time.
+``solve_linear_oracle`` the elimination that updates A and b separately,
+``run_experiment_oracle`` the Monte Carlo harness solving one system at a time,
+and ``cop_json_oracle`` and ``cop_text_oracle`` the `cop` output written one
+template per violation, which the column renderers must match byte for byte.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
 least-squares solver from the objective itself.
 """
@@ -12,9 +14,11 @@ least-squares solver from the objective itself.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +445,78 @@ def cop_check_loop(matrix: PcMatrix, mu) -> CopReport:
             if lhs <= rhs:
                 poip.append(PoipViolation((i, j, k, l), lhs, rhs))
     return CopReport(tuple(pop), tuple(poip), checked)
+
+
+def cop_payload(report: CopReport) -> dict:
+    """What `cop --json` prints, as the payload json.dumps(indent=2) used to serialise."""
+    return {
+        "satisfies_cop": report.satisfies_cop,
+        "quadruples_checked": report.quadruples_checked,
+        "pop_violations": [
+            {"quadruple": list(v.quadruple), "failed_pairs": [list(p) for p in v.failed_pairs]}
+            for v in report.pop_violations
+        ],
+        "poip_violations": [
+            {"quadruple": list(v.quadruple), "lhs": v.lhs, "rhs": v.rhs} for v in report.poip_violations
+        ],
+    }
+
+
+# `cop --json` layout, as json.dumps(payload, indent=2) writes it
+_QUADRUPLE_JSON = '    {{\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
+_PAIR_JSON = '        [\n          {},\n          {}\n        ]'
+_POP_JSON = {
+    count: _QUADRUPLE_JSON + '      "failed_pairs": [\n' + ",\n".join([_PAIR_JSON] * count) + "\n      ]\n    }}"
+    for count in (1, 2)
+}
+_POIP_JSON = _QUADRUPLE_JSON + '      "lhs": {},\n      "rhs": {}\n    }}'
+
+
+# `cop` text layout, one line per violation
+_POP_TEXT = {
+    count: "  - ({},{}) vs ({},{}): " + ", ".join(["mu(c{}) <= mu(c{})"] * count) for count in (1, 2)
+}
+_POIP_TEXT = "  - ({0},{1}) vs ({2},{3}): mu(c{0})/mu(c{1}) = {4:.6g} <= mu(c{2})/mu(c{3}) = {5:.6g}"
+
+
+def _json_float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _json_list(key: str, items: list[str]) -> str:
+    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]" if items else f'  "{key}": []'
+
+
+def cop_json_oracle(result: CopReport) -> str:
+    """The report with the bytes of json.dumps(payload, indent=2), one template per violation.
+
+    With ``indent`` set, json falls back to its pure-Python encoder, which is
+    slow on the hundreds of thousands of violations a mid-sized matrix can have.
+    """
+    pop = [
+        _POP_JSON[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
+        for v in result.pop_violations
+    ]
+    poip = [_POIP_JSON.format(*v.quadruple, _json_float(v.lhs), _json_float(v.rhs)) for v in result.poip_violations]
+    return (
+        f'{{\n  "satisfies_cop": {"true" if result.satisfies_cop else "false"},\n'
+        f'  "quadruples_checked": {result.quadruples_checked},\n'
+        f'{_json_list("pop_violations", pop)},\n{_json_list("poip_violations", poip)}\n}}'
+    )
+
+
+def cop_text_oracle(result: CopReport) -> str:
+    """The human-readable report, one line per violation, built as one string."""
+    lines = [f"quadruples checked: {result.quadruples_checked}"]
+    lines.append("POP violations:" if result.pop_violations else "POP violations: none")
+    lines.extend(
+        _POP_TEXT[len(v.failed_pairs)].format(*v.quadruple, *chain.from_iterable(v.failed_pairs))
+        for v in result.pop_violations
+    )
+    lines.append("POIP violations:" if result.poip_violations else "POIP violations: none")
+    lines.extend(_POIP_TEXT.format(*v.quadruple, v.lhs, v.rhs) for v in result.poip_violations)
+    lines.append(f"satisfies COP: {'yes' if result.satisfies_cop else 'no'}")
+    return "\n".join(lines)
 
 
 _FRACTION_RE_ORACLE = re.compile(r"^(\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")

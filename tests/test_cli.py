@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
+from hrerank import WeightVector, ev_weights, parse_matrix
 from hrerank.cli import main
 
-from _support import DATA_DIR, GOLDEN_DIR
+from _support import DATA_DIR, GOLDEN_DIR, cop_check_loop, cop_payload, cop_text_oracle, noisy_consistent
 
 # golden cases: name -> CLI arguments (paths resolved against tests/data)
 GOLDEN_CASES = {
@@ -235,3 +237,17 @@ def test_ev_does_not_need_references(tmp_path, capsys):
     code, out, err = run_cli(["rank", "--input", str(no_ref), "--method", "ev"], capsys)
     assert code == 0
     assert "notice" not in err
+
+
+def test_large_cop_report_matches_oracles(tmp_path, capsys):
+    # the goldens hold a handful of violations; this input has thousands of both kinds
+    matrix, _ = noisy_consistent(30, random.Random(30), 0.5)
+    text = "30\n" + "".join(" ".join(map(repr, row)) + "\n" for row in matrix.array.tolist()) + "ref 1 1.0\n"
+    weights = ev_weights(matrix).values
+    (tmp_path / "m.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "w.txt").write_text("".join(f"{v!r}\n" for v in weights), encoding="utf-8")
+    expected = cop_check_loop(parse_matrix(text).matrix, WeightVector(weights))
+    assert len(expected.pop_violations) > 1000 and len(expected.poip_violations) > 1000
+    args = ["cop", "--input", str(tmp_path / "m.txt"), "--weights", str(tmp_path / "w.txt")]
+    assert run_cli(args + ["--json"], capsys) == (0, json.dumps(cop_payload(expected), indent=2) + "\n", "")
+    assert run_cli(args, capsys) == (0, cop_text_oracle(expected) + "\n", "")

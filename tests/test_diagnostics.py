@@ -4,8 +4,11 @@ import random
 import pytest
 
 from hrerank import (
+    CopReport,
     IncompleteMatrixError,
     PcMatrix,
+    PoipViolation,
+    PopViolation,
     Problem,
     WeightVector,
     cop_check,
@@ -239,3 +242,42 @@ class TestCopCheck:
         assert report.satisfies_cop == (
             not report.pop_violations and not report.poip_violations
         )
+
+
+class TestCopReport:
+    def test_tuples_round_trip(self):
+        pop = (PopViolation((1, 2, 3, 4), ((1, 2),)), PopViolation((2, 1, 4, 3), ((4, 3),)),
+               PopViolation((3, 1, 2, 4), ((3, 1), (2, 4))))
+        poip = (PoipViolation((1, 2, 3, 4), 0.5, 2.0), PoipViolation((5, 6, 7, 8), -0.0, math.inf))
+        report = CopReport(pop, poip, 9)
+        assert report.pop_violations == pop
+        assert report.poip_violations == poip
+        assert math.copysign(1.0, report.poip_violations[1].lhs) == -1.0
+        assert report.quadruples_checked == 9
+        assert not report.satisfies_cop
+        assert CopReport((), (), 0).satisfies_cop
+
+    def test_columns_are_read_only(self, example2):
+        report = cop_check(example2.matrix, ev_weights(example2.matrix))
+        assert report.pop_quadruples.shape == (len(report.pop_violations), 4)
+        assert report.pop_failed.shape == (len(report.pop_violations), 2)
+        assert report.poip_quadruples.shape == (len(report.poip_violations), 4)
+        assert report.lhs.shape == report.rhs.shape == (len(report.poip_violations),)
+        for column in (report.pop_quadruples, report.pop_failed, report.poip_quadruples, report.lhs, report.rhs):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[...] = 0
+
+    def test_tuple_built_report_equals_checked_report(self, example2):
+        report = cop_check(example2.matrix, ev_weights(example2.matrix))
+        assert report.pop_violations and report.poip_violations
+        rebuilt = CopReport(report.pop_violations, report.poip_violations, report.quadruples_checked)
+        assert rebuilt == report
+        assert CopReport(report.pop_violations, report.poip_violations[1:], report.quadruples_checked) != report
+        assert CopReport(report.pop_violations, report.poip_violations, report.quadruples_checked + 1) != report
+
+    @pytest.mark.parametrize("failed", [(), ((3, 4), (1, 2)), ((1, 2), (1, 2)), ((2, 1),), ([1, 2],),
+                                        ((1, 2), (3, 4), (1, 2))])
+    def test_malformed_failed_pairs_rejected(self, failed):
+        with pytest.raises(ValueError, match="failed pairs"):
+            CopReport((PopViolation((1, 2, 3, 4), failed),), (), 1)

@@ -4,9 +4,10 @@ Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
 restored matrix, the validation issues and the Jacobi iterates must match
 bit for bit; the estimation error within 1e-12 relative.  The COP
-report, the `cop --json` text, the parsed problem (or parse error), the
-linear solve alone and in stacks, and the Monte Carlo records must equal
-their references exactly.
+report, the `cop --json` and text output (against json.dumps and the
+per-violation oracles), the parsed problem (or parse error), the linear
+solve alone and in stacks, and the Monte Carlo records must equal their
+references exactly.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ from hrerank import (
     validate,
 )
 from hrerank import diagnostics
-from hrerank.cli import _cop_json
+from hrerank.cli import _cop_json, _cop_text
 from hrerank.diagnostics import SCAN_BLOCK
 from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL, solve_systems
 
 from _support import (
     cop_check_loop,
+    cop_json_oracle,
+    cop_payload,
+    cop_text_oracle,
     estimation_error_oracle,
     graph_problem,
     jacobi_loop,
@@ -171,21 +175,6 @@ def test_cop_report_matches_loop(inputs, block):
         assert cop_check(matrix, mu) == cop_check_loop(matrix, mu)
 
 
-def cop_payload(report: CopReport) -> dict:
-    """What `cop --json` prints, as the payload json.dumps(indent=2) used to serialise."""
-    return {
-        "satisfies_cop": report.satisfies_cop,
-        "quadruples_checked": report.quadruples_checked,
-        "pop_violations": [
-            {"quadruple": list(v.quadruple), "failed_pairs": [list(p) for p in v.failed_pairs]}
-            for v in report.pop_violations
-        ],
-        "poip_violations": [
-            {"quadruple": list(v.quadruple), "lhs": v.lhs, "rhs": v.rhs} for v in report.poip_violations
-        ],
-    }
-
-
 concepts = st.integers(1, 60)
 quadruples = st.tuples(concepts, concepts, concepts, concepts)
 pop_violations = quadruples.flatmap(
@@ -199,8 +188,9 @@ cop_reports = st.builds(
     st.integers(0, 10**9),
 )
 # mu_1 / mu_2 = 1e600 overflows to inf: json writes Infinity
-OVERFLOW_REPORT = cop_check(PcMatrix([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [1 / 3, 0.25, 1.0]]),
-                            WeightVector((1e300, 1e-300, 1.0)))
+OVERFLOW_INPUT = (PcMatrix([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [1 / 3, 0.25, 1.0]]),
+                  WeightVector((1e300, 1e-300, 1.0)))
+OVERFLOW_REPORT = cop_check(*OVERFLOW_INPUT)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,6 +204,53 @@ def test_cop_json_matches_json_dumps(report):
 def test_overflow_report_has_an_infinite_ratio():
     assert any(math.inf in (v.lhs, v.rhs) for v in OVERFLOW_REPORT.poip_violations)
     assert "Infinity" in _cop_json(OVERFLOW_REPORT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cop_inputs())
+@example(OVERFLOW_INPUT)
+def test_cop_renderers_match_oracles_on_checked_reports(inputs):
+    report = cop_check(*inputs)
+    assert _cop_json(report) == cop_json_oracle(report)
+    assert _cop_text(report) == cop_text_oracle(report)
+
+
+# ±0.0, NaN, ±inf, subnormals and ordinary values, drawn into a small pool so that values repeat
+special_ratios = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(),
+)
+
+
+@st.composite
+def special_cop_parts(draw):
+    """(pop, poip, checked) tuples whose lhs/rhs come from a small pool of special values."""
+    ratios = st.sampled_from(draw(st.lists(special_ratios, min_size=1, max_size=4)))
+    pop = draw(st.lists(pop_violations, max_size=8))
+    poip = draw(st.lists(st.builds(PoipViolation, quadruples, ratios, ratios), max_size=8))
+    return tuple(pop), tuple(poip), draw(st.integers(0, 10**9))
+
+
+special_cop_reports = special_cop_parts().map(lambda parts: CopReport(*parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(special_cop_reports)
+@example(CopReport((), (), 0))
+@example(CopReport((), (PoipViolation((1, 2, 3, 4), 0.0, -0.0), PoipViolation((4, 3, 2, 1), -0.0, 0.0)), 2))
+def test_cop_renderers_match_oracles_on_arbitrary_reports(report):
+    assert _cop_json(report) == cop_json_oracle(report)
+    assert _cop_text(report) == cop_text_oracle(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(special_cop_parts())
+def test_cop_report_round_trips_its_tuples(parts):
+    pop, poip, checked = parts
+    report = CopReport(pop, poip, checked)
+    assert report.pop_violations == pop
+    assert repr(report.poip_violations) == repr(poip)  # == cannot tell -0.0 from 0.0, nor NaN from itself
+    assert report.quadruples_checked == checked
 
 
 tokens = st.one_of(
