@@ -83,7 +83,8 @@ def _formatted(values: np.ndarray, fmt) -> np.ndarray:
 
 
 def _join_rows(template: str, columns, sep: str) -> str:
-    """sep.join of template.format(*row) for each row of the columns, interleaved by slice assignment.
+    """One copy of the template per row, its n-th {} replaced by the row's entry of the n-th column,
+    joined by sep; the pieces are interleaved by list slice assignment and joined once.
 
     ``columns`` are equally long object arrays of str, one per {} of the
     template; any other brace in it is literal text.
