@@ -222,8 +222,11 @@ def estimation_error(problem: Problem, mu: WeightVector) -> tuple[dict[int, floa
     if not counts.all():
         raise ValueError(f"concept {unknowns[int(np.argmin(counts))]} has no specified ratio to estimate it from")
     w = np.array(mu.values)
-    deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0)
-    per = (_ordered_sum(deviations, axis=1) / counts).tolist()
+    # n x k, C order: summed down axis 0 in column order, as `jacobi_iterate` sums
+    deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0).T.copy()
+    # one column is contiguous down axis 0, where numpy would add pairwise
+    sums = np.add.reduce(deviations, axis=0) if len(rows) > 1 else _ordered_sum(deviations, axis=0)
+    per = (sums / counts).tolist()
     return dict(zip(unknowns, per)), sum(per) / len(per)
 
 

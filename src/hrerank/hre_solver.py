@@ -251,12 +251,17 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     Concepts that cannot be sampled yet simply stay unestimated for the
     round (NaN in that row of the returned array, None in `iterates`); on a
     reachable problem every concept has an estimate after at most the
-    comparison graph's diameter in steps.  Until then each step recounts
-    which estimates exist and how many samples each row has; from then on
-    the counts cannot change and are reused.  Iteration stops early once
-    two consecutive fully-defined iterates agree to a relative 1e-10 in the
-    max-norm, or as soon as any estimate is infinite or beyond 1e12 in
-    magnitude.
+    comparison graph's diameter in steps.  Until then (the filling phase)
+    each step recounts which estimates exist and how many samples each row
+    has, and is tested for divergence on its own.  From then on the counts
+    cannot change and the steps run in blocks of 2, 4, 8, ... up to 64.
+    After each block the tests of all its steps are made at once, and the
+    run is cut right after the first step that is infinite or beyond 1e12
+    in magnitude (tested first) or agrees with the step before to a
+    relative 1e-10 in the max-norm.  Later steps never change earlier ones,
+    so this is the run a test after every step gives, and the steps
+    discarded past the cut are never more than those kept.  The rows are
+    written into one buffer that grows by doubling, to ``max_r`` at most.
 
     Each concept's samples are added one at a time in column order, as a
     sample-by-sample loop adds them, so the iterates are reproducible to
@@ -266,8 +271,8 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     only along a contiguous reduction, and an n x n array with n >= 2 has
     none down axis 0.  A zero adds exactly +0.0.  A reference's column holds
     only its own ratio 1, counted as its one sample, so the same step gives
-    back its weight bit for bit: the run stops at the first infinite
-    estimate, so no 0 * inf term can turn that sum into NaN.
+    back its weight bit for bit: the run is cut at the first infinite
+    estimate, so no 0 * inf term turns a kept sum into NaN.
 
     Expects a preprocessed (reciprocal) problem with references.
     """
@@ -283,36 +288,45 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
     ratios_t[fixed, fixed] = 1.0
     products = np.empty_like(ratios_t)
-    current = anchors
-    rows: list[np.ndarray] = []
-    previous: np.ndarray | None = None
+    out, current = np.empty((0, problem.n)), anchors  # out: the iterates, one row per step
+    steps, block, filling = 0, 2, True
     converged = diverged = False
-    filling = True
-    with np.errstate(over="ignore"):  # an overflow to inf ends the run as diverged
-        for _ in range(max_r):
+    # an overflow to inf ends the run as diverged; the NaNs of steps past it are cut off
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < max_r:
             if filling:
                 known = ~np.isnan(current)
                 counts = np.count_nonzero(sampled & known, axis=1)
                 divisors = np.where(counts > 0, counts, np.nan)  # no sample yet: no estimate
                 filling = not known.all()
-                estimates = np.where(known, current, 0.0)
-            else:
-                estimates = current
-            np.multiply(ratios_t, estimates[:, None], out=products)
-            current = np.add.reduce(products)
-            current /= divisors
-            rows.append(current)
-            size = np.fmax.reduce(np.abs(current))  # fmax skips the unestimated NaNs
-            if size > DIVERGENCE_LIMIT:  # inf included
-                diverged = True
+                current = np.where(known, current, 0.0)
+            tested = not filling and steps > 0  # each step is compared with the one before
+            stop = min(steps + block, max_r) if tested else steps + 1
+            if stop > len(out):
+                grown = np.empty((min(max(2 * len(out), stop, 16), max_r), problem.n))
+                grown[:steps] = out[:steps]
+                out = grown
+            rows = out[steps:stop]
+            for row in rows:
+                np.multiply(ratios_t, current[:, None], out=products)
+                np.add.reduce(products, axis=0, out=row)
+                row /= divisors
+                current = row
+            sizes = np.fmax.reduce(np.abs(rows), axis=1)  # fmax skips the unestimated NaNs
+            over = sizes > DIVERGENCE_LIMIT  # inf included
+            ends = over
+            if tested:
+                ends = over | (np.abs(rows - out[steps - 1 : stop - 1]).max(axis=1) <= JACOBI_STOP_TOL * sizes)
+            if ends.any():  # cut the run right after the first step that ends it
+                last = int(ends.argmax())
+                steps += last + 1
+                diverged = bool(over[last])
+                converged = not diverged
                 break
-            # not filling: the previous iterate had every estimate, so this one has too
-            if not filling and previous is not None:
-                if np.abs(current - previous).max() <= JACOBI_STOP_TOL * size:
-                    converged = True
-                    break
-            previous = current
-    array = np.array(rows).reshape(len(rows), problem.n)
+            steps = stop
+            if tested:
+                block = min(2 * block, 64)
+    array = out[:steps]
     array.flags.writeable = False
     return JacobiRun(array, converged, diverged)
 

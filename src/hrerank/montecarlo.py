@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import WeightVector
 from .diagnostics import koczkodaj_index
 from .errors import HreError
-from .hre_solver import ADMISSIBLE_TOL, _system_parts, build_system, solve_systems, synthesize
+from .hre_solver import ADMISSIBLE_TOL, _system_parts, build_system, solve_systems
 from .matrix_core import PcMatrix, Problem, _above_diagonal, preprocess
 from .min_error_solver import build_error_system
 
@@ -96,13 +97,19 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
 
 
 def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
-    """Unit-sum weights from one solved system; None when it is singular or not all positive."""
-    if isinstance(solution, HreError) or min(solution) <= ADMISSIBLE_TOL:
+    """Unit-sum weights from one solved system; None when it is singular or not all positive and finite.
+
+    The values of ``synthesize(solution, problem)[1]``: the references woven
+    in, summed left to right and each weight divided by the sum.
+    """
+    if isinstance(solution, HreError) or not all(math.isfinite(v) and v > ADMISSIBLE_TOL for v in solution):
         return None
-    try:
-        return synthesize(solution, problem)[1].values
-    except HreError:
-        return None
+    solved = iter(solution)
+    full = [problem.references[i] if i in problem.references else next(solved) for i in range(1, problem.n + 1)]
+    total = sum(full)
+    unit = tuple(v / total for v in full)
+    # a sum that overflowed or a weight that underflowed: WeightVector raises as `synthesize` does
+    return unit if min(unit) > 0.0 else WeightVector(unit, normalized=True).values
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:

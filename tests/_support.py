@@ -5,6 +5,8 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
 ``solve_linear_oracle`` the elimination that updates A and b separately,
 ``run_experiment_oracle`` the Monte Carlo harness solving one system at a time,
+``unit_weights_oracle`` its unit-sum weights through `synthesize`,
+``estimation_error_prefix_sum`` the estimation error summed by prefix sums,
 and ``cop_json_oracle`` and ``cop_text_oracle`` the `cop` output written one
 template per violation, which the column renderers must match byte for byte.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
@@ -49,7 +51,7 @@ from hrerank import (
 )
 from hrerank.hre_solver import ADMISSIBLE_TOL, PIVOT_TOL, RESIDUAL_TOL
 from hrerank.montecarlo import _SEED_STRIDE
-from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL
+from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _ordered_sum, _unknown_rows
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -162,6 +164,21 @@ def estimation_error_oracle(problem: Problem, mu) -> tuple[dict[int, float], flo
     return per, sum(per.values()) / len(per)
 
 
+def estimation_error_prefix_sum(problem: Problem, mu: WeightVector) -> tuple[dict[int, float], float]:
+    """`estimation_error` summing each unknown's row with a full-prefix `_ordered_sum`.
+
+    The array form before the deviations were summed down axis 0; the
+    package's result must equal it to the bit.
+    """
+    unknowns = problem.unknown_indices
+    rows, ratios, sampled = _unknown_rows(problem)
+    counts = np.count_nonzero(sampled, axis=1)
+    w = np.array(mu.values)
+    deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0)
+    per = (_ordered_sum(deviations, axis=1) / counts).tolist()
+    return dict(zip(unknowns, per)), sum(per) / len(per)
+
+
 def spearman(xs, ys) -> float:
     def ranks(values):
         order = sorted(range(len(values)), key=lambda i: values[i])
@@ -202,19 +219,26 @@ def inadmissible_direct_problem() -> Problem:
     return Problem(random_reciprocal(4, random.Random(9)), {1: 1.0})
 
 
-def diverging_incomplete_problem() -> Problem:
-    """Unknowns 2,3,4 form an inconsistent triangle (cycle gain 8^3/12 >> 1).
+def diverging_incomplete_problem(gain: float = 8.0, reference: float = 1.0) -> Problem:
+    """Unknowns 2,3,4 form an inconsistent triangle (cycle gain gain^3/12 >> 1).
 
     Only concept 2 touches the reference, so the iteration blows up and the
-    solver must fall back to its best early iterate.
+    solver must fall back to its best early iterate.  With ``gain=1e44`` and
+    ``reference=1e-300`` the run passes 1e12 on step 9 and overflows to inf
+    on step 15.
     """
     rows = (
         (1.0, 1.0, None, None),
-        (1.0, 1.0, 8.0, 1.0 / 8.0),
-        (None, 1.0 / 8.0, 1.0, 8.0),
-        (None, 8.0, 1.0 / 8.0, 1.0),
+        (1.0, 1.0, gain, 1.0 / gain),
+        (None, 1.0 / gain, 1.0, gain),
+        (None, gain, 1.0 / gain, 1.0),
     )
-    return Problem(PcMatrix(rows), {1: 1.0})
+    return Problem(PcMatrix(rows), {1: reference})
+
+
+def overflow_problem() -> Problem:
+    """1e300 * 1e10 overflows to inf in the first step, which ends the run as diverged."""
+    return Problem(PcMatrix(((1.0, 1e-300), (1e300, 1.0))), {1: 1e10})
 
 
 def triad_scan_loop(matrix: PcMatrix) -> tuple[float | None, int]:
@@ -633,6 +657,16 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
     return tuple(float(v) for v in x)
 
+
+
+def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:
+    """`montecarlo._unit_weights` through `synthesize`: both `WeightVector`s built and the unit-sum one kept."""
+    if isinstance(solution, HreError) or min(solution) <= ADMISSIBLE_TOL:
+        return None
+    try:
+        return synthesize(solution, problem)[1].values
+    except HreError:
+        return None
 
 
 def _averaging_direct(problem: Problem) -> tuple[float, ...] | None:

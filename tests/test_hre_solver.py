@@ -37,6 +37,7 @@ from _support import (
     inadmissible_direct_problem,
     max_abs_diff,
     noisy_consistent,
+    overflow_problem,
     permute_problem,
     random_weights,
     singular_direct_problem,
@@ -321,12 +322,29 @@ class TestJacobiIterate:
 
     def test_overflow_counts_as_divergence(self):
         # 1e300 * 1e10 overflows to inf in the first step
-        problem = Problem(PcMatrix(((1.0, 1e-300), (1e300, 1.0))), {1: 1e10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = jacobi_iterate(_prepared(overflow_problem()), 1000)
+        assert run.diverged and not run.converged
+        assert run.iterates == ((1e10, math.inf),)
+
+    def test_steps_past_a_divergence_are_cut_without_warnings(self):
+        # beyond 1e12 on step 9 and inf from step 15, where 0 * inf makes NaNs: all in one block of steps
+        problem = diverging_incomplete_problem(gain=1e44, reference=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run = jacobi_iterate(_prepared(problem), 1000)
         assert run.diverged and not run.converged
-        assert run.iterates == ((1e10, math.inf),)
+        assert len(run.array) == 9
+        assert np.isfinite(run.array[1:]).all() and np.abs(run.array[-1]).max() > 1e12
+
+    def test_huge_budget_allocates_only_the_steps_run(self):
+        prepared = _prepared(graph_problem(1, 30, "ring", 0.1, 1))
+        bounded = jacobi_iterate(prepared, 1000)
+        run = jacobi_iterate(prepared, 10**12)  # a max_r x n buffer would raise MemoryError
+        assert bounded.converged and (run.converged, run.diverged) == (True, False)
+        assert run.array.shape == bounded.array.shape
+        assert run.array.tobytes() == bounded.array.tobytes()
 
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):

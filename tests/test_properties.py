@@ -3,11 +3,12 @@
 Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
 restored matrix, the validation issues and the Jacobi iterates must match
-bit for bit; the estimation error within 1e-12 relative.  The COP
-report, the `cop --json` and text output (against json.dumps and the
-per-violation oracles), the parsed problem (or parse error), the linear
-solve alone and in stacks, and the Monte Carlo records must equal their
-references exactly.
+bit for bit; the estimation error within 1e-12 relative of the loop and
+exactly equal to its prefix-sum form.  The COP report, the `cop --json`
+and text output (against json.dumps and the per-violation oracles), the
+parsed problem (or parse error), the linear solve alone and in stacks,
+the Monte Carlo records and unit-sum weights must equal their references
+exactly.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from hrerank import (
     PcMatrix,
     PoipViolation,
     PopViolation,
+    Problem,
     SingularSystemError,
     WeightVector,
     cop_check,
     estimation_error,
+    generate_consistent,
     jacobi_iterate,
     koczkodaj_index,
     parse_matrix,
@@ -45,22 +48,27 @@ from hrerank import (
 from hrerank import diagnostics
 from hrerank.cli import _cop_json, _cop_text
 from hrerank.diagnostics import SCAN_BLOCK
-from hrerank.hre_solver import DIVERGENCE_LIMIT, JACOBI_STOP_TOL, solve_systems
+from hrerank.hre_solver import ADMISSIBLE_TOL, DIVERGENCE_LIMIT, JACOBI_STOP_TOL, solve_systems
+from hrerank.montecarlo import _unit_weights
 
 from _support import (
     cop_check_loop,
     cop_json_oracle,
     cop_payload,
     cop_text_oracle,
+    diverging_incomplete_problem,
     estimation_error_oracle,
+    estimation_error_prefix_sum,
     graph_problem,
     jacobi_loop,
+    overflow_problem,
     parse_matrix_oracle,
     random_problem,
     restore_reciprocity_loop,
     run_experiment_oracle,
     solve_linear_oracle,
     triad_scan_loop,
+    unit_weights_oracle,
     validate_loop,
 )
 
@@ -138,10 +146,41 @@ one_unknown_problem = st.builds(
 )
 
 
+# inconsistent triangles diverge after every concept has an estimate, the overflow case in the first step;
+# the steep triangle overflows to inf, and then to NaN, a few steps after its divergence is detected
+diverging_problem = st.sampled_from(
+    [diverging_incomplete_problem(), diverging_incomplete_problem(gain=1e44, reference=1e-300), overflow_problem()]
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(solvable_problem, long_path_problem, one_unknown_problem), st.integers(1, 300))
+@given(st.one_of(solvable_problem, long_path_problem, one_unknown_problem), seeds)
+def test_estimation_error_matches_prefix_sum(problem, seed):
+    prepared = preprocess(problem).problem
+    rng = random.Random(seed)
+    mu = WeightVector(tuple(math.exp(rng.uniform(-3.0, 3.0)) for _ in range(prepared.n)))
+    if prepared.unknown_indices:
+        assert estimation_error(prepared, mu) == estimation_error_prefix_sum(prepared, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(solvable_problem, long_path_problem, one_unknown_problem, diverging_problem), st.integers(1, 300))
 @example(graph_problem(1, 40, "ring", 0.3, 1), 300)
 @example(graph_problem(2, 40, "tree", 0.3, 3), 300)
+# Once every concept has an estimate the steps run in blocks of 2, 4, 8, ... 64 and are tested
+# block by block; these runs end on the first, the last and a middle step of a block.
+@example(graph_problem(1, 10, "tree", 0.1, 1), 300)  # converges on the first step of a block of 2
+@example(random_problem(2, 40, 0.2, 1.0, 3), 1000)  # diverges on the first step of a block of 64
+@example(random_problem(2, 10, 0.5, 1.0, 3), 300)  # converges on the last step of a block of 32
+@example(random_problem(1, 20, 0.5, 1.0, 1), 1000)  # diverges on the last step of a block of 64
+@example(graph_problem(1, 10, "ring", 0.1, 1), 300)  # converges on step 23 of a block of 64
+@example(random_problem(2, 10, 0.2, 1.0, 1), 1000)  # diverges on step 38 of a block of 64
+# Budgets: one step has an estimate for every concept, then a block of 2 runs part, all and one past
+@example(random_problem(2, 10, 0.5, 1.0, 3), 1)
+@example(random_problem(2, 10, 0.5, 1.0, 3), 2)
+@example(random_problem(2, 10, 0.5, 1.0, 3), 3)
+@example(random_problem(2, 10, 0.5, 1.0, 3), 4)
+@example(graph_problem(1, 40, "ring", 0.3, 1), 27)  # 20 filling steps, blocks of 2 and 4, one step of 8
 def test_jacobi_iterates_match_loop(problem, steps):
     prepared = preprocess(problem).problem
     run = jacobi_iterate(prepared, steps)
@@ -375,3 +414,46 @@ def experiment_configs(draw):
 @example(ExperimentConfig(n=6, trials=3, noise_levels=(0.0, 0.5, 2.0, 6.0), reference_count=2, seed=4))
 def test_run_experiment_matches_one_system_at_a_time(config):
     assert repr(run_experiment(config)) == repr(run_experiment_oracle(config))
+
+
+# solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
+solved_values = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -0.0, -1.0, ADMISSIBLE_TOL, 2 * ADMISSIBLE_TOL, 1e-310, 5e-324, math.inf, -math.inf, math.nan, 1e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def unit_weight_inputs(draw):
+    n = draw(st.integers(3, 12))
+    matrix, weights = generate_consistent(n, draw(seeds))
+    references = {c: weights[c - 1] for c in draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))}
+    problem = Problem(matrix, references)
+    if draw(st.integers(0, 9)) == 0:
+        return SingularSystemError("pivot below tolerance"), problem
+    k = len(problem.unknown_indices)
+    scale = draw(st.sampled_from([(1e-3, 1e3), (1e300, 1e308)]))  # the sum of large values may overflow
+    solution = list(draw(st.tuples(*[st.floats(*scale)] * k)))
+    for i in draw(st.sets(st.integers(0, k - 1))):  # some values, maybe none, at an edge of admissibility
+        solution[i] = draw(solved_values)
+    return tuple(solution), problem
+
+
+def unit_weights_outcome(unit_weights, solution, problem) -> str:
+    try:
+        return repr(unit_weights(solution, problem))  # repr keeps every bit of a finite float
+    except ValueError as exc:  # a sum that overflowed or a weight that underflowed
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_weight_inputs())
+@example(((1e308, 1e308), Problem(generate_consistent(3, 1)[0], {1: 1.0})))  # the sum overflows: ValueError
+@example(((1.0, math.inf), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
+@example(((1.0, ADMISSIBLE_TOL), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
+def test_unit_weights_match_synthesize(inputs):
+    solution, problem = inputs
+    assert unit_weights_outcome(_unit_weights, solution, problem) == unit_weights_outcome(
+        unit_weights_oracle, solution, problem
+    )
