@@ -300,7 +300,7 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                 divisors = np.where(counts > 0, counts, np.nan)  # no sample yet: no estimate
                 filling = not known.all()
                 current = np.where(known, current, 0.0)
-            tested = not filling and steps > 0  # each step is compared with the one before
+            tested = not filling and steps > 0  # past the filling phase, with a step before to compare with
             stop = min(steps + block, max_r) if tested else steps + 1
             if stop > len(out):
                 grown = np.empty((min(max(2 * len(out), stop, 16), max_r), problem.n))
