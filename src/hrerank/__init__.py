@@ -1,127 +1,52 @@
-"""Priority weights from pairwise-comparison matrices with fixed reference concepts."""
+"""Priority weights from pairwise-comparison matrices with fixed reference concepts.
 
-from .baselines import EigenResult, WeightVector, ev_weights, gm_weights, principal_eigen
-from .diagnostics import (
-    CopReport,
-    InconsistencyReport,
-    PoipViolation,
-    PopViolation,
-    cop_check,
-    estimation_error,
-    inconsistency_report,
-    koczkodaj_index,
-    saaty_ci,
-    triad_scan,
-)
-from .errors import (
-    HreError,
-    IncompleteMatrixError,
-    InadmissibleSolutionError,
-    NonConvergenceError,
-    ParseError,
-    SingularSystemError,
-    SolveFailedError,
-    ValidationError,
-)
-from .hre_solver import (
-    JacobiRun,
-    LinearSystem,
-    RankOutcome,
-    build_system,
-    check_convergence,
-    hre_rank,
-    jacobi_iterate,
-    select_best_iterate,
-    solve_linear,
-    synthesize,
-)
-from .matrix_core import (
-    Issue,
-    PcMatrix,
-    Prepared,
-    Problem,
-    ValidationReport,
-    fill_known_ratios,
-    is_reachable,
-    parse_matrix,
-    preprocess,
-    restore_reciprocity,
-    validate,
-)
-from .min_error_solver import (
-    ErrorSystem,
-    MinErrorResult,
-    build_error_system,
-    solve_min_error,
-)
-from .montecarlo import (
-    ExperimentConfig,
-    NoiseLevelSummary,
-    TrialRecord,
-    generate_consistent,
-    perturb,
-    run_experiment,
-    summarize,
-    write_csv,
-)
+Every name in ``__all__`` is imported from its module on first access
+(PEP 562), so ``import hrerank`` loads no submodule and a CLI request
+loads only the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CopReport",
-    "EigenResult",
-    "ErrorSystem",
-    "ExperimentConfig",
-    "HreError",
-    "IncompleteMatrixError",
-    "InadmissibleSolutionError",
-    "InconsistencyReport",
-    "Issue",
-    "JacobiRun",
-    "LinearSystem",
-    "MinErrorResult",
-    "NoiseLevelSummary",
-    "NonConvergenceError",
-    "ParseError",
-    "PcMatrix",
-    "PoipViolation",
-    "PopViolation",
-    "Prepared",
-    "Problem",
-    "RankOutcome",
-    "SingularSystemError",
-    "SolveFailedError",
-    "TrialRecord",
-    "ValidationError",
-    "ValidationReport",
-    "WeightVector",
-    "build_error_system",
-    "build_system",
-    "check_convergence",
-    "cop_check",
-    "estimation_error",
-    "ev_weights",
-    "fill_known_ratios",
-    "generate_consistent",
-    "gm_weights",
-    "hre_rank",
-    "inconsistency_report",
-    "is_reachable",
-    "jacobi_iterate",
-    "koczkodaj_index",
-    "parse_matrix",
-    "perturb",
-    "preprocess",
-    "principal_eigen",
-    "restore_reciprocity",
-    "run_experiment",
-    "saaty_ci",
-    "select_best_iterate",
-    "solve_linear",
-    "solve_min_error",
-    "summarize",
-    "synthesize",
-    "triad_scan",
-    "validate",
-    "write_csv",
-]
+# module -> the names it exports from the package
+_EXPORTS = {
+    "baselines": ("EigenResult", "WeightVector", "ev_weights", "gm_weights", "principal_eigen"),
+    "diagnostics": (
+        "CopReport", "InconsistencyReport", "PoipViolation", "PopViolation", "cop_check",
+        "estimation_error", "inconsistency_report", "koczkodaj_index", "saaty_ci", "triad_scan",
+    ),
+    "errors": (
+        "HreError", "IncompleteMatrixError", "InadmissibleSolutionError", "NonConvergenceError",
+        "ParseError", "SingularSystemError", "SolveFailedError", "ValidationError",
+    ),
+    "hre_solver": (
+        "JacobiRun", "LinearSystem", "RankOutcome", "build_system", "check_convergence", "hre_rank",
+        "jacobi_iterate", "select_best_iterate", "solve_linear", "synthesize",
+    ),
+    "matrix_core": (
+        "Issue", "PcMatrix", "Prepared", "Problem", "ValidationReport", "fill_known_ratios",
+        "is_reachable", "parse_matrix", "preprocess", "restore_reciprocity", "validate",
+    ),
+    "min_error_solver": ("ErrorSystem", "MinErrorResult", "build_error_system", "solve_min_error"),
+    "montecarlo": (
+        "ExperimentConfig", "NoiseLevelSummary", "TrialRecord", "generate_consistent", "perturb",
+        "run_experiment", "summarize", "write_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

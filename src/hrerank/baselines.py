@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class WeightVector:
         return WeightVector(tuple(v / s for v in self.values), normalized=True)
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     lambda_max: float
     vector: WeightVector  # max-norm scale, not sum-normalized
     iterations: int

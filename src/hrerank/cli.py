@@ -12,10 +12,7 @@ import numpy as np
 from .baselines import WeightVector, ev_weights, gm_weights
 from .diagnostics import CopReport, cop_check, estimation_error, inconsistency_report
 from .errors import HreError, ParseError, ValidationError
-from .hre_solver import hre_rank
 from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
-from .min_error_solver import solve_min_error
-from .montecarlo import ExperimentConfig, run_experiment, summarize, write_csv
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -184,6 +181,8 @@ def _cmd_rank(args) -> int:
     prepared = preprocess(problem)  # the one validation of this request
     path: str | None
     if args.method == "hre":
+        from .hre_solver import hre_rank  # `diagnose` and `cop` never load it
+
         outcome = hre_rank(prepared, max_iterations=args.iterations, normalize=args.normalize)
         weights = outcome.weights
         path = outcome.path
@@ -196,6 +195,8 @@ def _cmd_rank(args) -> int:
         elif args.method == "gm":
             weights, path = gm_weights(problem.matrix), None
         else:
+            from .min_error_solver import solve_min_error  # only this method loads it
+
             result = solve_min_error(prepared)
             weights = result.weights_normalized if args.normalize else result.weights_raw
             path = "min-error"
@@ -296,6 +297,8 @@ def _cmd_cop(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from .montecarlo import ExperimentConfig, run_experiment, summarize, write_csv  # only `mc` loads it
+
     noise_levels = tuple(float(part) for part in args.noise.split(",") if part != "")
     config = ExperimentConfig(
         n=args.n,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +16,7 @@ SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair mask
 _NO_INDICES = np.empty(0, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class InconsistencyReport:
+class InconsistencyReport(NamedTuple):
     """Saaty CI (complete matrices only) and Koczkodaj index side by side."""
 
     saaty_ci: float | None
@@ -24,16 +24,14 @@ class InconsistencyReport:
     triads_evaluated: int
 
 
-@dataclass(frozen=True)
-class PopViolation:
+class PopViolation(NamedTuple):
     """Order-of-preference failure: a >1 ratio whose weights are not ordered."""
 
     quadruple: tuple[int, int, int, int]
     failed_pairs: tuple[tuple[int, int], ...]  # subset of {(i,j), (k,l)}
 
 
-@dataclass(frozen=True)
-class PoipViolation:
+class PoipViolation(NamedTuple):
     """Intensity failure: m_ij > m_kl but mu_i/mu_j <= mu_k/mu_l."""
 
     quadruple: tuple[int, int, int, int]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class JacobiRun:
         return tuple(tuple(None if v != v else v for v in row) for row in self.array.tolist())
 
 
-@dataclass(frozen=True)
-class RankOutcome:
+class RankOutcome(NamedTuple):
     """Solution plus provenance: which strategy fired and how it behaved.
 
     ``weights`` is the vector the caller asked for (normalized or not);
@@ -397,8 +397,6 @@ def hre_rank(
     ``max_iterations`` is below 1, and SolveFailedError when every
     strategy fails.
     """
-    from . import min_error_solver  # deferred: that module builds on this one
-
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     prepared, issues = ready = preprocess(problem)
@@ -432,6 +430,8 @@ def hre_rank(
             if solution is not None:
                 warnings.append("direct solution has non-positive weights")
             admissible = False
+            from . import min_error_solver  # deferred: it builds on this module, and a direct solve never needs it
+
             try:
                 result = min_error_solver.solve_min_error(ready, parts)
                 raw, unit = result.weights_raw, result.weights_normalized

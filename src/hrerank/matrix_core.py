@@ -144,8 +144,7 @@ class Problem:
         return tuple(i for i in range(1, self.n + 1) if i not in self.references)
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     location: str
     category: str
     message: str
@@ -158,8 +157,7 @@ class Issue:
         return f"{self.category} at {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[Issue, ...]
 
     @property
@@ -224,6 +222,7 @@ def parse_matrix(text: str) -> Problem:
     """
     n: int | None = None
     rows: list[list[float | None]] = []
+    nan_entry: str | None = None  # where a fraction came out NaN ('?' is None there), refused at the end
     references: dict[int, float] = {}
     last_line = 0
 
@@ -244,7 +243,15 @@ def parse_matrix(text: str) -> Problem:
         elif len(rows) < n:
             if len(toks) != n:
                 raise ParseError(f"row {len(rows) + 1} has {len(toks)} values, expected {n}", line_no, _column(raw, 0))
-            rows.append([_parse_value(tok, line_no, raw, index) for index, tok in enumerate(toks)])
+            try:
+                values = list(map(float, toks))  # the whole row in one call
+                if math.isnan(sum(values)):  # a 'nan' token, or inf beside -inf
+                    raise ValueError
+            except ValueError:  # '?', a fraction or a bad token: token by token, for the value or the error
+                values = [_parse_value(tok, line_no, raw, index) for index, tok in enumerate(toks)]
+                if nan_entry is None:
+                    nan_entry = next((f"({len(rows) + 1},{j})" for j, v in enumerate(values, 1) if v != v), None)
+            rows.append(values)
         else:
             if toks[0] != "ref":
                 raise ParseError(f"expected 'ref' line, got '{toks[0]}'", line_no, _column(raw, 0))
@@ -270,7 +277,9 @@ def parse_matrix(text: str) -> Problem:
         raise ParseError("empty input, expected matrix size", max(last_line, 1))
     if len(rows) < n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}", last_line)
-    return Problem(PcMatrix(rows), references)
+    if nan_entry is not None:  # as PcMatrix(rows) refuses it
+        raise ValueError(f"entry {nan_entry} is NaN; use None for a missing comparison")
+    return Problem(PcMatrix._from_array(np.array(rows, dtype=float)), references)  # None becomes NaN
 
 
 def validate(problem: Problem) -> ValidationReport:

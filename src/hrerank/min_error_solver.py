@@ -9,7 +9,7 @@ matrix up to the positive factor 2(n-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .hre_solver import ADMISSIBLE_TOL, LinearSystem, SystemParts, _system_parts
 from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
 
 
-@dataclass(frozen=True)
-class ErrorSystem:
+class ErrorSystem(NamedTuple):
     """Normal system of the squared-error objective.
 
     ``s_values[r]`` is the diagonal excess for unknown r: the squared column
@@ -35,8 +34,7 @@ class ErrorSystem:
     hessian_dominant: bool
 
 
-@dataclass(frozen=True)
-class MinErrorResult:
+class MinErrorResult(NamedTuple):
     weights_raw: WeightVector
     weights_normalized: WeightVector
     verified_minimum: bool  # False when diagonal dominance could not certify it

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .min_error_solver import build_error_system
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     seed: int
     n: int
     noise_level: float
@@ -177,8 +177,7 @@ def write_csv(records: list[TrialRecord], path: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class NoiseLevelSummary:
+class NoiseLevelSummary(NamedTuple):
     noise_level: float
     trials: int
     solved: int

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,42 @@ def test_golden_output(name, capsys):
     # byte-identical on a second run
     code2, out2, _ = run_cli(args, capsys)
     assert code2 == 0 and out2 == out
+
+
+def run_fresh(args):
+    """``python -m hrerank args`` in a new interpreter: (exit code, stdout bytes, hrerank modules it imported)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hrerank", *args],
+                          env=env, capture_output=True, timeout=120)
+    # -X importtime writes "import time: self | cumulative | name" to stderr for each module imported
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines() if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, {name for name in names if name.startswith("hrerank.")}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + ["mc_small_stdout.txt"])
+def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
+    # in process, earlier tests have imported every module; only a new interpreter shows a missing import
+    csv = tmp_path / "mc.csv"
+    args = resolve(GOLDEN_CASES[name]) if name in GOLDEN_CASES else TestMc.ARGS + ["--out", str(csv)]
+    code, out, modules = run_fresh(args)
+    assert code == 0
+    expected = (GOLDEN_DIR / name).read_bytes()
+    assert out == expected
+    if args[0] == "mc":
+        assert csv.read_bytes() == (GOLDEN_DIR / "mc_small.csv").read_bytes()
+        return
+    assert "hrerank.montecarlo" not in modules
+    if args[0] != "rank":
+        assert "hrerank.hre_solver" not in modules
+    elif args[args.index("--method") + 1] == "hre" and (b"path: direct" in out or b'"path": "direct"' in out):
+        assert "hrerank.min_error_solver" not in modules
+
+
+def test_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, hrerank; print(sorted(m for m in sys.modules if m.startswith('hrerank.')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

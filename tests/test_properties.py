@@ -330,6 +330,15 @@ def parsed(parse, text):
 @example("2\n1 nan\n1 1\n")
 @example("2\n1,  3/0 # c\n1 1\n")
 @example("2\n1 ??\n1 1\n")
+# a row is converted in one float() call; these rows fall back to token by token
+@example("3\n1 2 4\n? 1 2\n1/4 1/2 1\n")
+@example("3\nnan 2 4\n0.5 1 2\n0.25 0.5 1\n")
+@example("3\n1 2 4\n0.5 NaN 2\n0.25 0.5 1\n")
+@example("3\n1 2 4\n0.5 1 2\n0.25 0.5 -nan # c\n")
+@example("3\n1 inf -inf\n0.5 1 2\n0.25 0.5 1\n")
+@example("3\n1 1_0 4\n\u0660.\u0665 1 \u0662\n0.25 inf 1\n")
+@example("3\n1 2 4\n0.5 1\n0.25 0.5 1\n")
+@example(f"2\n1 {'9' * 400}/{'9' * 400}\n1 1\n")  # inf/inf: a NaN entry, refused by value
 def test_parser_matches_oracle(text):
     assert parsed(parse_matrix, text) == parsed(parse_matrix_oracle, text)
 
