@@ -181,7 +181,7 @@ def _cmd_rank(args) -> int:
     prepared = preprocess(problem)  # the one validation of this request
     path: str | None
     if args.method == "hre":
-        from .hre_solver import hre_rank  # `diagnose` and `cop` never load it
+        from .hre_solver import hre_rank  # `diagnose`, `cop`, `ev` and `gm` never load it
 
         outcome = hre_rank(prepared, max_iterations=args.iterations, normalize=args.normalize)
         weights = outcome.weights

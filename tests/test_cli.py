@@ -61,11 +61,13 @@ def test_golden_output(name, capsys):
     assert code2 == 0 and out2 == out
 
 
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def run_fresh(args):
     """``python -m hrerank args`` in a new interpreter: (exit code, stdout bytes, hrerank modules it imported)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hrerank", *args],
-                          env=env, capture_output=True, timeout=120)
+                          env=FRESH_ENV, capture_output=True, timeout=120)
     # -X importtime writes "import time: self | cumulative | name" to stderr for each module imported
     names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines() if line.startswith("import time:")}
     return proc.returncode, proc.stdout, {name for name in names if name.startswith("hrerank.")}
@@ -91,9 +93,8 @@ def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
 
 
 def test_import_loads_no_submodule():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import sys, hrerank; print(sorted(m for m in sys.modules if m.startswith('hrerank.')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n"
 
 
