@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompleteMatrixError, NonConvergenceError
-from .matrix_core import PcMatrix
+from .matrix_core import PcMatrix, _sum_in_order
 
 POWER_EIG_TOL = 1e-12       # change in eigenvalue estimate between steps
 POWER_RESIDUAL_TOL = 1e-10  # max-norm residual required to accept a result
@@ -43,7 +43,7 @@ class WeightVector:
         return len(self.values)
 
     def normalize(self) -> "WeightVector":
-        s = sum(self.values)
+        s = _sum_in_order(self.values)
         return WeightVector(tuple(v / s for v in self.values), normalized=True)
 
 

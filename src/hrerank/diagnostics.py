@@ -10,7 +10,7 @@ import numpy as np
 
 from .baselines import WeightVector, principal_eigen
 from .errors import IncompleteMatrixError
-from .matrix_core import PcMatrix, Problem, _above_diagonal, _ordered_sum, _unknown_rows, restore_reciprocity
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _samples, _sum_in_order, restore_reciprocity
 
 SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
 _NO_INDICES = np.empty(0, dtype=np.intp)
@@ -215,17 +215,16 @@ def estimation_error(problem: Problem, mu: WeightVector) -> tuple[dict[int, floa
     unknowns = problem.unknown_indices
     if not unknowns:
         return {}, 0.0
-    rows, ratios, sampled = _unknown_rows(problem)
-    counts = np.count_nonzero(sampled, axis=1)
+    rows, ratios, sampled, counts = _samples(problem)
     if not counts.all():
         raise ValueError(f"concept {unknowns[int(np.argmin(counts))]} has no specified ratio to estimate it from")
     w = np.array(mu.values)
     # n x k, C order: summed down axis 0 in column order, as `jacobi_iterate` sums
     deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0).T.copy()
-    # one column is contiguous down axis 0, where numpy would add pairwise
-    sums = np.add.reduce(deviations, axis=0) if len(rows) > 1 else _ordered_sum(deviations, axis=0)
+    # one column is contiguous down axis 0, where numpy would add pairwise: take its last prefix sum
+    sums = np.add.reduce(deviations, axis=0) if len(rows) > 1 else np.cumsum(deviations, axis=0)[-1]
     per = (sums / counts).tolist()
-    return dict(zip(unknowns, per)), sum(per) / len(per)
+    return dict(zip(unknowns, per)), _sum_in_order(per) / len(per)
 
 
 def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:

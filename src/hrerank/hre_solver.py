@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
     SolveFailedError,
 )
-from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
+from .matrix_core import Prepared, Problem, _samples, preprocess
 
 PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
@@ -115,23 +115,24 @@ class RankOutcome(NamedTuple):
     warnings: tuple[str, ...]
 
 
-# unknown indices, unknown-by-unknown block, constants: what both systems are built from
-SystemParts = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+# unknown indices, unknown-by-unknown block, constants, 1 / D per unknown: what both systems are built from
+SystemParts = tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSystem:
     """Linear system whose solution is the averaging heuristic's fixed point.
 
     Row r (for unknown concept u): unit diagonal, off-diagonal
-    -m(u, v)/(n-1) for the other unknowns v, constant
-    sum over references c of m(u, c) * weight(c) / (n-1).
+    -m(u, v)/D_u for the other unknowns v, constant
+    sum over references c of m(u, c) * weight(c) / D_u, where D_u is the
+    number of u's samples (n - 1 on a complete matrix).
 
     Expects a preprocessed problem: complete matrix, at least one reference.
     ``parts``, from `_system_parts` on the same problem, saves building them
     again when the least-squares system is built from them too.
     """
-    unknowns, block, constants = _system_parts(problem) if parts is None else parts
-    coefficients = block * -(1.0 / (problem.n - 1))
+    unknowns, block, constants, scale = _system_parts(problem) if parts is None else parts
+    coefficients = block * -scale[:, None]
     np.fill_diagonal(coefficients, 1.0)
     return LinearSystem(coefficients, constants, unknowns)
 
@@ -139,10 +140,12 @@ def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSy
 def _system_parts(
     problem: Problem, undefined: str = "the averaging system is undefined, use the iterative route"
 ) -> SystemParts:
-    """Unknown indices, unknown-by-unknown block and constants, shared by both systems.
+    """Unknown indices, unknown-by-unknown block, constants and 1 / D_u, shared by both systems.
 
-    The constant for unknown u is sum over references c of m(u, c) * weight(c) / (n-1).
-    Raises unless the problem has references, unknowns and every ratio.
+    D_u counts unknown u's samples (`_samples`; n - 1 on a complete matrix)
+    and the block's diagonal is zero.  The constant for u is sum over
+    references c of m(u, c) * weight(c) / D_u.  Raises unless the problem
+    has references, unknowns and every ratio.
     """
     unknowns = problem.unknown_indices
     if not problem.references:
@@ -151,12 +154,12 @@ def _system_parts(
         raise ValueError("no unknown concepts: nothing to solve")
     if not problem.matrix.is_complete():
         raise IncompleteMatrixError(f"incomplete matrix: {undefined}")
-    index = [u - 1 for u in unknowns]
-    rows = problem.matrix.array[index]
+    rows, ratios, _, counts = _samples(problem)
+    scale = 1.0 / counts
     total = 0.0
     for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
-        total = total + rows[:, c - 1] * w
-    return unknowns, rows[:, index], total * (1.0 / (problem.n - 1))
+        total = total + ratios[:, c - 1] * w
+    return unknowns, ratios[:, rows], total * scale, scale
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
@@ -234,7 +237,8 @@ def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
     """
     off = np.abs(system.a)
     np.fill_diagonal(off, 0.0)
-    return tuple(bool((_ordered_sum(off, axis) < 1.0).all()) for axis in (1, 0))
+    # each sum down axis 0 of a C-ordered array, which adds in row order (see `jacobi_iterate`)
+    return tuple(bool((np.add.reduce(table, axis=0) < 1.0).all()) for table in (off.T.copy(), off))
 
 
 def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
@@ -265,8 +269,9 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
 
     Each concept's samples are added one at a time in column order, as a
     sample-by-sample loop adds them, so the iterates are reproducible to
-    the bit.  The ratios are held transposed (row i holds every concept's
-    ratio to i; zero where it is missing and on an unknown's diagonal) and
+    the bit.  The unknowns' samples are those `_samples` gives.  Their
+    ratios are held transposed (row i holds every concept's ratio to i;
+    zero where it is missing and on an unknown's diagonal) and
     summed down axis 0, which numpy does row after row: it sums pairwise
     only along a contiguous reduction, and an n x n array with n >= 2 has
     none down axis 0.  A zero adds exactly +0.0.  A reference's column holds
@@ -278,13 +283,14 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    matrix = problem.matrix.array
+    rows, ratios, unknown_sampled, _ = _samples(problem)
     fixed = [c - 1 for c in problem.references]
     anchors = np.full(problem.n, np.nan)
     anchors[fixed] = list(problem.references.values())
-    sampled = ~np.isnan(matrix) & np.isnan(anchors)[:, None]  # row j: the samples unknown j may use
-    np.fill_diagonal(sampled, False)
-    ratios_t = np.where(sampled, matrix, 0.0).T.copy()
+    sampled = np.zeros((problem.n, problem.n), dtype=bool)  # row j: the samples concept j may use
+    sampled[rows] = unknown_sampled
+    ratios_t = np.zeros((problem.n, problem.n))
+    ratios_t[:, rows] = ratios.T
     sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
     ratios_t[fixed, fixed] = 1.0
     products = np.empty_like(ratios_t)

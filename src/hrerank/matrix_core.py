@@ -136,10 +136,6 @@ class Problem:
         return self.matrix.n
 
     @property
-    def known_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.references))
-
-    @property
     def unknown_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if i not in self.references)
 
@@ -432,21 +428,27 @@ def _above_diagonal(n: int) -> np.ndarray:
     return index[:, None] < index
 
 
-def _unknown_rows(problem: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unknowns' row indices, their rows with missing and diagonal entries zeroed, the kept-entry mask."""
+def _samples(problem: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unknowns' row indices, their rows zeroed where not sampled, the sample mask, the counts D.
+
+    The one place that decides what the averaging rule samples: unknown u
+    samples every other concept i whose ratio m(u, i) is specified, so D_u
+    is n - 1 on a complete matrix.
+    """
     rows = np.array(problem.unknown_indices, dtype=np.intp) - 1
     ratios = problem.matrix.array[rows]
     sampled = ~np.isnan(ratios)
     sampled[np.arange(len(rows)), rows] = False
-    return rows, np.where(sampled, ratios, 0.0), sampled
+    return rows, np.where(sampled, ratios, 0.0), sampled, sampled.sum(axis=1)
 
 
-def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along ``axis`` from first to last element, like Python's built-in sum.
+def _sum_in_order(values) -> float:
+    """Add floats left to right, one rounding per addition.
 
-    numpy's own sum adds pairwise, which can change the last bit; results
-    printed at full precision depend on the order being kept.
+    From Python 3.12 on the built-in sum() compensates its rounding errors,
+    so printed sums would depend on the interpreter version.
     """
-    if a.shape[axis] == 0:
-        return np.zeros(np.delete(a.shape, axis))
-    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+    total = 0.0
+    for v in values:
+        total += v
+    return total

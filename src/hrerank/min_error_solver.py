@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import WeightVector
 from .errors import InadmissibleSolutionError
 from .hre_solver import ADMISSIBLE_TOL, LinearSystem, SystemParts, _system_parts, solve_linear, synthesize
-from .matrix_core import Prepared, Problem, _ordered_sum, preprocess
+from .matrix_core import Prepared, Problem, preprocess
 
 
 class ErrorSystem(NamedTuple):
@@ -47,18 +47,18 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
     again when the averaging system was built from them first.
     """
     undefined = "the squared-error system is undefined"
-    unknowns, block, constants = _system_parts(problem, undefined) if parts is None else parts
-    scale = 1.0 / (problem.n - 1)
+    unknowns, block, constants, scale = _system_parts(problem, undefined) if parts is None else parts
     # Python's ** (the C library's pow) rounds differently from x * x in
     # about one case in a thousand; keep its squares
     squares = np.array([v**2 for v in block.ravel().tolist()]).reshape(block.shape)
-    np.fill_diagonal(squares, 0.0)
-    s_values = _ordered_sum(squares, axis=0) * scale
-    coefficients = (block + block.T) * -scale
+    # C-ordered sums down axis 0 add in row order (see `jacobi_iterate`); the block's diagonal is zero
+    s_values = np.add.reduce(squares, axis=0) * scale
+    coefficients = (block + block.T) * -scale[:, None]
     np.fill_diagonal(coefficients, 1.0 + s_values)
     off = np.abs(coefficients)
     np.fill_diagonal(off, 0.0)
-    dominant = bool((np.abs(np.diagonal(coefficients)) > _ordered_sum(off, axis=1)).all())
+    # the matrix is exactly symmetric, so its column sums are its row sums
+    dominant = bool((np.abs(np.diagonal(coefficients)) > np.add.reduce(off, axis=0)).all())
     system = LinearSystem(coefficients, constants, unknowns)
     return ErrorSystem(system, tuple(s_values.tolist()), dominant)
 

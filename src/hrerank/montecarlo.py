@@ -20,7 +20,7 @@ from .baselines import WeightVector
 from .diagnostics import koczkodaj_index
 from .errors import HreError
 from .hre_solver import ADMISSIBLE_TOL, _system_parts, build_system, solve_systems
-from .matrix_core import PcMatrix, Problem, _above_diagonal, preprocess
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _sum_in_order, preprocess
 from .min_error_solver import build_error_system
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
@@ -51,8 +51,10 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one trial")
         if not (1 <= self.reference_count < self.n):
             raise ValueError("reference_count must be in 1..n-1")
-        if any(level < 0 for level in self.noise_levels):
-            raise ValueError("noise levels must be non-negative")
+        if not self.noise_levels:
+            raise ValueError("experiment needs at least one noise level")
+        if not all(math.isfinite(level) and level >= 0 for level in self.noise_levels):
+            raise ValueError("noise levels must be finite and non-negative")
         lo, hi = self.weight_range
         if not (0 < lo < hi):
             raise ValueError("weight_range must satisfy 0 < low < high")
@@ -84,8 +86,8 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
     input whose lower triangle already inverts the upper one exactly).
     Missing pairs stay missing.
     """
-    if noise_level < 0:
-        raise ValueError("noise level must be non-negative")
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError("noise level must be finite and non-negative")
     rng = random.Random(seed)
     grid = matrix.array.copy()
     rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(grid))
@@ -106,7 +108,7 @@ def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> t
         return None
     solved = iter(solution)
     full = [problem.references[i] if i in problem.references else next(solved) for i in range(1, problem.n + 1)]
-    total = sum(full)
+    total = _sum_in_order(full)
     unit = tuple(v / total for v in full)
     # a sum that overflowed or a weight that underflowed: WeightVector raises as `synthesize` does
     return unit if min(unit) > 0.0 else WeightVector(unit, normalized=True).values
@@ -196,14 +198,14 @@ def summarize(records: list[TrialRecord]) -> list[NoiseLevelSummary]:
         bucket = [r for r in records if r.noise_level == level]
         solved = [r for r in bucket if r.both_solved]
         mean_distance = (
-            sum(r.distance for r in solved) / len(solved) if solved else math.nan
+            _sum_in_order(r.distance for r in solved) / len(solved) if solved else math.nan
         )
         summaries.append(
             NoiseLevelSummary(
                 noise_level=level,
                 trials=len(bucket),
                 solved=len(solved),
-                mean_koczkodaj=sum(r.koczkodaj for r in bucket) / len(bucket),
+                mean_koczkodaj=_sum_in_order(r.koczkodaj for r in bucket) / len(bucket),
                 mean_distance=mean_distance,
             )
         )

@@ -6,7 +6,9 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``solve_linear_oracle`` the elimination that updates A and b separately,
 ``run_experiment_oracle`` the Monte Carlo harness solving one system at a time,
 ``unit_weights_oracle`` its unit-sum weights through `synthesize`,
-``estimation_error_prefix_sum`` the estimation error summed by prefix sums,
+``estimation_error_prefix_sum`` the estimation error summed by prefix sums
+(``ordered_sum``), ``build_system_loop``, ``build_error_system_loop`` and
+``check_convergence_loop`` the two linear systems and their dominance tests,
 and ``cop_json_oracle`` and ``cop_text_oracle`` the `cop` output written one
 template per violation, which the column renderers must match byte for byte.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
@@ -51,7 +53,7 @@ from hrerank import (
 )
 from hrerank.hre_solver import ADMISSIBLE_TOL, PIVOT_TOL, RESIDUAL_TOL
 from hrerank.montecarlo import _SEED_STRIDE
-from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _ordered_sum, _unknown_rows
+from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -164,19 +166,84 @@ def estimation_error_oracle(problem: Problem, mu) -> tuple[dict[int, float], flo
     return per, sum(per.values()) / len(per)
 
 
+def ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` from first to last element: the last of the prefix sums.
+
+    numpy's own sum adds pairwise along a contiguous axis, which can change
+    the last bit.
+    """
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
 def estimation_error_prefix_sum(problem: Problem, mu: WeightVector) -> tuple[dict[int, float], float]:
-    """`estimation_error` summing each unknown's row with a full-prefix `_ordered_sum`.
+    """`estimation_error` summing each unknown's row with a full-prefix `ordered_sum`.
 
     The array form before the deviations were summed down axis 0; the
     package's result must equal it to the bit.
     """
     unknowns = problem.unknown_indices
-    rows, ratios, sampled = _unknown_rows(problem)
-    counts = np.count_nonzero(sampled, axis=1)
+    rows, ratios, sampled, counts = _samples(problem)
     w = np.array(mu.values)
     deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0)
-    per = (_ordered_sum(deviations, axis=1) / counts).tolist()
-    return dict(zip(unknowns, per)), sum(per) / len(per)
+    per = (ordered_sum(deviations, axis=1) / counts).tolist()
+    return dict(zip(unknowns, per)), _sum_in_order(per) / len(per)
+
+
+def build_system_loop(problem: Problem) -> tuple[list[list[float]], list[float]]:
+    """The averaging system entry by entry: (a, b) as lists of rows and constants.
+
+    For unknowns u, v with D_u the count of u's specified ratios to other
+    concepts: a[u][u] = 1, a[u][v] = -m(u, v) / D_u, and b[u] the sum over
+    references c, in index order, of m(u, c) * weight(c), times 1 / D_u.
+    """
+    m = problem.matrix.entries
+    unknowns = problem.unknown_indices
+    a, b = [], []
+    for u in unknowns:
+        scale = 1.0 / sum(1 for i in range(1, problem.n + 1) if i != u and m[u - 1][i - 1] is not None)
+        a.append([1.0 if v == u else m[u - 1][v - 1] * -scale for v in unknowns])
+        total = 0.0
+        for c, w in sorted(problem.references.items()):
+            total += m[u - 1][c - 1] * w
+        b.append(total * scale)
+    return a, b
+
+
+def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[float], list[float], bool]:
+    """The least-squares normal system entry by entry: (a, b, s_values, hessian_dominant).
+
+    On a complete matrix: s[v] sums m(u, v)**2 over the other unknowns u in
+    index order, times 1 / (n - 1); a[u][u] = 1 + s[u] and
+    a[u][v] = -(m(u, v) + m(v, u)) / (n - 1); b is the averaging system's.
+    Dominant when every |a[u][u]| exceeds the sum of its row's other |a[u][v]|.
+    """
+    m = problem.matrix.entries
+    unknowns = problem.unknown_indices
+    scale = 1.0 / (problem.n - 1)
+    s = []
+    for v in unknowns:
+        total = 0.0
+        for u in unknowns:
+            if u != v:
+                total += m[u - 1][v - 1] ** 2
+        s.append(total * scale)
+    a = [
+        [1.0 + s[r] if u == v else (m[u - 1][v - 1] + m[v - 1][u - 1]) * -scale for v in unknowns]
+        for r, u in enumerate(unknowns)
+    ]
+    dominant = all(
+        abs(row[r]) > _sum_in_order(abs(x) for c, x in enumerate(row) if c != r) for r, row in enumerate(a)
+    )
+    return a, build_system_loop(problem)[1], s, dominant
+
+
+def check_convergence_loop(system) -> tuple[bool, bool]:
+    """Strict diagonal dominance by rows and by columns, each off-diagonal sum added in index order."""
+    a = system.a.tolist()
+    k = len(a)
+    by_rows = all(_sum_in_order(abs(a[r][c]) for c in range(k) if c != r) < 1.0 for r in range(k))
+    by_columns = all(_sum_in_order(abs(a[r][c]) for r in range(k) if r != c) < 1.0 for c in range(k))
+    return by_rows, by_columns
 
 
 def spearman(xs, ys) -> float:

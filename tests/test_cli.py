@@ -158,6 +158,19 @@ class TestMc:
         assert code == 1
         assert "reference_count" in err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "1e400", ","])
+    def test_bad_noise_levels_write_nothing(self, noise, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            ["mc", "--n", "5", "--trials", "2", "--noise", noise, "--refs", "1",
+             "--seed", "1", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_unwritable_output(self, tmp_path, capsys):
         code, _, err = run_cli(
             self.ARGS + ["--out", str(tmp_path / "missing" / "x.csv")], capsys

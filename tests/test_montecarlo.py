@@ -79,6 +79,12 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(matrix, -0.1, 0)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_rejected(self, level):
+        matrix, _ = generate_consistent(4, 1)
+        with pytest.raises(ValueError, match="finite"):
+            perturb(matrix, level, 0)
+
 
 class TestRunExperiment:
     def test_zero_noise_trials_agree(self):
@@ -137,6 +143,9 @@ class TestRunExperiment:
             ExperimentConfig(n=5, trials=5, noise_levels=(0.1,), reference_count=5, seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, trials=5, noise_levels=(-0.1,), reference_count=1, seed=0)
+        for levels in [(), (math.nan,), (math.inf,), (0.1, math.nan), (0.2, math.inf)]:
+            with pytest.raises(ValueError, match="noise level"):
+                ExperimentConfig(n=5, trials=5, noise_levels=levels, reference_count=1, seed=0)
 
 
 class TestCsvOutput:

@@ -8,7 +8,8 @@ exactly equal to its prefix-sum form.  The COP report, the `cop --json`
 and text output (against json.dumps and the per-violation oracles), the
 parsed problem (or parse error), the linear solve alone and in stacks,
 the Monte Carlo records and unit-sum weights must equal their references
-exactly.
+exactly, as must the averaging and least-squares systems of complete
+problems (1, 3 or n - 1 references) and their dominance tests.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from hrerank import (
     Problem,
     SingularSystemError,
     WeightVector,
+    build_error_system,
+    build_system,
+    check_convergence,
     cop_check,
     estimation_error,
     generate_consistent,
@@ -52,6 +56,9 @@ from hrerank.hre_solver import ADMISSIBLE_TOL, DIVERGENCE_LIMIT, JACOBI_STOP_TOL
 from hrerank.montecarlo import _unit_weights
 
 from _support import (
+    build_error_system_loop,
+    build_system_loop,
+    check_convergence_loop,
     cop_check_loop,
     cop_json_oracle,
     cop_payload,
@@ -187,6 +194,29 @@ def test_jacobi_iterates_match_loop(problem, steps):
     iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
     assert (run.converged, run.diverged) == (converged, diverged)
     assert run.iterates == tuple(iterates)  # bit for bit: the same additions in the same order
+
+
+# every ratio specified, with 1, 3 or n - 1 references
+complete_problem = sizes.flatmap(
+    lambda n: st.builds(
+        random_problem, seed=seeds, n=st.just(n), missing=st.just(0.0), noise=noise,
+        references=st.sampled_from([1, min(3, n - 1), n - 1]),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_problem)
+def test_systems_match_loop(problem):
+    prepared = preprocess(problem).problem
+    system = build_system(prepared)
+    assert [system.a.tolist(), system.b.tolist()] == list(build_system_loop(prepared))
+    error = build_error_system(prepared)
+    a, b, s_values, dominant = build_error_system_loop(prepared)
+    assert (error.system.a.tolist(), error.system.b.tolist(), list(error.s_values)) == (a, b, s_values)
+    assert error.hessian_dominant == dominant
+    for built in (system, error.system):
+        assert check_convergence(built) == check_convergence_loop(built)
 
 
 judgments = st.one_of(
