@@ -159,7 +159,8 @@ def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
                 high = max(high, float(np.fmax.reduce(q, axis=None)))
     if not count:
         return None, 0
-    return max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) for q in (low, high)), count
+    # a q that underflowed to 0 contributes its limit, 1
+    return max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0 for q in (low, high)), count
 
 
 def koczkodaj_index(matrix: PcMatrix) -> float | None:

@@ -35,7 +35,7 @@ class SingularSystemError(HreError):
 
 
 class InadmissibleSolutionError(HreError):
-    """Solver produced a weight that is not strictly positive."""
+    """Solver produced a weight that is not admissible (finite and above 1e-9 times the largest reference weight)."""
 
 
 class NonConvergenceError(HreError):

@@ -29,7 +29,7 @@ from .matrix_core import Prepared, Problem, _samples, preprocess
 
 PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
-ADMISSIBLE_TOL = 1e-9      # solved weights must exceed this to count as positive
+ADMISSIBLE_TOL = 1e-9      # admissible weights exceed this times the largest reference weight
 JACOBI_STOP_TOL = 1e-10    # relative max-norm change that counts as converged
 JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
 DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
@@ -97,7 +97,7 @@ class RankOutcome(NamedTuple):
     ``weights_raw`` keeps the reference concepts at exactly their input
     values, ``weights_normalized`` rescales to unit sum.  ``admissible``
     reports whether the first-choice strategy for the problem class (direct
-    solve, or a convergent iteration) produced a strictly positive solution;
+    solve, or a convergent iteration) produced an admissible solution;
     it is False whenever a fallback had to fire.  ``convergence_ok`` is the
     diagonal-dominance test of the built system (None when no system was
     built); ``determinant_ok`` is None until a direct solve was attempted.
@@ -147,19 +147,19 @@ def _system_parts(
     references c of m(u, c) * weight(c) / D_u.  Raises unless the problem
     has references, unknowns and every ratio.
     """
-    unknowns = problem.unknown_indices
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    if not unknowns:
+    rows, ratios, _, counts = _samples(problem)
+    if not len(rows):
         raise ValueError("no unknown concepts: nothing to solve")
     if not problem.matrix.is_complete():
         raise IncompleteMatrixError(f"incomplete matrix: {undefined}")
-    rows, ratios, _, counts = _samples(problem)
     scale = 1.0 / counts
     total = 0.0
-    for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
-        total = total + ratios[:, c - 1] * w
-    return unknowns, ratios[:, rows], total * scale, scale
+    with np.errstate(over="ignore"):  # a constant beyond the float range is inf, which the solve refuses
+        for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
+            total = total + ratios[:, c - 1] * w
+    return tuple((rows + 1).tolist()), ratios[:, rows], total * scale, scale
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
@@ -168,8 +168,8 @@ def solve_linear(system: LinearSystem) -> tuple[float, ...]:
     Raises SingularSystemError when some pivot drops below 1e-12 in
     magnitude (the practical "determinant differs from 0" test) or when the
     computed solution fails the residual bound
-    |ax - b|_inf <= 1e-9 * (1 + |b|_inf).  The same elimination as
-    `solve_systems` on a stack of one.
+    |ax - b|_inf <= 1e-9 * (1 + |b|_inf), which a NaN residual fails.  The
+    same elimination as `solve_systems` on a stack of one.
     """
     (solution,) = solve_systems([system])
     if isinstance(solution, SingularSystemError):
@@ -222,7 +222,7 @@ def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | S
         if small[i, first[i]]:
             col = first[i]
             results.append(SingularSystemError(f"pivot {pivots[i, col]:.3e} in column {col + 1} below tolerance"))
-        elif residuals[i] > bounds[i]:
+        elif not residuals[i] <= bounds[i]:  # a NaN residual fails too
             results.append(SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance"))
         else:
             results.append(tuple(solution))
@@ -337,10 +337,16 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     return JacobiRun(array, converged, diverged)
 
 
+def _admissible(values, problem: Problem) -> bool:
+    """The package's one admissibility rule: every value finite and above ADMISSIBLE_TOL times the largest reference."""
+    low = ADMISSIBLE_TOL * max(problem.references.values())
+    return all(low < v < math.inf for v in values)  # NaN fails both comparisons
+
+
 def select_best_iterate(
     iterates: np.ndarray | tuple[tuple[float | None, ...], ...], problem: Problem
 ) -> WeightVector:
-    """Among fully-defined positive iterates, the one with the least mean error.
+    """Among fully-defined admissible iterates, the one with the least mean error.
 
     ``iterates`` is a steps x n array with NaN for "no estimate yet", such
     as `JacobiRun.array`, or rows of floats with None for NaN.  Ties go to
@@ -348,10 +354,9 @@ def select_best_iterate(
     admissible.
     """
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
-    admissible = (np.isfinite(rows) & (rows > ADMISSIBLE_TOL)).all(axis=1)
     best: WeightVector | None = None
     best_error = math.inf
-    for vec in rows[admissible].tolist():
+    for vec in [row for row in rows.tolist() if _admissible(row, problem)]:
         candidate = WeightVector(vec)
         _, mean_error = estimation_error(problem, candidate)
         if mean_error < best_error:
@@ -365,12 +370,13 @@ def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVecto
     """Weave solved unknowns and fixed reference weights into full vectors.
 
     Returns (reference-scale vector, unit-sum vector).  Reference concepts
-    keep their input weights bit for bit in the first form.
+    keep their input weights bit for bit in the first form.  Raises
+    InadmissibleSolutionError unless the solved values are admissible.
     """
     unknowns = problem.unknown_indices
     if len(solved) != len(unknowns):
         raise ValueError(f"expected {len(unknowns)} solved values, got {len(solved)}")
-    nonpositive = [u for u, v in zip(unknowns, solved) if not (math.isfinite(v) and v > 0)]
+    nonpositive = [u for u, v in zip(unknowns, solved) if not _admissible((v,), problem)]
     if nonpositive:
         raise InadmissibleSolutionError(
             f"non-positive solved weight for concept(s) {nonpositive}"
@@ -389,11 +395,11 @@ def hre_rank(
 ) -> RankOutcome:
     """Full solution pipeline: validate, repair, solve, attach provenance.
 
-    Complete matrices are solved directly; a singular or non-positive
+    Complete matrices are solved directly; a singular or inadmissible
     direct solution falls back to the least-squares heuristic and then to
     the best Jacobi iterate (``max_iterations`` bounds that last resort).
     Incomplete matrices use the iterative route: its limit when it
-    converges, otherwise again the best early iterate.
+    converges to admissible weights, otherwise again the best early iterate.
 
     A `Prepared` problem from `preprocess` is solved as it is, without
     validating or repairing it again.
@@ -412,62 +418,53 @@ def hre_rank(
 
     convergence_ok: bool | None = None
     determinant_ok: bool | None = None
-    iterations_used = 0
+    raw = unit = run = None
 
     if not prepared.unknown_indices:
         raw, unit = synthesize((), prepared)
-        path, admissible = "direct", True
+        path = "direct"
     elif prepared.matrix.is_complete():
         parts = _system_parts(prepared)
         system = build_system(prepared, parts)
-        row_dom, col_dom = check_convergence(system)
-        convergence_ok = row_dom or col_dom
-        solution: tuple[float, ...] | None = None
+        convergence_ok = any(check_convergence(system))
+        determinant_ok = True
         try:
-            solution = solve_linear(system)
-            determinant_ok = True
+            raw, unit = synthesize(solve_linear(system), prepared)
+            path = "direct"
         except SingularSystemError as exc:
             determinant_ok = False
             warnings.append(f"direct solve failed: {exc}")
-        if solution is not None and min(solution) > ADMISSIBLE_TOL:
-            raw, unit = synthesize(solution, prepared)
-            path, admissible = "direct", True
-        else:
-            if solution is not None:
-                warnings.append("direct solution has non-positive weights")
-            admissible = False
+        except InadmissibleSolutionError:
+            warnings.append("direct solution has non-positive weights")
+        if raw is None:
             from . import min_error_solver  # deferred: it builds on this module, and a direct solve never needs it
 
             try:
-                result = min_error_solver.solve_min_error(ready, parts)
-                raw, unit = result.weights_raw, result.weights_normalized
+                raw, unit, verified_minimum = min_error_solver.solve_min_error(ready, parts)
                 path = "min-error"
-                if not result.verified_minimum:
+                if not verified_minimum:
                     warnings.append(
                         "least-squares stationary point not verified as a minimum"
                     )
             except (SingularSystemError, InadmissibleSolutionError) as exc:
                 warnings.append(f"least-squares heuristic failed: {exc}")
                 run = jacobi_iterate(prepared, max_iterations)
-                iterations_used = len(run.array)
-                raw = select_best_iterate(run.array, prepared)
-                unit = raw.normalize()
-                path = "best-iterate"
     else:
         run = jacobi_iterate(prepared, JACOBI_MAX_ITER)
-        iterations_used = len(run.array)
-        if run.converged:  # a converged run's last row has every estimate
+        if run.converged and _admissible(run.array[-1], prepared):  # a converged run's last row has every estimate
             raw = WeightVector(run.array[-1].tolist())
-            unit = raw.normalize()
-            path, admissible = "jacobi", True
+            path = "jacobi"
+        elif run.converged:
+            warnings.append("iteration limit has non-positive weights; selecting the best early iterate")
         else:
             warnings.append(
                 "iteration did not converge; selecting the best early iterate"
             )
-            admissible = False
-            raw = select_best_iterate(run.array[:max_iterations], prepared)
-            unit = raw.normalize()
-            path = "best-iterate"
+    if raw is None:
+        raw = select_best_iterate(run.array[:max_iterations], prepared)
+        path = "best-iterate"
+    if unit is None:
+        unit = raw.normalize()
 
     selected = unit if normalize else raw
     _, mean_error = estimation_error(prepared, selected)
@@ -478,8 +475,8 @@ def hre_rank(
         path=path,
         convergence_ok=convergence_ok,
         determinant_ok=determinant_ok,
-        admissible=admissible,
+        admissible=path in ("direct", "jacobi"),
         error=mean_error,
-        iterations_used=iterations_used,
+        iterations_used=0 if run is None else len(run.array),
         warnings=tuple(warnings),
     )

@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .errors import InadmissibleSolutionError
-from .hre_solver import ADMISSIBLE_TOL, LinearSystem, SystemParts, _system_parts, solve_linear, synthesize
+from .hre_solver import LinearSystem, SystemParts, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
 
@@ -40,6 +39,7 @@ class MinErrorResult(NamedTuple):
     verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
+@np.errstate(over="ignore")  # a square or a sum of squares beyond the float range is inf, which the solve refuses
 def build_error_system(problem: Problem, parts: SystemParts | None = None) -> ErrorSystem:
     """Assemble the normal system for a preprocessed, complete problem.
 
@@ -50,7 +50,10 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
     unknowns, block, constants, scale = _system_parts(problem, undefined) if parts is None else parts
     # Python's ** (the C library's pow) rounds differently from x * x in
     # about one case in a thousand; keep its squares
-    squares = np.array([v**2 for v in block.ravel().tolist()]).reshape(block.shape)
+    try:
+        squares = np.array([v**2 for v in block.ravel().tolist()]).reshape(block.shape)
+    except OverflowError:  # ** raises where * gives inf
+        squares = block * block
     # C-ordered sums down axis 0 add in row order (see `jacobi_iterate`); the block's diagonal is zero
     s_values = np.add.reduce(squares, axis=0) * scale
     coefficients = (block + block.T) * -scale[:, None]
@@ -64,10 +67,10 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
 
 
 def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = None) -> MinErrorResult:
-    """Solve the normal system and gate the result on admissibility.
+    """Solve the normal system; `synthesize` gates the result on admissibility.
 
-    Succeeds when the system is non-singular and every solved weight is
-    strictly positive.  When the coefficient matrix is not strictly
+    Succeeds when the system is non-singular and the solved weights are
+    admissible.  When the coefficient matrix is not strictly
     diagonally dominant the stationary point cannot be certified as a
     minimum here; the result is still returned, flagged accordingly
     (dominance is sufficient for positive definiteness, not necessary).
@@ -78,10 +81,5 @@ def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = Non
     """
     prepared, _ = preprocess(problem)
     error_system = build_error_system(prepared, parts)
-    solution = solve_linear(error_system.system)
-    if min(solution) <= ADMISSIBLE_TOL:
-        raise InadmissibleSolutionError(
-            "squared-error solution has non-positive weights"
-        )
-    raw, unit = synthesize(solution, prepared)
+    raw, unit = synthesize(solve_linear(error_system.system), prepared)
     return MinErrorResult(raw, unit, verified_minimum=error_system.hessian_dominant)

@@ -19,11 +19,12 @@ import numpy as np
 from .baselines import WeightVector
 from .diagnostics import koczkodaj_index
 from .errors import HreError
-from .hre_solver import ADMISSIBLE_TOL, _system_parts, build_system, solve_systems
+from .hre_solver import _admissible, _system_parts, build_system, solve_systems
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _sum_in_order, preprocess
 from .min_error_solver import build_error_system
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
+_MAX_NOISE = math.log(np.finfo(float).max)  # above it a noise factor exp(level) overflows
 
 
 class TrialRecord(NamedTuple):
@@ -53,8 +54,8 @@ class ExperimentConfig:
             raise ValueError("reference_count must be in 1..n-1")
         if not self.noise_levels:
             raise ValueError("experiment needs at least one noise level")
-        if not all(math.isfinite(level) and level >= 0 for level in self.noise_levels):
-            raise ValueError("noise levels must be finite and non-negative")
+        if not all(0 <= level <= _MAX_NOISE for level in self.noise_levels):
+            raise ValueError(f"noise levels must be finite, non-negative and at most {_MAX_NOISE:.2f}")
         lo, hi = self.weight_range
         if not (0 < lo < hi):
             raise ValueError("weight_range must satisfy 0 < low < high")
@@ -86,25 +87,26 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
     input whose lower triangle already inverts the upper one exactly).
     Missing pairs stay missing.
     """
-    if not (math.isfinite(noise_level) and noise_level >= 0):
-        raise ValueError("noise level must be finite and non-negative")
+    if not 0 <= noise_level <= _MAX_NOISE:
+        raise ValueError(f"noise level must be finite, non-negative and at most {_MAX_NOISE:.2f}")
     rng = random.Random(seed)
     grid = matrix.array.copy()
     rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(grid))
     # one draw per specified upper entry, in row order; math.exp rather than
     # np.exp, whose last bit can differ, keeps the recorded experiments
-    grid[rows, cols] *= [math.exp(rng.uniform(-noise_level, noise_level)) for _ in rows]
-    grid[cols, rows] = 1.0 / grid[rows, cols]
+    with np.errstate(over="ignore", divide="ignore"):  # an entry out of float range is inf or 0: `validate` refuses it
+        grid[rows, cols] *= [math.exp(rng.uniform(-noise_level, noise_level)) for _ in rows]
+        grid[cols, rows] = 1.0 / grid[rows, cols]
     return PcMatrix._from_array(grid)
 
 
 def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
-    """Unit-sum weights from one solved system; None when it is singular or not all positive and finite.
+    """Unit-sum weights from one solved system; None when it is singular or inadmissible.
 
     The values of ``synthesize(solution, problem)[1]``: the references woven
     in, summed left to right and each weight divided by the sum.
     """
-    if isinstance(solution, HreError) or not all(math.isfinite(v) and v > ADMISSIBLE_TOL for v in solution):
+    if isinstance(solution, HreError) or not _admissible(solution, problem):
         return None
     solved = iter(solution)
     full = [problem.references[i] if i in problem.references else next(solved) for i in range(1, problem.n + 1)]

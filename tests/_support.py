@@ -51,7 +51,7 @@ from hrerank import (
     solve_min_error,
     synthesize,
 )
-from hrerank.hre_solver import ADMISSIBLE_TOL, PIVOT_TOL, RESIDUAL_TOL
+from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL
 from hrerank.montecarlo import _SEED_STRIDE
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
 
@@ -322,7 +322,7 @@ def triad_scan_loop(matrix: PcMatrix) -> tuple[float | None, int]:
                     continue
                 count += 1
                 q = m_ik * m_kj / m_ij
-                contribution = min(abs(1.0 - q), abs(1.0 - 1.0 / q))
+                contribution = min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0  # q underflowed: its limit
                 if worst is None or contribution > worst:
                     worst = contribution
     return worst, count
@@ -699,6 +699,7 @@ def parse_matrix_oracle(text: str) -> Problem:
     return Problem(PcMatrix(rows), references)
 
 
+@np.errstate(invalid="ignore")  # an inf constant turns into NaNs, which the residual test refuses
 def solve_linear_oracle(system) -> tuple[float, ...]:
     """Gaussian elimination with partial pivoting, A and b updated as two arrays."""
     k = system.k
@@ -720,7 +721,7 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
         x[col] = (x[col] - u[col, col + 1 :] @ x[col + 1 :]) / u[col, col]
 
     residual = float(np.max(np.abs(a @ x - b)))
-    if residual > RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):
+    if not residual <= RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b)))):  # a NaN residual fails too
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
     return tuple(float(v) for v in x)
 
@@ -728,22 +729,18 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
 
 def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:
     """`montecarlo._unit_weights` through `synthesize`: both `WeightVector`s built and the unit-sum one kept."""
-    if isinstance(solution, HreError) or min(solution) <= ADMISSIBLE_TOL:
+    if isinstance(solution, HreError):
         return None
-    try:
+    try:  # an inadmissible solution raises InadmissibleSolutionError
         return synthesize(solution, problem)[1].values
     except HreError:
         return None
 
 
 def _averaging_direct(problem: Problem) -> tuple[float, ...] | None:
-    """Unit-sum direct solution of the averaging system; None when singular or non-positive."""
+    """Unit-sum direct solution of the averaging system; None when singular or inadmissible."""
     try:
-        solution = solve_linear(build_system(problem))
-        if min(solution) <= ADMISSIBLE_TOL:
-            return None
-        _, unit = synthesize(solution, problem)
-        return unit.values
+        return synthesize(solve_linear(build_system(problem)), problem)[1].values
     except HreError:
         return None
 

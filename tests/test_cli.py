@@ -158,7 +158,7 @@ class TestMc:
         assert code == 1
         assert "reference_count" in err
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "1e400", ","])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "1e400", ",", "1000"])
     def test_bad_noise_levels_write_nothing(self, noise, tmp_path, capsys):
         out_path = tmp_path / "x.csv"
         code, out, err = run_cli(
@@ -171,6 +171,20 @@ class TestMc:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", ["400", "709.78"])
+    def test_overflowing_noise_leaves_trials_unsolved(self, noise, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, _ = run_cli(
+            ["mc", "--n", "9", "--trials", "2", "--noise", noise, "--refs", "1",
+             "--seed", "1", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        assert out.startswith(f"noise {noise}: solved 0/2, mean K 1,")
+        rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",nan,false") for row in rows)
+
     def test_unwritable_output(self, tmp_path, capsys):
         code, _, err = run_cli(
             self.ARGS + ["--out", str(tmp_path / "missing" / "x.csv")], capsys
@@ -179,7 +193,41 @@ class TestMc:
         assert "error" in err
 
 
+# inputs whose numbers leave the float range on the way to weights
+EXTREME_INPUTS = {
+    "big": "3\n1 1e-10 1e-10\n1e10 1 2\n1e10 0.5 1\nref 1 1e300\n",  # constants overflow
+    "huge": "3\n1 1 1\n1 1 1e200\n1 1e-200 1\nref 1 1.0\n",  # squares overflow
+    "sum": "4\n1 1 1 1\n1 1 1 1e154\n1 1 1 1e154\n1 1e-154 1e-154 1\nref 1 1.0\n",  # a sum of squares overflows
+    "tiny": "3\n1 1e30 ?\n1e-30 1 1e-30\n? 1e30 1\nref 1 1e-300\n",  # the Jacobi limit underflows
+    "huge_inc": "4\n1 1e200 1 ?\n1e-200 1 1e200 ?\n1 1e-200 1 1\n? ? 1 1\nref 1 1.0\n",  # a triad underflows
+}
+
+
 class TestErrorPaths:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, method",
+        [("big", "hre"), ("big", "min-error"), ("huge", "hre"), ("huge", "min-error"), ("sum", "min-error"), ("tiny", "hre")],
+    )
+    def test_out_of_range_solve_is_a_solver_error(self, name, method, tmp_path, capsys):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(EXTREME_INPUTS[name], encoding="utf-8")
+        code, out, err = run_cli(["rank", "--input", str(path), "--method", method], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_triad_counts_as_one(self, tmp_path, capsys):
+        path = tmp_path / "huge_inc.txt"
+        path.write_text(EXTREME_INPUTS["huge_inc"], encoding="utf-8")
+        code, out, _ = run_cli(["diagnose", "--input", str(path)], capsys)
+        assert code == 0
+        assert "K: 1 (triads evaluated: 1)" in out.splitlines()
+        code, out, _ = run_cli(["rank", "--input", str(path), "--method", "hre"], capsys)
+        assert code == 0
+        assert "K: 1" in out.splitlines()
+
     def test_incomplete_matrix_is_a_solver_error_for_ev(self, capsys):
         code, _, err = run_cli(
             ["rank", "--input", str(DATA_DIR / "example4.txt"), "--method", "ev"], capsys

@@ -29,6 +29,7 @@ from _support import (
     permute_problem,
     random_reciprocal,
     random_weights,
+    triad_scan_loop,
 )
 
 
@@ -68,6 +69,11 @@ class TestKoczkodaj:
         matrix = PcMatrix(rows)
         assert koczkodaj_index(matrix) == pytest.approx(0.5, abs=1e-12)
         assert inconsistency_report(matrix).triads_evaluated == 1
+
+    def test_underflowing_triad_contributes_one(self):
+        # q = m13 * m32 / m12 = 1e-200 / 1e200 underflows to 0, where the contribution tends to 1
+        matrix = PcMatrix(((1.0, 1e200, 1.0), (1e-200, 1.0, 1e200), (1.0, 1e-200, 1.0)))
+        assert koczkodaj_index(matrix) == triad_scan_loop(matrix)[0] == 1.0
 
     def test_permutation_invariant(self):
         rng = random.Random(13)

@@ -36,6 +36,7 @@ from _support import (
     graph_problem,
     inadmissible_direct_problem,
     max_abs_diff,
+    max_rel_diff,
     noisy_consistent,
     overflow_problem,
     permute_problem,
@@ -568,6 +569,17 @@ class TestHreRank:
         assert not outcome.admissible
         assert all(v > 0 for v in outcome.weights.values)
 
+    def test_inadmissible_jacobi_limit_takes_best_iterate(self):
+        # the limit's second weight settles at 7.5e-10, below 1e-9 times the reference
+        # weight; the first iterate's 1.2e-9 is above it
+        rows = ((1.0, 1 / 1.2e-9, 1.0, 1.0), (1.2e-9, 1.0, 1e-20, None), (1.0, 1e20, 1.0, 1.0), (1.0, None, 1.0, 1.0))
+        for reference in (1.0, 1e-200):
+            outcome = hre_rank(Problem(PcMatrix(rows), {1: reference}))
+            assert outcome.path == "best-iterate"
+            assert not outcome.admissible
+            assert max_rel_diff([v / reference for v in outcome.weights_raw.values], (1.0, 1.2e-9, 1.0, 1.0)) <= 1e-12
+            assert outcome.warnings == ("iteration limit has non-positive weights; selecting the best early iterate",)
+
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):
             hre_rank(Problem(example1.matrix))
@@ -597,11 +609,11 @@ class TestHreRank:
             n = rng.randint(3, 6)
             matrix, weights = noisy_consistent(n, rng, noise=0.4)
             refs = {i + 1: weights[i] for i in range(rng.randint(1, n - 1))}
-            scale = math.exp(rng.uniform(-3, 3))
-            scaled_refs = {i: w * scale for i, w in refs.items()}
             base = hre_rank(Problem(matrix, refs)).weights_normalized.values
-            scaled = hre_rank(Problem(matrix, scaled_refs)).weights_normalized.values
-            assert max_abs_diff(base, scaled) <= 1e-10
+            for scale in (math.exp(rng.uniform(-3, 3)), 1e-12, 1e12):
+                scaled_refs = {i: w * scale for i, w in refs.items()}
+                scaled = hre_rank(Problem(matrix, scaled_refs)).weights_normalized.values
+                assert max_abs_diff(base, scaled) <= 1e-10
 
     def test_permutation_equivariance(self):
         rng = random.Random(83)

@@ -373,7 +373,7 @@ def test_parser_matches_oracle(text):
     assert parsed(parse_matrix, text) == parsed(parse_matrix_oracle, text)
 
 
-SINGULAR_KINDS = st.sampled_from(["", "repeat", "near", "tiny"])
+SINGULAR_KINDS = st.sampled_from(["", "repeat", "near", "tiny", "nonfinite"])
 
 
 def random_system(k: int, seed: int, shift: float, singular: str) -> LinearSystem:
@@ -381,7 +381,8 @@ def random_system(k: int, seed: int, shift: float, singular: str) -> LinearSyste
 
     ``singular``: "repeat" repeats the first row last (one small pivot),
     "near" repeats it up to 1e-10 (a pivot that passes, a residual that
-    fails), "tiny" scales every entry by 1e-14 (every pivot small).
+    fails), "tiny" scales every entry by 1e-14 (every pivot small),
+    "nonfinite" makes one constant inf (a residual that is not a number).
     """
     rng = random.Random(seed)
     a = [[rng.gauss(0.0, 1.0) + (shift if i == j else 0.0) for j in range(k)] for i in range(k)]
@@ -391,7 +392,10 @@ def random_system(k: int, seed: int, shift: float, singular: str) -> LinearSyste
         a[-1] = [v + 1e-10 * rng.gauss(0.0, 1.0) for v in a[0]]
     elif singular == "tiny":
         a = [[v * 1e-14 for v in row] for row in a]
-    return LinearSystem(tuple(map(tuple, a)), tuple(rng.gauss(0.0, 1.0) for _ in range(k)), tuple(range(1, k + 1)))
+    b = [rng.gauss(0.0, 1.0) for _ in range(k)]
+    if singular == "nonfinite":
+        b[rng.randrange(k)] = math.inf
+    return LinearSystem(tuple(map(tuple, a)), tuple(b), tuple(range(1, k + 1)))
 
 
 def solved_bits(solve, system):
@@ -491,6 +495,7 @@ def unit_weights_outcome(unit_weights, solution, problem) -> str:
 @example(((1e308, 1e308), Problem(generate_consistent(3, 1)[0], {1: 1.0})))  # the sum overflows: ValueError
 @example(((1.0, math.inf), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
 @example(((1.0, ADMISSIBLE_TOL), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
+@example(((1.0, ADMISSIBLE_TOL), Problem(generate_consistent(3, 1)[0], {1: 0.69})))  # above the relative bound
 def test_unit_weights_match_synthesize(inputs):
     solution, problem = inputs
     assert unit_weights_outcome(_unit_weights, solution, problem) == unit_weights_outcome(
