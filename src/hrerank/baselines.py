@@ -43,8 +43,17 @@ class WeightVector:
         return len(self.values)
 
     def normalize(self) -> "WeightVector":
-        s = _sum_in_order(self.values)
-        return WeightVector(tuple(v / s for v in self.values), normalized=True)
+        return WeightVector(_unit(self.values), normalized=True)
+
+
+def _unit(values) -> tuple[float, ...]:
+    """Each value divided by their sum added left to right; only a sum that overflows is taken over value / largest."""
+    total = _sum_in_order(values)
+    if total == math.inf:
+        top = max(values)
+        values = [v / top for v in values]
+        total = _sum_in_order(values)
+    return tuple(v / total for v in values)
 
 
 class EigenResult(NamedTuple):

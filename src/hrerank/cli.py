@@ -163,10 +163,9 @@ def _load_weights(path: str, n: int) -> WeightVector:
     return WeightVector(tuple(values))
 
 
-def _print_fatal(report, stream=None) -> None:
-    stream = stream or sys.stderr
+def _print_fatal(report) -> None:
     for issue in report.fatal_issues:
-        print(f"error: {issue}", file=stream)
+        print(f"error: {issue}", file=sys.stderr)
 
 
 def _cmd_rank(args) -> int:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector, principal_eigen
-from .errors import IncompleteMatrixError
+from .errors import IncompleteMatrixError, NonConvergenceError
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _samples, _sum_in_order, restore_reciprocity
 
 SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
@@ -39,21 +39,23 @@ class PoipViolation(NamedTuple):
     rhs: float  # mu_k / mu_l
 
 
-@dataclass(frozen=True, init=False, eq=False)  # array fields have no usable == or hash
+# CopReport's columns: the dtype and shape of each
+_COP_COLUMNS = {"pop_quadruples": (np.int64, (-1, 4)), "pop_failed": (bool, (-1, 2)),
+                "poip_quadruples": (np.int64, (-1, 4)), "lhs": (float, -1), "rhs": (float, -1)}
+
+
+@dataclass(frozen=True, eq=False)  # array fields have no usable == or hash
 class CopReport:
     """Violations of the condition of order preservation, held as columns.
 
     POP violations are ``pop_quadruples`` (V x 4 concept indices) and
     ``pop_failed`` (V x 2 bool: whether the (i,j) pair, then the (k,l) pair,
     is out of order); POIP violations are ``poip_quadruples`` (W x 4) with
-    ``lhs`` and ``rhs`` (W float64 ratios).  All are read-only arrays.
-    ``pop_violations`` and ``poip_violations`` are the same violations as
-    tuples of `PopViolation` and `PoipViolation`, built when read.
-
-    ``CopReport(pop_violations, poip_violations, quadruples_checked)`` builds
-    the columns from those tuples; a ``failed_pairs`` other than (q[:2],),
-    (q[2:],) or (q[:2], q[2:]) raises ValueError.  Two reports are equal
-    exactly when their counts and violation tuples are.
+    ``lhs`` and ``rhs`` (W float64 ratios).  Each is copied into a read-only
+    array.  ``pop_violations`` and ``poip_violations`` are the same
+    violations as tuples of `PopViolation` and `PoipViolation`, built when
+    read.  Two reports are equal exactly when their counts and violation
+    tuples are.
     """
 
     pop_quadruples: np.ndarray
@@ -63,31 +65,12 @@ class CopReport:
     rhs: np.ndarray
     quadruples_checked: int
 
-    def __init__(self, pop_violations, poip_violations, quadruples_checked: int):
-        pop, poip = tuple(pop_violations), tuple(poip_violations)
-        self._store(
-            [v.quadruple for v in pop], [_failed_flags(v) for v in pop],
-            [v.quadruple for v in poip], [v.lhs for v in poip], [v.rhs for v in poip], quadruples_checked,
-        )
-
-    @classmethod
-    def _from_columns(cls, pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked) -> CopReport:
-        report = cls.__new__(cls)
-        report._store(pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked)
-        return report
-
-    def _store(self, pop_quadruples, pop_failed, poip_quadruples, lhs, rhs, quadruples_checked) -> None:
-        columns = {
-            "pop_quadruples": np.array(pop_quadruples, dtype=np.int64).reshape(-1, 4),
-            "pop_failed": np.array(pop_failed, dtype=bool).reshape(-1, 2),
-            "poip_quadruples": np.array(poip_quadruples, dtype=np.int64).reshape(-1, 4),
-            "lhs": np.array(lhs, dtype=float).reshape(-1),
-            "rhs": np.array(rhs, dtype=float).reshape(-1),
-        }
-        for name, column in columns.items():
+    def __post_init__(self):
+        for name, (dtype, shape) in _COP_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype).reshape(shape)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "quadruples_checked", int(quadruples_checked))
+        object.__setattr__(self, "quadruples_checked", int(self.quadruples_checked))
 
     @property
     def pop_violations(self) -> tuple[PopViolation, ...]:
@@ -113,18 +96,8 @@ class CopReport:
         # == on the views: NaN ratios differ (each view builds fresh floats), -0.0 equals 0.0
         return self.quadruples_checked == other.quadruples_checked and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("pop_quadruples", "pop_failed", "poip_quadruples", "lhs", "rhs")
+            for name in _COP_COLUMNS
         )
-
-
-def _failed_flags(violation: PopViolation) -> tuple[bool, bool]:
-    """The (i,j) and (k,l) flags that reproduce ``violation.failed_pairs``."""
-    q = tuple(violation.quadruple)
-    failed = tuple(violation.failed_pairs)
-    for flags, pairs in (((True, False), (q[:2],)), ((False, True), (q[2:],)), ((True, True), (q[:2], q[2:]))):
-        if failed == pairs:
-            return flags
-    raise ValueError(f"failed pairs {failed!r} are not a non-empty ordered subset of {q[:2]} and {q[2:]}")
 
 
 def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
@@ -189,10 +162,10 @@ def saaty_ci(matrix: PcMatrix) -> float:
 
 
 def inconsistency_report(matrix: PcMatrix) -> InconsistencyReport:
-    """CI of the raw matrix (when computable) plus Koczkodaj of its restored form."""
+    """CI of the raw matrix (None if incomplete or power iteration fails) plus Koczkodaj of its restored form."""
     try:
         ci = saaty_ci(matrix)
-    except IncompleteMatrixError:
+    except (IncompleteMatrixError, NonConvergenceError):
         ci = None
     k, triads = triad_scan(restore_reciprocity(matrix))
     return InconsistencyReport(ci, k, triads)
@@ -275,7 +248,7 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
         blocks.append((s[pop_r], pop_c, s[poip_r], poip_c))
     pop_x, pop_y, poip_x, poip_y = (np.concatenate(column) for column in zip(*blocks))
     pairs = np.stack((i + 1, j + 1), axis=1)
-    return CopReport._from_columns(
+    return CopReport(
         np.concatenate((pairs[pop_x], pairs[pop_y]), axis=1),
         np.stack((unranked[pop_x], fails_as_kl[pop_y]), axis=1),
         np.concatenate((pairs[poip_x], pairs[poip_y]), axis=1),

@@ -37,18 +37,14 @@ DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
 
 @dataclass(frozen=True, eq=False)  # array fields have no usable == or hash
 class LinearSystem:
-    """Dense k x k system a x = b over the unknown concepts.
+    """Dense k x k system a x = b over the unknown concepts, in ascending concept order.
 
     ``a`` (k x k) and ``b`` (k) are read-only float64 arrays; nested tuples
-    are accepted at construction and copied.  ``coefficients`` and
-    ``constants`` are the same system as tuples of floats, built when read.
-    ``unknown_index_map[r]`` is the 1-based concept index behind solver
-    row/column r, in ascending concept order.
+    are accepted at construction and copied.
     """
 
     a: np.ndarray
     b: np.ndarray
-    unknown_index_map: tuple[int, ...]
 
     def __post_init__(self):
         b = np.array(self.b, dtype=float)
@@ -58,18 +54,6 @@ class LinearSystem:
         a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def k(self) -> int:
-        return len(self.b)
-
-    @property
-    def coefficients(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.a.tolist()))
-
-    @property
-    def constants(self) -> tuple[float, ...]:
-        return tuple(self.b.tolist())
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no usable == or hash
@@ -115,8 +99,8 @@ class RankOutcome(NamedTuple):
     warnings: tuple[str, ...]
 
 
-# unknown indices, unknown-by-unknown block, constants, 1 / D per unknown: what both systems are built from
-SystemParts = tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
+# unknown-by-unknown block, right-hand side, 1 / D per unknown: what both systems are built from
+SystemParts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSystem:
@@ -131,16 +115,16 @@ def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSy
     ``parts``, from `_system_parts` on the same problem, saves building them
     again when the least-squares system is built from them too.
     """
-    unknowns, block, constants, scale = _system_parts(problem) if parts is None else parts
-    coefficients = block * -scale[:, None]
-    np.fill_diagonal(coefficients, 1.0)
-    return LinearSystem(coefficients, constants, unknowns)
+    block, b, scale = _system_parts(problem) if parts is None else parts
+    a = block * -scale[:, None]
+    np.fill_diagonal(a, 1.0)
+    return LinearSystem(a, b)
 
 
 def _system_parts(
     problem: Problem, undefined: str = "the averaging system is undefined, use the iterative route"
 ) -> SystemParts:
-    """Unknown indices, unknown-by-unknown block, constants and 1 / D_u, shared by both systems.
+    """Unknown-by-unknown block, right-hand side and 1 / D_u, shared by both systems.
 
     D_u counts unknown u's samples (`_samples`; n - 1 on a complete matrix)
     and the block's diagonal is zero.  The constant for u is sum over
@@ -159,7 +143,7 @@ def _system_parts(
     with np.errstate(over="ignore"):  # a constant beyond the float range is inf, which the solve refuses
         for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
             total = total + ratios[:, c - 1] * w
-    return tuple((rows + 1).tolist()), ratios[:, rows], total * scale, scale
+    return ratios[:, rows], total * scale, scale
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
@@ -230,15 +214,19 @@ def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | S
 
 
 def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
-    """Strict diagonal dominance by rows and by columns (unit diagonal).
+    """Strict diagonal dominance by rows and by columns.
 
     Either kind guarantees the Jacobi iteration converges; neither holding
     proves nothing (the iteration may still converge).
     """
-    off = np.abs(system.a)
+    return _dominant_columns(system.a.T.copy()), _dominant_columns(system.a)
+
+
+def _dominant_columns(a: np.ndarray) -> bool:
+    """Every |a_jj| above the sum of the other |a_ij| in column j, added in row order (see `jacobi_iterate`)."""
+    off = np.abs(a)
     np.fill_diagonal(off, 0.0)
-    # each sum down axis 0 of a C-ordered array, which adds in row order (see `jacobi_iterate`)
-    return tuple(bool((np.add.reduce(table, axis=0) < 1.0).all()) for table in (off.T.copy(), off))
+    return bool((np.abs(np.diagonal(a)) > np.add.reduce(off, axis=0)).all())
 
 
 def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
@@ -373,21 +361,20 @@ def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVecto
     keep their input weights bit for bit in the first form.  Raises
     InadmissibleSolutionError unless the solved values are admissible.
     """
-    unknowns = problem.unknown_indices
-    if len(solved) != len(unknowns):
-        raise ValueError(f"expected {len(unknowns)} solved values, got {len(solved)}")
-    nonpositive = [u for u, v in zip(unknowns, solved) if not _admissible((v,), problem)]
-    if nonpositive:
-        raise InadmissibleSolutionError(
-            f"non-positive solved weight for concept(s) {nonpositive}"
-        )
-    by_index = dict(zip(unknowns, solved))
-    full = tuple(
-        problem.references[i] if i in problem.references else by_index[i]
-        for i in range(1, problem.n + 1)
-    )
-    raw = WeightVector(full)
+    expected = problem.n - len(problem.references)
+    if len(solved) != expected:
+        raise ValueError(f"expected {expected} solved values, got {len(solved)}")
+    if not _admissible(solved, problem):
+        nonpositive = [u for u, v in zip(problem.unknown_indices, solved) if not _admissible((v,), problem)]
+        raise InadmissibleSolutionError(f"non-positive solved weight for concept(s) {nonpositive}")
+    raw = WeightVector(_woven(solved, problem))
     return raw, raw.normalize()
+
+
+def _woven(solved, problem: Problem) -> list[float]:
+    """Every concept's weight in index order: the references' own, the solved values in the unknowns' places."""
+    values = iter(solved)
+    return [problem.references[i] if i in problem.references else next(values) for i in range(1, problem.n + 1)]
 
 
 def hre_rank(

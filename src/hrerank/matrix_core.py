@@ -89,15 +89,6 @@ class PcMatrix:
     def is_complete(self) -> bool:
         return not np.isnan(self._array).any()
 
-    def is_reciprocal(self, tol: float = RECIPROCAL_WARN_TOL) -> bool:
-        """True if every fully specified pair satisfies m_ij * m_ji = 1 +/- tol."""
-        a = self._array
-        present = ~np.isnan(a)
-        with np.errstate(invalid="ignore", over="ignore"):
-            far = ~(np.abs(a * a.T - 1.0) <= tol) & present & present.T  # a NaN product (inf * 0) is far
-        np.fill_diagonal(far, False)
-        return not far.any() and bool((present == present.T).all())
-
     def __eq__(self, other):
         if not isinstance(other, PcMatrix):
             return NotImplemented
@@ -218,7 +209,6 @@ def parse_matrix(text: str) -> Problem:
     """
     n: int | None = None
     rows: list[list[float | None]] = []
-    nan_entry: str | None = None  # where a fraction came out NaN ('?' is None there), refused at the end
     references: dict[int, float] = {}
     last_line = 0
 
@@ -245,8 +235,6 @@ def parse_matrix(text: str) -> Problem:
                     raise ValueError
             except ValueError:  # '?', a fraction or a bad token: token by token, for the value or the error
                 values = [_parse_value(tok, line_no, raw, index) for index, tok in enumerate(toks)]
-                if nan_entry is None:
-                    nan_entry = next((f"({len(rows) + 1},{j})" for j, v in enumerate(values, 1) if v != v), None)
             rows.append(values)
         else:
             if toks[0] != "ref":
@@ -273,9 +261,7 @@ def parse_matrix(text: str) -> Problem:
         raise ParseError("empty input, expected matrix size", max(last_line, 1))
     if len(rows) < n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}", last_line)
-    if nan_entry is not None:  # as PcMatrix(rows) refuses it
-        raise ValueError(f"entry {nan_entry} is NaN; use None for a missing comparison")
-    return Problem(PcMatrix._from_array(np.array(rows, dtype=float)), references)  # None becomes NaN
+    return Problem(PcMatrix(rows), references)  # refuses a fraction that came out NaN
 
 
 def validate(problem: Problem) -> ValidationReport:

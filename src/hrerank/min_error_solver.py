@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .hre_solver import LinearSystem, SystemParts, _system_parts, solve_linear, synthesize
+from .hre_solver import LinearSystem, SystemParts, _dominant_columns, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
 
@@ -24,8 +24,8 @@ class ErrorSystem(NamedTuple):
     ``s_values[r]`` is the diagonal excess for unknown r: the squared column
     entries of the other unknowns, averaged by 1/(n-1).  The coefficient
     matrix is symmetric with diagonal 1 + s and off-diagonal
-    -(m(u,v) + m(v,u))/(n-1); the constants are the same vector the
-    averaging system uses.
+    -(m(u,v) + m(v,u))/(n-1); the right-hand side is the averaging
+    system's.
     """
 
     system: LinearSystem
@@ -47,7 +47,7 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
     again when the averaging system was built from them first.
     """
     undefined = "the squared-error system is undefined"
-    unknowns, block, constants, scale = _system_parts(problem, undefined) if parts is None else parts
+    block, b, scale = _system_parts(problem, undefined) if parts is None else parts
     # Python's ** (the C library's pow) rounds differently from x * x in
     # about one case in a thousand; keep its squares
     try:
@@ -56,14 +56,10 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
         squares = block * block
     # C-ordered sums down axis 0 add in row order (see `jacobi_iterate`); the block's diagonal is zero
     s_values = np.add.reduce(squares, axis=0) * scale
-    coefficients = (block + block.T) * -scale[:, None]
-    np.fill_diagonal(coefficients, 1.0 + s_values)
-    off = np.abs(coefficients)
-    np.fill_diagonal(off, 0.0)
-    # the matrix is exactly symmetric, so its column sums are its row sums
-    dominant = bool((np.abs(np.diagonal(coefficients)) > np.add.reduce(off, axis=0)).all())
-    system = LinearSystem(coefficients, constants, unknowns)
-    return ErrorSystem(system, tuple(s_values.tolist()), dominant)
+    a = (block + block.T) * -scale[:, None]
+    np.fill_diagonal(a, 1.0 + s_values)
+    # a is exactly symmetric, so its columns are its rows
+    return ErrorSystem(LinearSystem(a, b), tuple(s_values.tolist()), _dominant_columns(a))
 
 
 def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = None) -> MinErrorResult:

@@ -16,15 +16,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import WeightVector
+from .baselines import WeightVector, _unit
 from .diagnostics import koczkodaj_index
 from .errors import HreError
-from .hre_solver import _admissible, _system_parts, build_system, solve_systems
+from .hre_solver import _admissible, _system_parts, _woven, build_system, solve_systems
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _sum_in_order, preprocess
 from .min_error_solver import build_error_system
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
 _MAX_NOISE = math.log(np.finfo(float).max)  # above it a noise factor exp(level) overflows
+_LOG_WEIGHTS = (math.log(0.1), math.log(10.0))  # true weights are drawn log-uniformly from 0.1 to 10
 
 
 class TrialRecord(NamedTuple):
@@ -43,7 +44,6 @@ class ExperimentConfig:
     noise_levels: tuple[float, ...]
     reference_count: int
     seed: int
-    weight_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self):
         if self.n < 3:
@@ -56,24 +56,16 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one noise level")
         if not all(0 <= level <= _MAX_NOISE for level in self.noise_levels):
             raise ValueError(f"noise levels must be finite, non-negative and at most {_MAX_NOISE:.2f}")
-        lo, hi = self.weight_range
-        if not (0 < lo < hi):
-            raise ValueError("weight_range must satisfy 0 < low < high")
 
 
-def generate_consistent(
-    n: int, seed: int, weight_range: tuple[float, float] = (0.1, 10.0)
-) -> tuple[PcMatrix, tuple[float, ...]]:
-    """Consistent matrix from weights drawn log-uniformly over weight_range.
+def generate_consistent(n: int, seed: int) -> tuple[PcMatrix, tuple[float, ...]]:
+    """Consistent matrix from weights drawn log-uniformly from 0.1 to 10.
 
     The lower triangle is stored as the exact float inverse of the upper
     triangle, so the output is reciprocal bit for bit.
     """
-    lo, hi = weight_range
-    if not (0 < lo < hi):
-        raise ValueError("weight_range must satisfy 0 < low < high")
     rng = random.Random(seed)
-    weights = tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n))
+    weights = tuple(math.exp(rng.uniform(*_LOG_WEIGHTS)) for _ in range(n))
     w = np.array(weights)
     ratios = w[:, None] / w  # w_i / w_j, exactly 1 on the diagonal
     return PcMatrix._from_array(np.where(_above_diagonal(n), ratios, 1.0 / ratios.T)), weights
@@ -103,16 +95,12 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
 def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
     """Unit-sum weights from one solved system; None when it is singular or inadmissible.
 
-    The values of ``synthesize(solution, problem)[1]``: the references woven
-    in, summed left to right and each weight divided by the sum.
+    The values of ``synthesize(solution, problem)[1]``, built as it builds them.
     """
     if isinstance(solution, HreError) or not _admissible(solution, problem):
         return None
-    solved = iter(solution)
-    full = [problem.references[i] if i in problem.references else next(solved) for i in range(1, problem.n + 1)]
-    total = _sum_in_order(full)
-    unit = tuple(v / total for v in full)
-    # a sum that overflowed or a weight that underflowed: WeightVector raises as `synthesize` does
+    unit = _unit(_woven(solution, problem))
+    # a weight that underflowed: WeightVector raises as `synthesize` does
     return unit if min(unit) > 0.0 else WeightVector(unit, normalized=True).values
 
 
@@ -124,14 +112,14 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     distances are directly comparable between levels (common random
     numbers), so each trial's base matrix is generated once and perturbed
     at every level in turn.  Both heuristics' systems at every level share
-    one build of the unknown block and constants each and are solved
+    one build of the unknown block and right-hand side each and are solved
     together by `solve_systems`.  Trials where either heuristic fails keep
     both_solved=False and a nan distance.
     """
     by_level: list[list[TrialRecord]] = [[] for _ in config.noise_levels]
     for trial in range(config.trials):
         gen_seed = config.seed * _SEED_STRIDE + 2 * trial
-        matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
+        matrix, weights = generate_consistent(config.n, gen_seed)
         references = {i + 1: weights[i] for i in range(config.reference_count)}
         noisy_matrices, problems, systems = [], [], []
         for noise in config.noise_levels:

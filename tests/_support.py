@@ -11,6 +11,8 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``check_convergence_loop`` the two linear systems and their dominance tests,
 and ``cop_json_oracle`` and ``cop_text_oracle`` the `cop` output written one
 template per violation, which the column renderers must match byte for byte.
+``cop_report`` builds a `CopReport` from violation tuples, and
+``is_reciprocal`` tests whether a matrix is reciprocal.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
 least-squares solver from the objective itself.
 """
@@ -241,8 +243,8 @@ def check_convergence_loop(system) -> tuple[bool, bool]:
     """Strict diagonal dominance by rows and by columns, each off-diagonal sum added in index order."""
     a = system.a.tolist()
     k = len(a)
-    by_rows = all(_sum_in_order(abs(a[r][c]) for c in range(k) if c != r) < 1.0 for r in range(k))
-    by_columns = all(_sum_in_order(abs(a[r][c]) for r in range(k) if r != c) < 1.0 for c in range(k))
+    by_rows = all(_sum_in_order(abs(a[r][c]) for c in range(k) if c != r) < abs(a[r][r]) for r in range(k))
+    by_columns = all(_sum_in_order(abs(a[r][c]) for r in range(k) if r != c) < abs(a[c][c]) for c in range(k))
     return by_rows, by_columns
 
 
@@ -535,7 +537,37 @@ def cop_check_loop(matrix: PcMatrix, mu) -> CopReport:
             rhs = w[k - 1] / w[l - 1]
             if lhs <= rhs:
                 poip.append(PoipViolation((i, j, k, l), lhs, rhs))
-    return CopReport(tuple(pop), tuple(poip), checked)
+    return cop_report(pop, poip, checked)
+
+
+def cop_report(pop_violations, poip_violations, quadruples_checked: int) -> CopReport:
+    """A `CopReport` specified by its violation tuples, turned into its columns."""
+    pop, poip = tuple(pop_violations), tuple(poip_violations)
+    return CopReport(
+        [v.quadruple for v in pop],
+        [_failed_flags(v) for v in pop],
+        [v.quadruple for v in poip],
+        [v.lhs for v in poip],
+        [v.rhs for v in poip],
+        quadruples_checked,
+    )
+
+
+def _failed_flags(violation: PopViolation) -> tuple[bool, bool]:
+    """The (i,j) and (k,l) flags that reproduce ``violation.failed_pairs``."""
+    q = tuple(violation.quadruple)
+    flags = {(q[:2],): (True, False), (q[2:],): (False, True), (q[:2], q[2:]): (True, True)}
+    return flags[tuple(violation.failed_pairs)]
+
+
+def is_reciprocal(matrix: PcMatrix, tol: float = RECIPROCAL_WARN_TOL) -> bool:
+    """True if each pair is given on both sides or on neither, with m_ij * m_ji = 1 +/- tol where given."""
+    a = matrix.array
+    present = ~np.isnan(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        far = ~(np.abs(a * a.T - 1.0) <= tol) & present & present.T  # a NaN product (inf * 0) is far
+    np.fill_diagonal(far, False)
+    return not far.any() and bool((present == present.T).all())
 
 
 def cop_payload(report: CopReport) -> dict:
@@ -702,9 +734,9 @@ def parse_matrix_oracle(text: str) -> Problem:
 @np.errstate(invalid="ignore")  # an inf constant turns into NaNs, which the residual test refuses
 def solve_linear_oracle(system) -> tuple[float, ...]:
     """Gaussian elimination with partial pivoting, A and b updated as two arrays."""
-    k = system.k
-    a = np.array(system.coefficients, dtype=float)
-    b = np.array(system.constants, dtype=float)
+    k = len(system.b)
+    a = np.array(system.a.tolist(), dtype=float)
+    b = np.array(system.b.tolist(), dtype=float)
     x = b.copy()
     u = a.copy()
     for col in range(k):
@@ -763,7 +795,7 @@ def run_experiment_oracle(config: ExperimentConfig) -> list[TrialRecord]:
     for noise in config.noise_levels:
         for trial in range(config.trials):
             gen_seed = config.seed * _SEED_STRIDE + 2 * trial
-            matrix, weights = generate_consistent(config.n, gen_seed, config.weight_range)
+            matrix, weights = generate_consistent(config.n, gen_seed)
             references = {i + 1: weights[i] for i in range(config.reference_count)}
             noisy = perturb(matrix, noise, gen_seed + 1)
             try:
@@ -786,7 +818,7 @@ def hessian(error_system: ErrorSystem, n: int) -> tuple[tuple[float, ...], ...]:
     """Hessian of the squared-error objective: 2(n-1) times the system matrix."""
     factor = 2 * (n - 1)
     return tuple(
-        tuple(factor * v for v in row) for row in error_system.system.coefficients
+        tuple(factor * v for v in row) for row in error_system.system.a.tolist()
     )
 
 

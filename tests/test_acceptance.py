@@ -91,9 +91,9 @@ def test_criterion_1_example_1_reproduction(example1):
             ["-0.062", "-0.125", "1", "-1.75"],
             ["-0.028", "-0.031", "-0.036", "1"],
         ]
-        for row, expected in zip(system.coefficients, printed):
+        for row, expected in zip(system.a.tolist(), printed):
             assert_vector_printed(row, expected)
-        assert_vector_printed(system.constants, ["0.125", "0.083", "0.05", "0.028"])
+        assert_vector_printed(system.b.tolist(), ["0.125", "0.083", "0.05", "0.028"])
 
         ev_report = cop_check(
             example1.matrix, WeightVector((0.426, 0.281, 0.165, 0.101, 0.027))
@@ -114,9 +114,9 @@ def test_criterion_2_example_2_reproduction(example2):
             ["-0.4", "1", "-0.333"],
             ["-0.5", "-0.187", "1"],
         ]
-        for row, expected in zip(system.coefficients, printed):
+        for row, expected in zip(system.a.tolist(), printed):
             assert_vector_printed(row, expected)
-        assert_vector_printed(system.constants, ["1.75", "1.0", "0.812"])
+        assert_vector_printed(system.b.tolist(), ["1.75", "1.0", "0.812"])
 
         outcome = hre_rank(example2)
         assert_vector_printed(
@@ -155,8 +155,8 @@ def test_criterion_3_example_3_reproduction(example3):
         system = build_system(preprocess(example3)[0])
         for i in range(3):
             for j in range(3):
-                assert_printed(system.coefficients[i][j], "1" if i == j else "-0.333")
-        assert_vector_printed(system.constants, ["0.333", "0.333", "0.471"])
+                assert_printed(system.a.tolist()[i][j], "1" if i == j else "-0.333")
+        assert_vector_printed(system.b.tolist(), ["0.333", "0.333", "0.471"])
 
         outcome = hre_rank(example3, normalize=True)
         assert_vector_printed(outcome.weights.values, ["0.227", "0.25", "0.25", "0.273"])
@@ -293,7 +293,7 @@ def test_criterion_6_squared_error_heuristic_verification():
             prepared, _ = preprocess(Problem(matrix, {1: weights[0]}))
             es = build_error_system(prepared)
             h = hessian(es, n)
-            for hrow, erow in zip(h, es.system.coefficients):
+            for hrow, erow in zip(h, es.system.a.tolist()):
                 for hv, ev in zip(hrow, erow):
                     assert hv == 2 * (n - 1) * ev
 

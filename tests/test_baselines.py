@@ -145,3 +145,11 @@ class TestWeightVector:
         vector = WeightVector((2.0, 6.0)).normalize()
         assert vector.normalized
         assert vector.values == (0.25, 0.75)
+
+    def test_normalize_survives_an_overflowing_sum(self):
+        # 3e308 is beyond the float range: the values are divided by their largest first
+        assert WeightVector((1e308,) * 3).normalize().values == (1.0 / 3.0,) * 3
+
+    def test_normalize_refuses_a_weight_that_underflows(self):
+        with pytest.raises(ValueError, match="concept 3"):
+            WeightVector((1e308, 1e308, 5e-324)).normalize()

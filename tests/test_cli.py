@@ -196,7 +196,8 @@ class TestMc:
 # inputs whose numbers leave the float range on the way to weights
 EXTREME_INPUTS = {
     "big": "3\n1 1e-10 1e-10\n1e10 1 2\n1e10 0.5 1\nref 1 1e300\n",  # constants overflow
-    "huge": "3\n1 1 1\n1 1 1e200\n1 1e-200 1\nref 1 1.0\n",  # squares overflow
+    "huge": "3\n1 1 1\n1 1 1e200\n1 1e-200 1\nref 1 1.0\n",  # squares overflow; power iteration does not converge
+    "big308": "3\n1 1 1\n1 1 1\n1 1 1\nref 1 1e308\n",  # the weights' sum overflows
     "sum": "4\n1 1 1 1\n1 1 1 1e154\n1 1 1 1e154\n1 1e-154 1e-154 1\nref 1 1.0\n",  # a sum of squares overflows
     "tiny": "3\n1 1e30 ?\n1e-30 1 1e-30\n? 1e30 1\nref 1 1e-300\n",  # the Jacobi limit underflows
     "huge_inc": "4\n1 1e200 1 ?\n1e-200 1 1e200 ?\n1 1e-200 1 1\n? ? 1 1\nref 1 1.0\n",  # a triad underflows
@@ -207,7 +208,7 @@ class TestErrorPaths:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "name, method",
-        [("big", "hre"), ("big", "min-error"), ("huge", "hre"), ("huge", "min-error"), ("sum", "min-error"), ("tiny", "hre")],
+        [("big", "hre"), ("big", "min-error"), ("huge", "min-error"), ("sum", "min-error"), ("tiny", "hre")],
     )
     def test_out_of_range_solve_is_a_solver_error(self, name, method, tmp_path, capsys):
         path = tmp_path / f"{name}.txt"
@@ -216,6 +217,43 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("solver error: ") and err.count("\n") == 1
+
+    def test_unconverged_power_iteration_leaves_ci_unset(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(EXTREME_INPUTS["huge"], encoding="utf-8")
+        code, out, _ = run_cli(["rank", "--input", str(path), "--method", "hre"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("weights:") + 1
+        assert lines[start : start + 3] == ["  c1  1", "  c2  5e+199", "  c3  0.5"]
+        assert "CI: n/a" in lines and "K: 1" in lines
+        code, out, _ = run_cli(["rank", "--input", str(path), "--method", "hre", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["weights"] == [1.0, 5e199, 0.5]
+        assert payload["diagnostics"]["ci"] is None
+        code, out, _ = run_cli(["diagnose", "--input", str(path)], capsys)
+        assert code == 0
+        assert "CI: n/a" in out.splitlines()
+
+    def test_unconverged_power_iteration_is_a_solver_error_for_ev(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text(EXTREME_INPUTS["huge"], encoding="utf-8")
+        code, out, err = run_cli(["rank", "--input", str(path), "--method", "ev"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "solver error: power iteration did not converge in 10000 iterations\n"
+
+    @pytest.mark.parametrize("method", ["hre", "min-error"])
+    @pytest.mark.parametrize("normalize, printed", [(False, "1e+308"), (True, "0.333333")])
+    def test_weights_summing_beyond_the_float_range(self, method, normalize, printed, tmp_path, capsys):
+        path = tmp_path / "big308.txt"
+        path.write_text(EXTREME_INPUTS["big308"], encoding="utf-8")
+        args = ["rank", "--input", str(path), "--method", method] + ["--normalize"] * normalize
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("  c")] == [f"  c{i}  {printed}" for i in (1, 2, 3)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_triad_counts_as_one(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from hrerank import (
     validate,
 )
 
-from _support import random_reciprocal
+from _support import is_reciprocal, random_reciprocal
 
 
 class TestParse:
@@ -155,7 +155,7 @@ class TestRestoreReciprocity:
         # m12 / m21 = 1e600 overflows and m21 / m12 underflows; the roots are taken first there
         rows = ((1.0, 1e300, 4.0), (1e-300, 1.0, 0.5), (0.25, 2.0, 1.0))
         matrix = PcMatrix(rows)
-        assert matrix.is_reciprocal() and not validate(Problem(matrix)).issues
+        assert is_reciprocal(matrix) and not validate(Problem(matrix)).issues
         restored = restore_reciprocity(matrix)
         assert restored.entry(1, 2) == pytest.approx(1e300, rel=2**-52)
         assert restored.entry(2, 1) == 1e-300
@@ -279,7 +279,7 @@ def test_preprocess_raises_on_fatal_issue():
 
 def test_preprocess_collects_warnings(example3):
     prepared, issues = preprocess(example3)
-    assert prepared.matrix.is_reciprocal()
+    assert is_reciprocal(prepared.matrix)
     assert [i.category for i in issues] == ["non-reciprocal-pair"]
 
 
@@ -287,11 +287,11 @@ def test_is_reciprocal_rejects_undefined_products_without_warning():
     # inf * 0 is NaN, which compares false against any tolerance
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not PcMatrix([[1.0, math.inf], [0.0, 1.0]]).is_reciprocal()
-        assert not PcMatrix([[1.0, 1e300], [1e300, 1.0]]).is_reciprocal()  # the product overflows
-        assert PcMatrix([[1.0, 1e300], [1e-300, 1.0]]).is_reciprocal()
-        assert PcMatrix([[1.0, None], [None, 1.0]]).is_reciprocal()
-        assert not PcMatrix([[1.0, 2.0], [None, 1.0]]).is_reciprocal()
+        assert not is_reciprocal(PcMatrix([[1.0, math.inf], [0.0, 1.0]]))
+        assert not is_reciprocal(PcMatrix([[1.0, 1e300], [1e300, 1.0]]))  # the product overflows
+        assert is_reciprocal(PcMatrix([[1.0, 1e300], [1e-300, 1.0]]))
+        assert is_reciprocal(PcMatrix([[1.0, None], [None, 1.0]]))
+        assert not is_reciprocal(PcMatrix([[1.0, 2.0], [None, 1.0]]))
 
 
 def test_pc_matrix_rejects_nan_with_its_location():

@@ -42,18 +42,18 @@ class TestBuildErrorSystem:
         es = build_error_system(_three_concept_problem())
         # s_1 = (1/2)^2 / 2, s_2 = 2^2 / 2; off-diagonal -(2 + 1/2)/2
         assert es.s_values == (0.125, 2.0)
-        assert es.system.coefficients == ((1.125, -1.25), (-1.25, 3.0))
-        assert es.system.constants == (1.0, 1.0)
+        assert es.system.a.tolist() == [[1.125, -1.25], [-1.25, 3.0]]
+        assert es.system.b.tolist() == [1.0, 1.0]
         assert es.hessian_dominant is False  # row one: 1.125 < 1.25
 
     def test_single_unknown(self):
         problem = Problem(consistent_matrix((3.0, 1.0, 2.0)), {2: 1.0, 3: 2.0})
         es = build_error_system(problem)
         assert es.s_values == (0.0,)
-        assert es.system.coefficients == ((1.0,),)
+        assert es.system.a.tolist() == [[1.0]]
         solution = solve_min_error(problem)
         assert solution.weights_raw.values[0] == pytest.approx(
-            es.system.constants[0], abs=1e-12
+            es.system.b.tolist()[0], abs=1e-12
         )
 
     def test_example2_values(self, example2):
@@ -64,10 +64,10 @@ class TestBuildErrorSystem:
             (-0.55625, 1.23828125, -0.5208333333333333),
             (-0.625, -0.5208333333333333, 1.5069444444444444),
         )
-        for row, row_expected in zip(es.system.coefficients, expected):
+        for row, row_expected in zip(es.system.a.tolist(), expected):
             assert max_abs_diff(row, row_expected) <= 1e-12
         # same constants as the averaging system
-        assert es.system.constants == build_system(prepared).constants
+        assert es.system.b.tolist() == build_system(prepared).b.tolist()
         assert es.hessian_dominant is True
 
     def test_symmetry_is_exact(self):
@@ -77,7 +77,7 @@ class TestBuildErrorSystem:
             matrix, weights = noisy_consistent(n, rng, noise=0.8)
             refs = {1: weights[0]}
             prepared, _ = preprocess(Problem(matrix, refs))
-            coeff = build_error_system(prepared).system.coefficients
+            coeff = build_error_system(prepared).system.a.tolist()
             k = len(coeff)
             for i in range(k):
                 for j in range(k):
@@ -99,7 +99,7 @@ class TestHessian:
         prepared, _ = preprocess(example2)
         es = build_error_system(prepared)
         h = hessian(es, 5)
-        for hrow, erow in zip(h, es.system.coefficients):
+        for hrow, erow in zip(h, es.system.a.tolist()):
             for hv, ev in zip(hrow, erow):
                 assert hv == 2 * 4 * ev
 
@@ -223,7 +223,7 @@ class TestBruteForce:
     def test_single_unknown_closed_form(self):
         problem = Problem(consistent_matrix((3.0, 1.0, 2.0)), {2: 1.0, 3: 2.0})
         es = build_error_system(problem)
-        expected = es.system.constants[0] / es.system.coefficients[0][0]
+        expected = es.system.b.tolist()[0] / es.system.a.tolist()[0][0]
         found = brute_force_min_error(problem, bounds=(0.1, 8.0), grid_points=17)
         resolution = (8.0 - 0.1) / 16 / 2**10
         assert abs(found.values[0] - expected) <= 2 * resolution

@@ -39,13 +39,10 @@ class TestGenerateConsistent:
                 else:
                     assert matrix.entry(i, j) == 1.0
 
-    def test_weight_range_respected(self):
-        _, weights = generate_consistent(6, 9, weight_range=(0.5, 2.0))
-        assert all(0.5 <= w <= 2.0 for w in weights)
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            generate_consistent(4, 0, weight_range=(2.0, 1.0))
+    def test_weights_drawn_from_tenth_to_ten(self):
+        for seed in range(20):
+            _, weights = generate_consistent(6, seed)
+            assert all(0.1 <= w <= 10.0 for w in weights)
 
 
 class TestPerturb:
