@@ -112,28 +112,31 @@ def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
     SCAN_BLOCK entries (one pivot's n x n slab when n is larger), never as
     an n x n x n array.  Returns (None, 0) when no complete triad exists.
     """
-    a = matrix.array
-    n = len(a)
+    return _triad_scans(matrix.array)[0]
+
+
+def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
+    """`triad_scan` of each matrix of a stack (..., n, n), in order; a block's pivots span the
+    whole stack, so it holds at most SCAN_BLOCK entries or one pivot's slab of every matrix."""
+    n = a.shape[-1]
+    a = a.reshape(-1, n, n)
     above = _above_diagonal(n)
     upper = np.where(above, a, np.nan)  # m_ij, i < j
     lower = np.where(above.T, a, np.nan)  # m_kj, j < k
-    low, high, count = math.inf, -math.inf, 0
-    step = max(1, SCAN_BLOCK // (n * n))  # pivots per block
+    low, high, count = np.full(len(a), math.inf), np.full(len(a), -math.inf), np.zeros(len(a), dtype=int)
+    step = max(1, SCAN_BLOCK // a.size)  # pivots per block
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k0 in range(2, n, step):
             k1 = min(n, k0 + step)
-            # q[k, i, j] = (m_ik * m_kj) / m_ij, NaN unless i < j < k and all three are given
-            q = upper[:k1, k0:k1].T[:, :, None] * lower[k0:k1, None, :k1]
-            q /= upper[:k1, :k1]
-            found = q.size - int(np.count_nonzero(np.isnan(q)))
-            if found:
-                count += found
-                low = min(low, float(np.fmin.reduce(q, axis=None)))
-                high = max(high, float(np.fmax.reduce(q, axis=None)))
-    if not count:
-        return None, 0
-    # a q that underflowed to 0 contributes its limit, 1
-    return max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0 for q in (low, high)), count
+            # q[., k, i, j] = (m_ik * m_kj) / m_ij, NaN unless i < j < k and all three are given
+            q = np.swapaxes(upper[:, :k1, k0:k1], 1, 2)[:, :, :, None] * lower[:, k0:k1, None, :k1]
+            q /= upper[:, None, :k1, :k1]
+            count += [q[0].size - np.count_nonzero(np.isnan(one)) for one in q]
+            low = np.fmin(low, np.fmin.reduce(q, axis=(1, 2, 3)))  # an all-NaN slice leaves its bound as it is
+            high = np.fmax(high, np.fmax.reduce(q, axis=(1, 2, 3)))
+    bounds = zip(low.tolist(), high.tolist())  # a q that underflowed to 0 contributes its limit, 1
+    index = [max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0 for q in pair) for pair in bounds]
+    return [(k, found) if found else (None, 0) for k, found in zip(index, count.tolist())]
 
 
 def koczkodaj_index(matrix: PcMatrix) -> float | None:
@@ -189,7 +192,7 @@ def estimation_error(problem: Problem, mu: WeightVector) -> tuple[dict[int, floa
     unknowns = problem.unknown_indices
     if not unknowns:
         return {}, 0.0
-    rows, ratios, sampled, counts = _samples(problem)
+    rows, ratios, sampled, counts = _samples(problem.matrix.array, problem.references)
     if not counts.all():
         raise ValueError(f"concept {unknowns[int(np.argmin(counts))]} has no specified ratio to estimate it from")
     w = np.array(mu.values)

@@ -116,9 +116,14 @@ def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSy
     again when the least-squares system is built from them too.
     """
     block, b, scale = _system_parts(problem) if parts is None else parts
-    a = block * -scale[:, None]
-    np.fill_diagonal(a, 1.0)
-    return LinearSystem(a, b)
+    return LinearSystem(_averaging(block, scale), b)
+
+
+def _averaging(block: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`build_system`'s coefficients from a stack (..., k, k) of blocks and their 1 / D (..., k)."""
+    a = block * -scale[..., None]
+    a[..., range(a.shape[-1]), range(a.shape[-1])] = 1.0
+    return a
 
 
 def _system_parts(
@@ -133,17 +138,22 @@ def _system_parts(
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    rows, ratios, _, counts = _samples(problem)
-    if not len(rows):
+    if len(problem.references) == problem.n:
         raise ValueError("no unknown concepts: nothing to solve")
     if not problem.matrix.is_complete():
         raise IncompleteMatrixError(f"incomplete matrix: {undefined}")
+    return _parts(problem.matrix.array, problem.references)
+
+
+def _parts(a: np.ndarray, references: dict[int, float]) -> SystemParts:
+    """`_system_parts` of each complete matrix of a stack (..., n, n), stacked alike."""
+    rows, ratios, _, counts = _samples(a, references)
     scale = 1.0 / counts
     total = 0.0
     with np.errstate(over="ignore"):  # a constant beyond the float range is inf, which the solve refuses
-        for c, w in sorted(problem.references.items()):  # in order, as a plain sum adds
-            total = total + ratios[:, c - 1] * w
-    return ratios[:, rows], total * scale, scale
+        for c, w in sorted(references.items()):  # in order, as a plain sum adds
+            total = total + ratios[..., c - 1] * w
+    return ratios[..., rows], total * scale, scale
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
@@ -175,8 +185,13 @@ def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | S
     """
     if not systems:
         return []
-    a = np.stack([system.a for system in systems])
-    b = np.stack([system.b for system in systems])
+    return _solved(np.stack([system.a for system in systems]), np.stack([system.b for system in systems]))
+
+
+def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSystemError]:
+    """`solve_systems` on a stack of coefficients (B, k, k) and right-hand sides (B, k)."""
+    # row-major, as `LinearSystem` holds them: the order of the products' sums depends on the layout
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     count, k = b.shape
     u = np.concatenate((a, b[:, :, None]), axis=2)  # eliminated in place
     at = np.arange(count)
@@ -271,7 +286,7 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    rows, ratios, unknown_sampled, _ = _samples(problem)
+    rows, ratios, unknown_sampled, _ = _samples(problem.matrix.array, problem.references)
     fixed = [c - 1 for c in problem.references]
     anchors = np.full(problem.n, np.nan)
     anchors[fixed] = list(problem.references.values())

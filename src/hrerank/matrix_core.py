@@ -51,9 +51,10 @@ class PcMatrix:
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("comparison matrix must be square")
         array = np.array(rows, dtype=float)  # None becomes NaN
-        for i, j in np.argwhere(np.isnan(array)).tolist():
-            if rows[i][j] is not None:
-                raise ValueError(f"entry ({i + 1},{j + 1}) is NaN; use None for a missing comparison")
+        if np.count_nonzero(np.isnan(array)) != sum(row.count(None) for row in rows):  # some NaN is not a None
+            for i, j in np.argwhere(np.isnan(array)).tolist():
+                if rows[i][j] is not None:
+                    raise ValueError(f"entry ({i + 1},{j + 1}) is NaN; use None for a missing comparison")
         array.flags.writeable = False
         self._array = array
 
@@ -274,7 +275,7 @@ def validate(problem: Problem) -> ValidationReport:
     order, each kind by row and then column.
     """
     a = problem.matrix.array
-    bad = (a <= 0) | (a == math.inf)  # a missing (NaN) entry compares false
+    bad, bad_diagonal = _fatal_masks(a)
     with np.errstate(over="ignore", invalid="ignore"):
         far = np.abs(a * a.T - 1.0) > RECIPROCAL_WARN_TOL  # symmetric: reported for i < j only
     issues: list[Issue] = []
@@ -285,9 +286,8 @@ def validate(problem: Problem) -> ValidationReport:
             message = f"entry {v!r} is not a positive finite ratio"
             issues.append(Issue(f"({i + 1},{j + 1})", "nonpositive-entry", message))
 
-    diagonal = a.diagonal()
-    if not (np.abs(diagonal - 1.0) <= DIAGONAL_TOL).all():
-        for i, v in enumerate(diagonal.tolist(), start=1):
+    if bad_diagonal.any():
+        for i, v in enumerate(a.diagonal().tolist(), start=1):
             if v != v:
                 issues.append(Issue(f"({i},{i})", "bad-diagonal", "diagonal entry is missing"))
             elif 0 < v < math.inf and abs(v - 1.0) > DIAGONAL_TOL:
@@ -318,16 +318,22 @@ def restore_reciprocity(matrix: PcMatrix) -> PcMatrix:
 
     Expects entries to be positive (run `validate` first on foreign input).
     """
-    a = matrix.array
+    return PcMatrix._from_array(_restored(matrix.array))
+
+
+def _restored(a: np.ndarray) -> np.ndarray:
+    """`restore_reciprocity` of each matrix of a stack (..., n, n), as one new stack."""
+    at = np.swapaxes(a, -1, -2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        quotient = a / a.T
+        quotient = a / at
         ratio = np.sqrt(quotient)
         # a quotient leaves the float range only together with its mirror, which then falls below tiny
         if np.fmin.reduce(quotient, axis=None) < _TINY:  # take the roots first there
-            ratio = np.where((quotient == math.inf) | (quotient < _TINY), np.sqrt(a) / np.sqrt(a.T), ratio)
-        restored = np.where(np.isnan(a.T), a, np.where(np.isnan(a), 1.0 / a.T, ratio))
-    np.fill_diagonal(restored, np.diagonal(a))
-    return PcMatrix._from_array(restored)
+            ratio = np.where((quotient == math.inf) | (quotient < _TINY), np.sqrt(a) / np.sqrt(at), ratio)
+        restored = np.where(np.isnan(at), a, np.where(np.isnan(a), 1.0 / at, ratio))
+    diagonal = range(a.shape[-1])
+    restored[..., diagonal, diagonal] = a[..., diagonal, diagonal]
+    return restored
 
 
 def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
@@ -339,26 +345,31 @@ def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
     is worth reporting, not worth failing on).  Entries touching at least
     one unknown concept are never modified.
     """
-    refs = problem.references
-    known = sorted(refs)
-    rows, cols, targets = [], [], []
-    for pos, a in enumerate(known):
-        for b in known[pos + 1 :]:
-            target = refs[a] / refs[b]
-            rows += (a - 1, b - 1)
-            cols += (b - 1, a - 1)
-            targets += (target, 1.0 / target)
+    a = problem.matrix.array
+    grid, rows, cols, targets = _filled(a, problem.references)
     if not targets:
         return problem, ()
-    grid = problem.matrix.array.copy()
-    provided = grid[rows, cols].tolist()
-    grid[rows, cols] = targets
     issues = tuple(
         Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
-        for i, j, old, t in zip(rows, cols, provided, targets)
+        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist(), targets)
         if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
     )
-    return Problem(PcMatrix._from_array(grid), refs), issues
+    return Problem(PcMatrix._from_array(grid), problem.references), issues
+
+
+def _filled(a: np.ndarray, references: dict[int, float]) -> tuple[np.ndarray, list[int], list[int], list[float]]:
+    """`fill_known_ratios` over a stack (..., n, n): the filled copy and the pairs' rows, columns and ratios."""
+    known = sorted(references)
+    rows, cols, targets = [], [], []
+    for pos, i in enumerate(known):
+        for j in known[pos + 1 :]:
+            target = references[i] / references[j]
+            rows += (i - 1, j - 1)
+            cols += (j - 1, i - 1)
+            targets += (target, 1.0 / target)
+    grid = a.copy()
+    grid[..., rows, cols] = targets
+    return grid, rows, cols, targets
 
 
 def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
@@ -414,18 +425,25 @@ def _above_diagonal(n: int) -> np.ndarray:
     return index[:, None] < index
 
 
-def _samples(problem: Problem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fatal_masks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`validate`'s fatal rule on a stack (..., n, n), reachability aside: bad entries, diagonals not 1."""
+    bad_diagonal = ~(np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1.0) <= DIAGONAL_TOL)
+    return (a <= 0) | (a == math.inf), bad_diagonal  # a missing (NaN) entry compares false
+
+
+def _samples(a: np.ndarray, references) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unknowns' row indices, their rows zeroed where not sampled, the sample mask, the counts D.
 
     The one place that decides what the averaging rule samples: unknown u
     samples every other concept i whose ratio m(u, i) is specified, so D_u
-    is n - 1 on a complete matrix.
+    is n - 1 on a complete matrix.  ``a`` is one matrix or a stack
+    (..., n, n) of them; the unknowns are the concepts not in ``references``.
     """
-    rows = np.array(problem.unknown_indices, dtype=np.intp) - 1
-    ratios = problem.matrix.array[rows]
+    rows = np.array([i for i in range(a.shape[-1]) if i + 1 not in references], dtype=np.intp)
+    ratios = a[..., rows, :]
     sampled = ~np.isnan(ratios)
-    sampled[np.arange(len(rows)), rows] = False
-    return rows, np.where(sampled, ratios, 0.0), sampled, sampled.sum(axis=1)
+    sampled[..., np.arange(len(rows)), rows] = False
+    return rows, np.where(sampled, ratios, 0.0), sampled, sampled.sum(axis=-1)
 
 
 def _sum_in_order(values) -> float:

@@ -39,7 +39,6 @@ class MinErrorResult(NamedTuple):
     verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
-@np.errstate(over="ignore")  # a square or a sum of squares beyond the float range is inf, which the solve refuses
 def build_error_system(problem: Problem, parts: SystemParts | None = None) -> ErrorSystem:
     """Assemble the normal system for a preprocessed, complete problem.
 
@@ -48,18 +47,31 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
     """
     undefined = "the squared-error system is undefined"
     block, b, scale = _system_parts(problem, undefined) if parts is None else parts
-    # Python's ** (the C library's pow) rounds differently from x * x in
-    # about one case in a thousand; keep its squares
-    try:
-        squares = np.array([v**2 for v in block.ravel().tolist()]).reshape(block.shape)
-    except OverflowError:  # ** raises where * gives inf
-        squares = block * block
-    # C-ordered sums down axis 0 add in row order (see `jacobi_iterate`); the block's diagonal is zero
-    s_values = np.add.reduce(squares, axis=0) * scale
-    a = (block + block.T) * -scale[:, None]
-    np.fill_diagonal(a, 1.0 + s_values)
+    a, s_values = _normal(block, scale)
     # a is exactly symmetric, so its columns are its rows
     return ErrorSystem(LinearSystem(a, b), tuple(s_values.tolist()), _dominant_columns(a))
+
+
+@np.errstate(over="ignore")  # a square or a sum of squares beyond the float range is inf, which the solve refuses
+def _normal(block: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`build_error_system`'s coefficients and s values from a stack (..., k, k) of blocks and their 1 / D."""
+    # C-ordered sums down axis -2 add in row order (see `jacobi_iterate`); the block's diagonal is zero
+    s_values = np.add.reduce(_squares(block), axis=-2) * scale
+    a = (block + np.swapaxes(block, -1, -2)) * -scale[..., None]
+    a[..., range(a.shape[-1]), range(a.shape[-1])] = 1.0 + s_values
+    return a, s_values
+
+
+def _squares(block: np.ndarray) -> np.ndarray:
+    """Each block's entries squared with Python's ** (the C library's pow), which rounds differently
+    from x * x in about one case in a thousand; a block where ** overflows takes x * x.  Row-major."""
+    squares = []
+    for one in block.reshape(-1, *block.shape[-2:]):
+        try:
+            squares.append([v**2 for v in one.ravel().tolist()])
+        except OverflowError:  # ** raises where * gives inf
+            squares.append((one * one).ravel().tolist())
+    return np.array(squares).reshape(block.shape)
 
 
 def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = None) -> MinErrorResult:

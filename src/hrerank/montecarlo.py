@@ -17,11 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector, _unit
-from .diagnostics import koczkodaj_index
+from .diagnostics import _triad_scans
 from .errors import HreError
-from .hre_solver import _admissible, _system_parts, _woven, build_system, solve_systems
-from .matrix_core import PcMatrix, Problem, _above_diagonal, _sum_in_order, preprocess
-from .min_error_solver import build_error_system
+from .hre_solver import _admissible, _averaging, _parts, _solved, _woven
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _fatal_masks, _filled, _restored, _sum_in_order, is_reachable
+from .min_error_solver import _normal
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
 _MAX_NOISE = math.log(np.finfo(float).max)  # above it a noise factor exp(level) overflows
@@ -77,25 +77,33 @@ def perturb(matrix: PcMatrix, noise_level: float, seed: int) -> PcMatrix:
     The lower triangle is rebuilt as the exact inverse, so reciprocity is
     preserved; zero noise returns the matrix unchanged (given a reciprocal
     input whose lower triangle already inverts the upper one exactly).
-    Missing pairs stay missing.
+    Missing pairs stay missing.  The one-level case of the stack that
+    `run_experiment` perturbs each trial's matrix into.
     """
-    if not 0 <= noise_level <= _MAX_NOISE:
+    return PcMatrix._from_array(_perturbed(matrix, (noise_level,), seed)[0])
+
+
+def _perturbed(matrix: PcMatrix, levels, seed: int) -> np.ndarray:
+    """`perturb` at each level, as one read-only stack (L, n, n); one draw per entry serves every level."""
+    if not all(0 <= level <= _MAX_NOISE for level in levels):
         raise ValueError(f"noise level must be finite, non-negative and at most {_MAX_NOISE:.2f}")
     rng = random.Random(seed)
-    grid = matrix.array.copy()
-    rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(grid))
-    # one draw per specified upper entry, in row order; math.exp rather than
-    # np.exp, whose last bit can differ, keeps the recorded experiments
+    rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(matrix.array))
+    draws = [rng.random() for _ in rows]  # in row order
+    # random.uniform's own arithmetic; math.exp, not np.exp whose last bit can differ, keeps the records
+    factors = [[math.exp(-level + (level - -level) * u) for u in draws] for level in levels]
+    grid = np.repeat(matrix.array[None], len(factors), axis=0)
     with np.errstate(over="ignore", divide="ignore"):  # an entry out of float range is inf or 0: `validate` refuses it
-        grid[rows, cols] *= [math.exp(rng.uniform(-noise_level, noise_level)) for _ in rows]
-        grid[cols, rows] = 1.0 / grid[rows, cols]
-    return PcMatrix._from_array(grid)
+        grid[:, rows, cols] *= factors
+        grid[:, cols, rows] = 1.0 / grid[:, rows, cols]
+    grid.flags.writeable = False
+    return grid
 
 
 def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
     """Unit-sum weights from one solved system; None when it is singular or inadmissible.
 
-    The values of ``synthesize(solution, problem)[1]``, built as it builds them.
+    The values of ``synthesize(solution, problem)[1]``, built as it builds them; reads only n and the references.
     """
     if isinstance(solution, HreError) or not _admissible(solution, problem):
         return None
@@ -110,51 +118,35 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     Trials are paired across noise levels: trial t reuses the same base
     matrix and the same noise directions at every level, so the recorded
     distances are directly comparable between levels (common random
-    numbers), so each trial's base matrix is generated once and perturbed
-    at every level in turn.  Both heuristics' systems at every level share
-    one build of the unknown block and right-hand side each and are solved
-    together by `solve_systems`.  Trials where either heuristic fails keep
-    both_solved=False and a nan distance.
+    numbers).  Each trial is one stacked pass: its base matrix is perturbed
+    at every level into one (L, n, n) stack, and each stage (validation,
+    repair, both systems, their solve, the Koczkodaj scan) runs once on it,
+    giving every level the bits a level-by-level pass gives.  A level that
+    `validate` refuses (an entry pushed out of the float range), or where
+    either heuristic fails, keeps both_solved=False and a nan distance.
     """
     by_level: list[list[TrialRecord]] = [[] for _ in config.noise_levels]
     for trial in range(config.trials):
         gen_seed = config.seed * _SEED_STRIDE + 2 * trial
         matrix, weights = generate_consistent(config.n, gen_seed)
-        references = {i + 1: weights[i] for i in range(config.reference_count)}
-        noisy_matrices, problems, systems = [], [], []
-        for noise in config.noise_levels:
-            noisy = perturb(matrix, noise, gen_seed + 1)
-            noisy_matrices.append(noisy)
-            try:
-                problem, _ = preprocess(Problem(noisy, references))
-                parts = _system_parts(problem)
-            except HreError:
-                problems.append(None)
-                continue
-            problems.append(problem)
-            systems += [build_system(problem, parts), build_error_system(problem, parts).system]
-        solutions = iter(solve_systems(systems))  # both heuristics at every level, in one pass
-        for noise, noisy, problem, records in zip(config.noise_levels, noisy_matrices, problems, by_level):
-            if problem is None:
-                averaging = least_squares = None
-            else:
+        problem = Problem(matrix, {i + 1: weights[i] for i in range(config.reference_count)})
+        noisy = _perturbed(matrix, config.noise_levels, gen_seed + 1)
+        bad, bad_diagonal = _fatal_masks(noisy)  # reachability is the base matrix's: perturb keeps its pattern
+        accepted = ~(bad.any(axis=(1, 2)) | bad_diagonal.any(axis=1)) & is_reachable(problem)[0]
+        solutions = iter(())
+        if accepted.any():  # `preprocess`, both system builds and their solve, each once on the accepted levels
+            filled = _filled(_restored(noisy[accepted]), problem.references)[0]
+            block, constants, scale = _parts(filled, problem.references)
+            coefficients = np.stack((_averaging(block, scale), _normal(block, scale)[0]), axis=1)  # averaging first
+            solutions = iter(_solved(coefficients.reshape(-1, *block.shape[1:]), np.repeat(constants, 2, axis=0)))
+        for noise, solvable, (koczkodaj, _), records in zip(config.noise_levels, accepted, _triad_scans(noisy), by_level):
+            averaging = least_squares = None
+            if solvable:
                 averaging = _unit_weights(next(solutions), problem)
                 least_squares = _unit_weights(next(solutions), problem)
             solved = averaging is not None and least_squares is not None
-            if solved:
-                distance = max(abs(a - b) for a, b in zip(averaging, least_squares))
-            else:
-                distance = math.nan
-            records.append(
-                TrialRecord(
-                    seed=gen_seed,
-                    n=config.n,
-                    noise_level=noise,
-                    koczkodaj=koczkodaj_index(noisy),
-                    distance=distance,
-                    both_solved=solved,
-                )
-            )
+            distance = max(abs(a - b) for a, b in zip(averaging, least_squares)) if solved else math.nan
+            records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj, distance, solved))
     return [record for records in by_level for record in records]
 
 

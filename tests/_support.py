@@ -5,6 +5,7 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``parse_matrix_oracle`` is the token-by-token parser the fast one must match,
 ``solve_linear_oracle`` the elimination that updates A and b separately,
 ``run_experiment_oracle`` the Monte Carlo harness solving one system at a time,
+``perturb_loop`` the noise drawn by `random.uniform` entry by entry,
 ``unit_weights_oracle`` its unit-sum weights through `synthesize`,
 ``estimation_error_prefix_sum`` the estimation error summed by prefix sums
 (``ordered_sum``), ``build_system_loop``, ``build_error_system_loop`` and
@@ -184,7 +185,7 @@ def estimation_error_prefix_sum(problem: Problem, mu: WeightVector) -> tuple[dic
     package's result must equal it to the bit.
     """
     unknowns = problem.unknown_indices
-    rows, ratios, sampled, counts = _samples(problem)
+    rows, ratios, sampled, counts = _samples(problem.matrix.array, problem.references)
     w = np.array(mu.values)
     deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0)
     per = (ordered_sum(deviations, axis=1) / counts).tolist()
@@ -308,6 +309,20 @@ def diverging_incomplete_problem(gain: float = 8.0, reference: float = 1.0) -> P
 def overflow_problem() -> Problem:
     """1e300 * 1e10 overflows to inf in the first step, which ends the run as diverged."""
     return Problem(PcMatrix(((1.0, 1e-300), (1e300, 1.0))), {1: 1e10})
+
+
+def perturb_loop(matrix: PcMatrix, noise_level: float, seed: int) -> np.ndarray:
+    """`perturb` one level at a time: each specified upper entry, in row order, times
+    math.exp(random.uniform(-level, level)); each lower entry the exact inverse."""
+    rng = random.Random(seed)
+    grid = matrix.array.copy()
+    for i in range(matrix.n):
+        for j in range(i + 1, matrix.n):
+            if not math.isnan(grid[i, j]):
+                with np.errstate(over="ignore", divide="ignore"):  # numpy scalars: inf or 0, not an error
+                    grid[i, j] *= math.exp(rng.uniform(-noise_level, noise_level))
+                    grid[j, i] = 1.0 / grid[i, j]
+    return grid
 
 
 def triad_scan_loop(matrix: PcMatrix) -> tuple[float | None, int]:

@@ -25,7 +25,7 @@ from hrerank import (
     synthesize,
 )
 from hrerank import hre_solver, min_error_solver
-from hrerank.hre_solver import JACOBI_MAX_ITER, solve_systems
+from hrerank.hre_solver import JACOBI_MAX_ITER, _solved, solve_systems
 
 from _support import (
     assert_printed,
@@ -187,6 +187,16 @@ class TestSolveSystems:
 
     def test_empty_stack(self):
         assert solve_systems([]) == []
+
+    def test_stack_layout_keeps_the_bits(self):
+        # the same values held column by column are eliminated row-major, as `LinearSystem` holds them
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1.0, 1.0, (6, 9, 9)) * np.exp(rng.uniform(-30.0, 30.0, (6, 9, 9)))
+        b = rng.uniform(-1.0, 1.0, (6, 9))
+        by_columns = np.swapaxes(np.swapaxes(a, 1, 2).copy(), 1, 2)
+        assert not by_columns.flags.c_contiguous
+        expected = solve_systems([LinearSystem(x, y) for x, y in zip(a, b)])
+        assert [repr(result) for result in _solved(by_columns, b)] == [repr(result) for result in expected]
 
 
 class TestSolveLinear:

@@ -297,6 +297,13 @@ def test_is_reciprocal_rejects_undefined_products_without_warning():
 def test_pc_matrix_rejects_nan_with_its_location():
     with pytest.raises(ValueError, match=r"\(2,1\) is NaN"):
         PcMatrix(((1.0, 2.0), (math.nan, 1.0)))
+
+
+def test_pc_matrix_finds_a_nan_among_missing_entries():
+    rows = ((1.0, None, 2.0), (None, 1.0, None), (0.5, math.nan, 1.0))
+    with pytest.raises(ValueError, match=r"entry \(3,2\) is NaN; use None for a missing comparison"):
+        PcMatrix(rows)
+    assert PcMatrix(((1.0, None, 2.0), (None, 1.0, None), (0.5, None, 1.0))).entry(3, 2) is None
     assert PcMatrix(((1.0, None), (None, 1.0))).entries == ((1.0, None), (None, 1.0))
 
 

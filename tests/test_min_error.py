@@ -83,6 +83,25 @@ class TestBuildErrorSystem:
                 for j in range(k):
                     assert coeff[i][j] == coeff[j][i]
 
+    def test_overflowing_square_keeps_row_order_sums(self):
+        # 1e200 squared leaves the float range, so the block squares with x * x; every
+        # column's s value still adds its squares in row order, as for any other block
+        rng = random.Random(5)
+        for _ in range(20):
+            n = 12
+            matrix, weights = noisy_consistent(n, rng, noise=0.8)
+            grid = [list(row) for row in matrix.entries]
+            grid[2][3], grid[3][2] = 1e200, 1e-200
+            s_values = build_error_system(Problem(PcMatrix(grid), {1: weights[0]})).s_values
+            expected = []
+            for v in range(1, n):
+                total = 0.0
+                for u in range(1, n):
+                    if u != v:
+                        total += grid[u][v] * grid[u][v]  # 1e200 * 1e200 is inf
+                expected.append(total * (1.0 / (n - 1)))
+            assert list(s_values) == expected
+
     def test_incomplete_matrix_refused(self, example4):
         prepared, _ = preprocess(example4)
         with pytest.raises(IncompleteMatrixError):

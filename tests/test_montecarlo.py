@@ -5,13 +5,16 @@ import pytest
 from hrerank import (
     ExperimentConfig,
     PcMatrix,
+    Problem,
     generate_consistent,
     koczkodaj_index,
     perturb,
     run_experiment,
     summarize,
+    validate,
     write_csv,
 )
+from hrerank.montecarlo import _SEED_STRIDE
 
 
 class TestGenerateConsistent:
@@ -130,6 +133,24 @@ class TestRunExperiment:
         assert len(records) == 8
         assert records[:4] == records[4:]
         assert [r.seed for r in records[:4]] == sorted({r.seed for r in records})
+
+    @pytest.mark.parametrize("seed", [4, 34])
+    def test_refused_levels_leave_the_other_levels_as_they_are(self, seed):
+        config = ExperimentConfig(n=6, trials=3, noise_levels=(0.3, 709.78, 0.0, 300.0), reference_count=2, seed=seed)
+        records = run_experiment(config)
+        # at seed 34 `validate` refuses trial 1's 709.78 level, whose noise pushes an entry out of the
+        # float range; the other 709.78 and 300 levels pass it and fail in the solve
+        refused = []
+        for trial in range(3):
+            trial_seed = seed * _SEED_STRIDE + 2 * trial
+            matrix, weights = generate_consistent(6, trial_seed)
+            noisy = perturb(matrix, 709.78, trial_seed + 1)
+            refused.append(not validate(Problem(noisy, {1: weights[0], 2: weights[1]})).ok)
+        assert refused == [False, seed == 34, False]
+        assert all(not r.both_solved and math.isnan(r.distance) for r in records[3:6] + records[9:])
+        alone = run_experiment(ExperimentConfig(n=6, trials=3, noise_levels=(0.3, 0.0), reference_count=2, seed=seed))
+        assert repr(records[:3] + records[6:9]) == repr(alone)
+        assert all(r.both_solved for r in alone)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

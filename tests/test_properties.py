@@ -9,7 +9,9 @@ and text output (against json.dumps and the per-violation oracles), the
 parsed problem (or parse error), the linear solve alone and in stacks,
 the Monte Carlo records and unit-sum weights must equal their references
 exactly, as must the averaging and least-squares systems of complete
-problems (1, 3 or n - 1 references) and their dominance tests.
+problems (1, 3 or n - 1 references) and their dominance tests.  Every
+slice of the stacked stage kernels that `run_experiment` runs must equal
+the public one-matrix function of that stage bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import random
 from unittest.mock import patch
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +40,12 @@ from hrerank import (
     check_convergence,
     cop_check,
     estimation_error,
+    fill_known_ratios,
     generate_consistent,
     jacobi_iterate,
     koczkodaj_index,
     parse_matrix,
+    perturb,
     preprocess,
     restore_reciprocity,
     run_experiment,
@@ -50,9 +55,20 @@ from hrerank import (
 )
 from hrerank import diagnostics
 from hrerank.cli import _cop_json, _cop_text
-from hrerank.diagnostics import SCAN_BLOCK
-from hrerank.hre_solver import ADMISSIBLE_TOL, DIVERGENCE_LIMIT, JACOBI_STOP_TOL, solve_systems
-from hrerank.montecarlo import _unit_weights
+from hrerank.diagnostics import SCAN_BLOCK, _triad_scans
+from hrerank.hre_solver import (
+    ADMISSIBLE_TOL,
+    DIVERGENCE_LIMIT,
+    JACOBI_STOP_TOL,
+    _averaging,
+    _parts,
+    _solved,
+    _system_parts,
+    solve_systems,
+)
+from hrerank.matrix_core import _fatal_masks, _filled, _restored
+from hrerank.min_error_solver import _normal
+from hrerank.montecarlo import _perturbed, _unit_weights
 
 from _support import (
     build_error_system_loop,
@@ -70,6 +86,7 @@ from _support import (
     jacobi_loop,
     overflow_problem,
     parse_matrix_oracle,
+    perturb_loop,
     random_problem,
     restore_reciprocity_loop,
     run_experiment_oracle,
@@ -443,7 +460,8 @@ def test_stacked_solves_match_oracle(k, members):
 @st.composite
 def experiment_configs(draw):
     n = draw(st.integers(3, 12))
-    level = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.5, 6.0))
+    # 300, 700 and 709.78 push entries out of the float range, or near its edge, so `validate` refuses some levels
+    level = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.5, 6.0), st.sampled_from([300.0, 700.0, 709.78]))
     return ExperimentConfig(
         n=n,
         trials=draw(st.integers(1, 4)),
@@ -456,8 +474,81 @@ def experiment_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(experiment_configs())
 @example(ExperimentConfig(n=6, trials=3, noise_levels=(0.0, 0.5, 2.0, 6.0), reference_count=2, seed=4))
+@example(ExperimentConfig(n=6, trials=3, noise_levels=(0.3, 709.78, 0.0, 300.0), reference_count=2, seed=4))
+@example(ExperimentConfig(n=6, trials=3, noise_levels=(0.3, 709.78, 0.0, 300.0), reference_count=2, seed=34))  # refused
 def test_run_experiment_matches_one_system_at_a_time(config):
     assert repr(run_experiment(config)) == repr(run_experiment_oracle(config))
+
+
+# entries a stack may hold beside noisy ratios: non-positive, infinite, subnormal,
+# extreme (set with their exact inverse across the diagonal), missing, and off-1 diagonals
+STACK_SPECIALS = (0.0, -1.0, math.inf, 5e-324, 1e300, 1e-300, 1e308, math.nan, 1.0 + 1e-9, 2.0)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """1-5 matrices of one size n in 3..12, each drawn on its own, and a reference set."""
+    n, count = draw(st.integers(3, 12)), draw(st.integers(1, 5))
+    rng = random.Random(draw(seeds))
+    missing, specials = draw(st.sampled_from([0.0, 0.0, 0.3])), draw(st.sampled_from([0, 0, 1, 3]))
+    stack = np.ones((count, n, n))
+    for grid in stack:
+        weights = [math.exp(rng.uniform(-2, 2)) for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                grid[i, j] = weights[i] / weights[j] * math.exp(rng.uniform(-1, 1))
+                grid[j, i] = 1.0 / grid[i, j] if rng.random() < 0.8 else weights[j] / weights[i]
+                if rng.random() < missing:
+                    grid[i, j] = math.nan
+                    if rng.random() < 0.5:
+                        grid[j, i] = math.nan
+        for _ in range(specials):
+            i, j = rng.randrange(n), rng.randrange(n)
+            grid[i, j] = rng.choice(STACK_SPECIALS)
+            if i != j and grid[i, j] in (1e300, 1e-300):
+                grid[j, i] = 1.0 / grid[i, j]
+    stack.flags.writeable = False
+    chosen = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+    return stack, {c: math.exp(rng.uniform(-2, 2)) for c in chosen}
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 6.0, 300.0, 700.0, 709.78]), min_size=1, max_size=5),
+       seeds)
+def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
+    stack, references = inputs
+    matrices = [PcMatrix._from_array(one.copy()) for one in stack]
+    # one draw per entry serves every level: each slice is `perturb` alone, and `random.uniform` entry by entry
+    for level, one in zip(levels, _perturbed(matrices[0], levels, seed)):
+        alone = perturb(matrices[0], level, seed).array
+        assert bits(one) == bits(alone) == bits(perturb_loop(matrices[0], level, seed))
+    bad, bad_diagonal = _fatal_masks(stack)
+    restored, filled, scans = _restored(stack), _filled(stack, references)[0], _triad_scans(stack)
+    for i, matrix in enumerate(matrices):
+        assert (not bad[i].any() and not bad_diagonal[i].any()) == validate(Problem(matrix)).ok
+        assert bits(restored[i]) == bits(restore_reciprocity(matrix).array)
+        assert bits(filled[i]) == bits(fill_known_ratios(Problem(matrix, references))[0].matrix.array)
+        assert repr(scans[i]) == repr(triad_scan(matrix))
+    complete = [i for i, matrix in enumerate(matrices) if matrix.is_complete()]
+    if not complete:
+        return
+    parts = _parts(filled[complete], references)
+    averaging, (normal, s_values) = _averaging(*parts[::2]), _normal(*parts[::2])
+    systems = []
+    for row, i in enumerate(complete):
+        problem = Problem(PcMatrix._from_array(filled[i].copy()), references)
+        assert [bits(part[row]) for part in parts] == [bits(part) for part in _system_parts(problem)]
+        system, error = build_system(problem), build_error_system(problem)
+        assert bits(averaging[row]) == bits(system.a) and bits(normal[row]) == bits(error.system.a)
+        assert bits(s_values[row]) == bits(np.array(error.s_values))
+        systems += [system, error.system]
+    coefficients = np.stack((averaging, normal), axis=1).reshape(len(systems), *averaging.shape[1:])
+    stacked = _solved(coefficients, np.repeat(parts[1], 2, axis=0))
+    assert [stacked_bits(result) for result in stacked] == [stacked_bits(result) for result in solve_systems(systems)]
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
