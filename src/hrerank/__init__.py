@@ -9,30 +9,25 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names it exports from the package
+# module -> the names it exports from the package: the documented API; stage functions
+# such as `build_system` or `perturb` are imported from their modules
 _EXPORTS = {
-    "baselines": ("EigenResult", "WeightVector", "ev_weights", "gm_weights", "principal_eigen"),
+    "baselines": ("WeightVector", "ev_weights", "gm_weights"),
     "diagnostics": (
         "CopReport", "InconsistencyReport", "PoipViolation", "PopViolation", "cop_check",
-        "estimation_error", "inconsistency_report", "koczkodaj_index", "saaty_ci", "triad_scan",
+        "estimation_error", "inconsistency_report", "koczkodaj_index", "saaty_ci",
     ),
     "errors": (
         "HreError", "IncompleteMatrixError", "InadmissibleSolutionError", "NonConvergenceError",
         "ParseError", "SingularSystemError", "SolveFailedError", "ValidationError",
     ),
-    "hre_solver": (
-        "JacobiRun", "LinearSystem", "RankOutcome", "build_system", "check_convergence", "hre_rank",
-        "jacobi_iterate", "select_best_iterate", "solve_linear", "synthesize",
-    ),
+    "hre_solver": ("RankOutcome", "hre_rank"),
     "matrix_core": (
-        "Issue", "PcMatrix", "Prepared", "Problem", "ValidationReport", "fill_known_ratios",
-        "is_reachable", "parse_matrix", "preprocess", "restore_reciprocity", "validate",
+        "Issue", "PcMatrix", "Prepared", "Problem", "ValidationReport", "is_reachable", "parse_matrix",
+        "preprocess", "validate",
     ),
-    "min_error_solver": ("ErrorSystem", "MinErrorResult", "build_error_system", "solve_min_error"),
-    "montecarlo": (
-        "ExperimentConfig", "NoiseLevelSummary", "TrialRecord", "generate_consistent", "perturb",
-        "run_experiment", "summarize", "write_csv",
-    ),
+    "min_error_solver": ("MinErrorResult", "solve_min_error"),
+    "montecarlo": ("ExperimentConfig", "NoiseLevelSummary", "TrialRecord", "run_experiment", "summarize", "write_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

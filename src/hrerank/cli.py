@@ -288,6 +288,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_cop(args) -> int:
     problem = _load_problem(args.input)
+    report = validate(Problem(problem.matrix))  # COP needs no reference, so no reachability
+    if not report.ok:
+        raise ValidationError(report)
     weights = _load_weights(args.weights, problem.n)
     result = cop_check(problem.matrix, weights)
 

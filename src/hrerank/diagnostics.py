@@ -100,24 +100,20 @@ class CopReport:
         )
 
 
-def triad_scan(matrix: PcMatrix) -> tuple[float | None, int]:
-    """Koczkodaj's index and the number of complete triads, in one pass.
+def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
+    """Koczkodaj's index and the number of complete triads of each matrix of a stack (..., n, n).
 
     Each triad i < j < k with m_ij, m_ik and m_kj specified contributes
     min(|1 - q|, |1 - 1/q|) with q = (m_ik m_kj) / m_ij.  That contribution
     only grows as q moves away from 1 on either side (also in floating
     point, where each step rounds monotonically), so the index is the
     larger contribution of the smallest and the largest q; no other triad
-    is evaluated.  The q values are formed in blocks of pivots k of at most
-    SCAN_BLOCK entries (one pivot's n x n slab when n is larger), never as
-    an n x n x n array.  Returns (None, 0) when no complete triad exists.
+    is evaluated.  The q values are formed in blocks of pivots k that span
+    the whole stack, of at most SCAN_BLOCK entries (one pivot's n x n slab
+    of every matrix when they are larger), never as an n x n x n array.
+    Returns one (index, count) pair per matrix, in order; (None, 0) for a
+    matrix with no complete triad.
     """
-    return _triad_scans(matrix.array)[0]
-
-
-def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
-    """`triad_scan` of each matrix of a stack (..., n, n), in order; a block's pivots span the
-    whole stack, so it holds at most SCAN_BLOCK entries or one pivot's slab of every matrix."""
     n = a.shape[-1]
     a = a.reshape(-1, n, n)
     above = _above_diagonal(n)
@@ -144,7 +140,7 @@ def koczkodaj_index(matrix: PcMatrix) -> float | None:
 
     Each fully specified triad {i, j, k} contributes
     min(|1 - m_ij/(m_ik m_kj)|, |1 - (m_ik m_kj)/m_ij|); the index is the
-    maximum contribution, found by `triad_scan`.  Returns None when no
+    maximum contribution, found by `_triad_scans`.  Returns None when no
     complete triad exists (only possible for incomplete matrices).  Run
     `restore_reciprocity` first: on a reciprocal matrix the contribution
     does not depend on the triad's orientation, which is what makes the
@@ -152,7 +148,7 @@ def koczkodaj_index(matrix: PcMatrix) -> float | None:
     """
     if matrix.n <= 2:
         raise ValueError("the triad-based index needs at least 3 concepts")
-    return triad_scan(matrix)[0]
+    return _triad_scans(matrix.array)[0][0]
 
 
 def saaty_ci(matrix: PcMatrix) -> float:
@@ -170,7 +166,7 @@ def inconsistency_report(matrix: PcMatrix) -> InconsistencyReport:
         ci = saaty_ci(matrix)
     except (IncompleteMatrixError, NonConvergenceError):
         ci = None
-    k, triads = triad_scan(restore_reciprocity(matrix))
+    ((k, triads),) = _triad_scans(restore_reciprocity(matrix).array)
     return InconsistencyReport(ci, k, triads)
 
 

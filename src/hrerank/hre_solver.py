@@ -11,7 +11,6 @@ iterative route, which simply skips samples whose ratio is unspecified.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,9 +125,7 @@ def _averaging(block: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return a
 
 
-def _system_parts(
-    problem: Problem, undefined: str = "the averaging system is undefined, use the iterative route"
-) -> SystemParts:
+def _system_parts(problem: Problem) -> SystemParts:
     """Unknown-by-unknown block, right-hand side and 1 / D_u, shared by both systems.
 
     D_u counts unknown u's samples (`_samples`; n - 1 on a complete matrix)
@@ -141,7 +138,7 @@ def _system_parts(
     if len(problem.references) == problem.n:
         raise ValueError("no unknown concepts: nothing to solve")
     if not problem.matrix.is_complete():
-        raise IncompleteMatrixError(f"incomplete matrix: {undefined}")
+        raise IncompleteMatrixError("incomplete matrix: every ratio must be specified")
     return _parts(problem.matrix.array, problem.references)
 
 
@@ -163,33 +160,26 @@ def solve_linear(system: LinearSystem) -> tuple[float, ...]:
     magnitude (the practical "determinant differs from 0" test) or when the
     computed solution fails the residual bound
     |ax - b|_inf <= 1e-9 * (1 + |b|_inf), which a NaN residual fails.  The
-    same elimination as `solve_systems` on a stack of one.
+    same elimination as `_solved` on a stack of one.
     """
-    (solution,) = solve_systems([system])
+    (solution,) = _solved(system.a[None], system.b[None])
     if isinstance(solution, SingularSystemError):
         raise solution
     return solution
 
 
-def solve_systems(systems: Sequence[LinearSystem]) -> list[tuple[float, ...] | SingularSystemError]:
-    """Solve systems of one size k as `solve_linear` solves each, in one pass.
+def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSystemError]:
+    """Solve a stack of systems, coefficients (B, k, k) and right-hand sides (B, k), in one pass.
 
     Returns, in order, each system's solution, or the SingularSystemError
-    that `solve_linear` raises for it.  The systems are stacked into one
-    B x k x (k+1) array and eliminated together: each gets the operations it
-    gets alone, in the same order, so the results are the same to the bit.
-    A system whose pivot falls below tolerance is carried to the end with
-    the others and reported by its first such column.  The infinities and
-    NaNs its near-zero pivots produce stay in its own rows; numpy's warnings
-    about them are silenced.  Raises ValueError when the sizes differ.
+    that `solve_linear` raises for it.  The systems are eliminated together
+    as one B x k x (k+1) array: each gets the operations it gets alone, in
+    the same order, so the results are the same to the bit.  A system whose
+    pivot falls below tolerance is carried to the end with the others and
+    reported by its first such column.  The infinities and NaNs its
+    near-zero pivots produce stay in its own rows; numpy's warnings about
+    them are silenced.
     """
-    if not systems:
-        return []
-    return _solved(np.stack([system.a for system in systems]), np.stack([system.b for system in systems]))
-
-
-def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSystemError]:
-    """`solve_systems` on a stack of coefficients (B, k, k) and right-hand sides (B, k)."""
     # row-major, as `LinearSystem` holds them: the order of the products' sums depends on the layout
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     count, k = b.shape
@@ -414,8 +404,6 @@ def hre_rank(
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     prepared, issues = ready = preprocess(problem)
-    if not prepared.references:
-        raise ValueError("rating estimation needs at least one reference concept")
     warnings = [str(issue) for issue in issues]
 
     convergence_ok: bool | None = None

@@ -45,8 +45,7 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
     ``parts``, from `_system_parts` on the same problem, saves building them
     again when the averaging system was built from them first.
     """
-    undefined = "the squared-error system is undefined"
-    block, b, scale = _system_parts(problem, undefined) if parts is None else parts
+    block, b, scale = _system_parts(problem) if parts is None else parts
     a, s_values = _normal(block, scale)
     # a is exactly symmetric, so its columns are its rows
     return ErrorSystem(LinearSystem(a, b), tuple(s_values.tolist()), _dominant_columns(a))

@@ -32,7 +32,6 @@ import numpy as np
 
 from hrerank import (
     CopReport,
-    ErrorSystem,
     ExperimentConfig,
     HreError,
     IncompleteMatrixError,
@@ -45,18 +44,14 @@ from hrerank import (
     SingularSystemError,
     TrialRecord,
     WeightVector,
-    build_system,
-    generate_consistent,
     koczkodaj_index,
-    perturb,
     preprocess,
-    solve_linear,
     solve_min_error,
-    synthesize,
 )
-from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL
-from hrerank.montecarlo import _SEED_STRIDE
+from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL, _solved, build_system, solve_linear, synthesize
+from hrerank.montecarlo import _SEED_STRIDE, generate_consistent, perturb
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
+from hrerank.min_error_solver import ErrorSystem
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -772,6 +767,10 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
         raise SingularSystemError(f"solution residual {residual:.3e} exceeds tolerance")
     return tuple(float(v) for v in x)
 
+
+def solve_stack(systems) -> list:
+    """`_solved` on a list of systems of one size: each one's solution or SingularSystemError, in order."""
+    return _solved(np.stack([s.a for s in systems]), np.stack([s.b for s in systems])) if systems else []
 
 
 def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:

@@ -17,24 +17,21 @@ from hrerank import (
     PcMatrix,
     Problem,
     WeightVector,
-    build_error_system,
-    build_system,
-    check_convergence,
     cop_check,
     estimation_error,
     ev_weights,
     gm_weights,
     hre_rank,
-    jacobi_iterate,
     koczkodaj_index,
     preprocess,
-    restore_reciprocity,
     run_experiment,
     saaty_ci,
-    solve_linear,
     solve_min_error,
     summarize,
 )
+from hrerank.hre_solver import build_system, check_convergence, jacobi_iterate, solve_linear
+from hrerank.matrix_core import restore_reciprocity
+from hrerank.min_error_solver import build_error_system
 from hrerank.cli import main
 
 from _support import (

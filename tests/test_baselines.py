@@ -8,8 +8,8 @@ from hrerank import (
     WeightVector,
     ev_weights,
     gm_weights,
-    principal_eigen,
 )
+from hrerank.baselines import principal_eigen
 
 from _support import (
     assert_vector_printed,

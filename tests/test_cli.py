@@ -317,6 +317,21 @@ class TestErrorPaths:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("rows, location", [
+        ("1 2 0 / 1/2 1 3 / 4 1/3 1", "nonpositive-entry at (1,3)"),
+        ("1 1e400 2 / 1/2 1 3 / 1/2 1/3 1", "nonpositive-entry at (1,2)"),
+        ("2 2 2 / 1/2 1 3 / 1/2 1/3 1", "bad-diagonal at (1,1)"),
+    ], ids=["zero-entry", "overflowing-entry", "diagonal-of-2"])
+    def test_cop_refuses_a_matrix_that_rank_refuses(self, tmp_path, capsys, rows, location):
+        matrix, weights = tmp_path / "m.txt", tmp_path / "w.txt"
+        matrix.write_text("3\n" + rows.replace(" / ", "\n") + "\n", encoding="utf-8")
+        weights.write_text("1\n1\n1\n", encoding="utf-8")
+        for args in (["cop", "--input", str(matrix), "--weights", str(weights)],
+                     ["rank", "--input", str(matrix), "--method", "hre"]):
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (1, "")
+            assert f"error: {location}" in err
+
     @pytest.mark.parametrize("command", ["rank", "diagnose"])
     def test_nan_token_is_rejected_with_its_location(self, tmp_path, capsys, command):
         bad = tmp_path / "nan.txt"

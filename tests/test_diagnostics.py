@@ -16,9 +16,9 @@ from hrerank import (
     hre_rank,
     inconsistency_report,
     koczkodaj_index,
-    restore_reciprocity,
     saaty_ci,
 )
+from hrerank.matrix_core import restore_reciprocity
 
 from _support import (
     assert_printed,

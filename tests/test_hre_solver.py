@@ -9,23 +9,26 @@ import pytest
 from hrerank import (
     IncompleteMatrixError,
     InadmissibleSolutionError,
-    LinearSystem,
     PcMatrix,
     Problem,
     SingularSystemError,
     SolveFailedError,
     ValidationError,
+    hre_rank,
+    preprocess,
+)
+from hrerank import hre_solver, min_error_solver
+from hrerank.hre_solver import (
+    JACOBI_MAX_ITER,
+    LinearSystem,
+    _solved,
     build_system,
     check_convergence,
-    hre_rank,
     jacobi_iterate,
-    preprocess,
     select_best_iterate,
     solve_linear,
     synthesize,
 )
-from hrerank import hre_solver, min_error_solver
-from hrerank.hre_solver import JACOBI_MAX_ITER, _solved, solve_systems
 
 from _support import (
     assert_printed,
@@ -42,6 +45,7 @@ from _support import (
     permute_problem,
     random_weights,
     singular_direct_problem,
+    solve_stack,
     unpermute,
 )
 
@@ -154,22 +158,20 @@ class TestLinearSystem:
 
 
 class TestSolveSystems:
+    """Stacks of systems eliminated together by `_solved`."""
+
     def test_results_keep_input_order(self):
         systems = [
             LinearSystem(((2.0, 0.0), (0.0, 4.0)), (4.0, 2.0)),
             LinearSystem(((1.0, 1.0), (1.0, 1.0)), (1.0, 2.0)),
             LinearSystem(((0.0, 1.0), (1.0, 0.0)), (5.0, 6.0)),
         ]
-        results = solve_systems(systems)
+        results = solve_stack(systems)
         assert results[0] == (2.0, 0.5) and results[2] == (6.0, 5.0)
         assert isinstance(results[1], SingularSystemError)
         with pytest.raises(SingularSystemError) as raised:
             solve_linear(systems[1])
         assert str(results[1]) == str(raised.value) == "pivot 0.000e+00 in column 2 below tolerance"
-
-    def test_sizes_must_match(self):
-        with pytest.raises(ValueError):
-            solve_systems([LinearSystem(((1.0,),), (1.0,)), LinearSystem(np.eye(2), (1.0, 1.0))])
 
     def test_each_system_keeps_its_residual_bound(self):
         # a nearly repeated row: every pivot passes, the residual does not
@@ -181,12 +183,9 @@ class TestSolveSystems:
             solve_linear(near)
         # a neighbour with large constants has a looser bound, not shared
         loose = LinearSystem(np.eye(5), np.full(5, 1e6))
-        results = solve_systems([loose, near])
+        results = solve_stack([loose, near])
         assert results[0] == (1e6,) * 5
         assert isinstance(results[1], SingularSystemError) and "residual" in str(results[1])
-
-    def test_empty_stack(self):
-        assert solve_systems([]) == []
 
     def test_stack_layout_keeps_the_bits(self):
         # the same values held column by column are eliminated row-major, as `LinearSystem` holds them
@@ -195,7 +194,7 @@ class TestSolveSystems:
         b = rng.uniform(-1.0, 1.0, (6, 9))
         by_columns = np.swapaxes(np.swapaxes(a, 1, 2).copy(), 1, 2)
         assert not by_columns.flags.c_contiguous
-        expected = solve_systems([LinearSystem(x, y) for x, y in zip(a, b)])
+        expected = solve_stack([LinearSystem(x, y) for x, y in zip(a, b)])
         assert [repr(result) for result in _solved(by_columns, b)] == [repr(result) for result in expected]
 
 

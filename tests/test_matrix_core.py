@@ -9,13 +9,12 @@ from hrerank import (
     PcMatrix,
     Problem,
     ValidationError,
-    fill_known_ratios,
     is_reachable,
     parse_matrix,
     preprocess,
-    restore_reciprocity,
     validate,
 )
+from hrerank.matrix_core import fill_known_ratios, restore_reciprocity
 
 from _support import is_reciprocal, random_reciprocal
 

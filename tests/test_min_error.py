@@ -7,13 +7,13 @@ from hrerank import (
     IncompleteMatrixError,
     PcMatrix,
     Problem,
-    build_error_system,
-    build_system,
     hre_rank,
     koczkodaj_index,
     preprocess,
     solve_min_error,
 )
+from hrerank.hre_solver import build_system
+from hrerank.min_error_solver import build_error_system
 
 from _support import (
     brute_force_min_error,

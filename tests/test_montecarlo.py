@@ -6,15 +6,13 @@ from hrerank import (
     ExperimentConfig,
     PcMatrix,
     Problem,
-    generate_consistent,
     koczkodaj_index,
-    perturb,
     run_experiment,
     summarize,
     validate,
     write_csv,
 )
-from hrerank.montecarlo import _SEED_STRIDE
+from hrerank.montecarlo import _SEED_STRIDE, generate_consistent, perturb
 
 
 class TestGenerateConsistent:

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from hrerank import (
     ExperimentConfig,
-    LinearSystem,
     ParseError,
     PcMatrix,
     PoipViolation,
@@ -35,22 +34,12 @@ from hrerank import (
     Problem,
     SingularSystemError,
     WeightVector,
-    build_error_system,
-    build_system,
-    check_convergence,
     cop_check,
     estimation_error,
-    fill_known_ratios,
-    generate_consistent,
-    jacobi_iterate,
     koczkodaj_index,
     parse_matrix,
-    perturb,
     preprocess,
-    restore_reciprocity,
     run_experiment,
-    solve_linear,
-    triad_scan,
     validate,
 )
 from hrerank import diagnostics
@@ -60,15 +49,19 @@ from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
     DIVERGENCE_LIMIT,
     JACOBI_STOP_TOL,
+    LinearSystem,
     _averaging,
     _parts,
     _solved,
     _system_parts,
-    solve_systems,
+    build_system,
+    check_convergence,
+    jacobi_iterate,
+    solve_linear,
 )
-from hrerank.matrix_core import _fatal_masks, _filled, _restored
-from hrerank.min_error_solver import _normal
-from hrerank.montecarlo import _perturbed, _unit_weights
+from hrerank.matrix_core import _fatal_masks, _filled, _restored, fill_known_ratios, restore_reciprocity
+from hrerank.min_error_solver import _normal, build_error_system
+from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, perturb
 
 from _support import (
     build_error_system_loop,
@@ -91,6 +84,7 @@ from _support import (
     restore_reciprocity_loop,
     run_experiment_oracle,
     solve_linear_oracle,
+    solve_stack,
     triad_scan_loop,
     unit_weights_oracle,
     validate_loop,
@@ -139,7 +133,7 @@ def test_restored_matrix_and_triads_match_loop(problem):
     assert restored.entries == restore_reciprocity_loop(raw)
     for matrix in (raw, restored):
         expected = triad_scan_loop(matrix)
-        assert triad_scan(matrix) == expected
+        assert _triad_scans(matrix.array) == [expected]
         assert koczkodaj_index(matrix) == expected[0]
 
 
@@ -450,11 +444,11 @@ def test_solve_linear_matches_oracle(k, seed, shift, singular):
 @example(4, [(1, 0.0, "repeat"), (2, 0.0, ""), (3, 30.0, "tiny"), (4, 0.0, "near")])
 def test_stacked_solves_match_oracle(k, members):
     systems = [random_system(k, seed, shift, singular) for seed, shift, singular in members]
-    stacked = [stacked_bits(result) for result in solve_systems(systems)]
+    stacked = [stacked_bits(result) for result in solve_stack(systems)]
     assert stacked == [solved_bits(solve_linear_oracle, system) for system in systems]
     # without its singular members a stack solves its other members to the same bits
     kept = [i for i, result in enumerate(stacked) if isinstance(result, tuple)]
-    assert [stacked_bits(result) for result in solve_systems([systems[i] for i in kept])] == [stacked[i] for i in kept]
+    assert [stacked_bits(result) for result in solve_stack([systems[i] for i in kept])] == [stacked[i] for i in kept]
 
 
 @st.composite
@@ -532,7 +526,7 @@ def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
         assert (not bad[i].any() and not bad_diagonal[i].any()) == validate(Problem(matrix)).ok
         assert bits(restored[i]) == bits(restore_reciprocity(matrix).array)
         assert bits(filled[i]) == bits(fill_known_ratios(Problem(matrix, references))[0].matrix.array)
-        assert repr(scans[i]) == repr(triad_scan(matrix))
+        assert repr(scans[i]) == repr(_triad_scans(matrix.array)[0])
     complete = [i for i, matrix in enumerate(matrices) if matrix.is_complete()]
     if not complete:
         return
@@ -548,7 +542,7 @@ def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
         systems += [system, error.system]
     coefficients = np.stack((averaging, normal), axis=1).reshape(len(systems), *averaging.shape[1:])
     stacked = _solved(coefficients, np.repeat(parts[1], 2, axis=0))
-    assert [stacked_bits(result) for result in stacked] == [stacked_bits(result) for result in solve_systems(systems)]
+    assert [stacked_bits(result) for result in stacked] == [stacked_bits(result) for result in solve_stack(systems)]
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
