@@ -194,13 +194,13 @@ def _cmd_rank(args) -> int:
         elif args.method == "gm":
             weights, path = gm_weights(problem.matrix), None
         else:
-            from .min_error_solver import solve_min_error  # only this method loads it
+            from .min_error_solver import UNVERIFIED_MINIMUM, solve_min_error  # only this method loads it
 
             result = solve_min_error(prepared)
             weights = result.weights_normalized if args.normalize else result.weights_raw
             path = "min-error"
             if not result.verified_minimum:
-                warnings.append("least-squares stationary point not verified as a minimum")
+                warnings.append(UNVERIFIED_MINIMUM)
         _, error = estimation_error(prepared.problem, weights)
 
     indices = inconsistency_report(problem.matrix)

@@ -102,7 +102,7 @@ class RankOutcome(NamedTuple):
 SystemParts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSystem:
+def build_system(problem: Problem) -> LinearSystem:
     """Linear system whose solution is the averaging heuristic's fixed point.
 
     Row r (for unknown concept u): unit diagonal, off-diagonal
@@ -111,10 +111,8 @@ def build_system(problem: Problem, parts: SystemParts | None = None) -> LinearSy
     number of u's samples (n - 1 on a complete matrix).
 
     Expects a preprocessed problem: complete matrix, at least one reference.
-    ``parts``, from `_system_parts` on the same problem, saves building them
-    again when the least-squares system is built from them too.
     """
-    block, b, scale = _system_parts(problem) if parts is None else parts
+    block, b, scale = _system_parts(problem)
     return LinearSystem(_averaging(block, scale), b)
 
 
@@ -414,8 +412,7 @@ def hre_rank(
         raw, unit = synthesize((), prepared)
         path = "direct"
     elif prepared.matrix.is_complete():
-        parts = _system_parts(prepared)
-        system = build_system(prepared, parts)
+        system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
         determinant_ok = True
         try:
@@ -430,12 +427,10 @@ def hre_rank(
             from . import min_error_solver  # deferred: it builds on this module, and a direct solve never needs it
 
             try:
-                raw, unit, verified_minimum = min_error_solver.solve_min_error(ready, parts)
+                raw, unit, verified_minimum = min_error_solver.solve_min_error(ready)
                 path = "min-error"
                 if not verified_minimum:
-                    warnings.append(
-                        "least-squares stationary point not verified as a minimum"
-                    )
+                    warnings.append(min_error_solver.UNVERIFIED_MINIMUM)
             except (SingularSystemError, InadmissibleSolutionError) as exc:
                 warnings.append(f"least-squares heuristic failed: {exc}")
                 run = jacobi_iterate(prepared, max_iterations)

@@ -23,9 +23,7 @@ RECIPROCAL_WARN_TOL = 1e-9    # |m_ij * m_ji - 1| beyond this is flagged
 KNOWN_RATIO_WARN_TOL = 1e-6   # relative deviation of a provided known-known ratio
 _TINY = np.finfo(float).tiny  # smallest normal float64
 
-FATAL_CATEGORIES = frozenset(
-    {"nonpositive-entry", "bad-diagonal", "non-square", "unreachable-concept"}
-)
+FATAL_CATEGORIES = frozenset({"nonpositive-entry", "bad-diagonal", "unreachable-concept"})
 
 
 class PcMatrix:
@@ -268,11 +266,11 @@ def parse_matrix(text: str) -> Problem:
 def validate(problem: Problem) -> ValidationReport:
     """Check every matrix/problem invariant, collecting issues rather than raising.
 
-    Fatal categories: nonpositive-entry, bad-diagonal, non-square and
-    unreachable-concept (only checked when reference concepts exist, since
-    reachability is a solver precondition).  Non-reciprocal pairs are
-    warnings; reciprocity restoration handles them.  Issues come in that
-    order, each kind by row and then column.
+    Fatal categories: nonpositive-entry, bad-diagonal and unreachable-concept
+    (only checked when reference concepts exist, since reachability is a
+    solver precondition).  Non-reciprocal pairs are warnings; reciprocity
+    restoration handles them.  Issues come in that order, each kind by row
+    and then column.
     """
     a = problem.matrix.array
     bad, bad_diagonal = _fatal_masks(a)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .hre_solver import LinearSystem, SystemParts, _dominant_columns, _system_parts, solve_linear, synthesize
+from .hre_solver import LinearSystem, _dominant_columns, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
 
@@ -33,19 +33,18 @@ class ErrorSystem(NamedTuple):
     hessian_dominant: bool
 
 
+UNVERIFIED_MINIMUM = "least-squares stationary point not verified as a minimum"
+
+
 class MinErrorResult(NamedTuple):
     weights_raw: WeightVector
     weights_normalized: WeightVector
     verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
-def build_error_system(problem: Problem, parts: SystemParts | None = None) -> ErrorSystem:
-    """Assemble the normal system for a preprocessed, complete problem.
-
-    ``parts``, from `_system_parts` on the same problem, saves building them
-    again when the averaging system was built from them first.
-    """
-    block, b, scale = _system_parts(problem) if parts is None else parts
+def build_error_system(problem: Problem) -> ErrorSystem:
+    """Assemble the normal system for a preprocessed, complete problem."""
+    block, b, scale = _system_parts(problem)
     a, s_values = _normal(block, scale)
     # a is exactly symmetric, so its columns are its rows
     return ErrorSystem(LinearSystem(a, b), tuple(s_values.tolist()), _dominant_columns(a))
@@ -55,25 +54,13 @@ def build_error_system(problem: Problem, parts: SystemParts | None = None) -> Er
 def _normal(block: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`build_error_system`'s coefficients and s values from a stack (..., k, k) of blocks and their 1 / D."""
     # C-ordered sums down axis -2 add in row order (see `jacobi_iterate`); the block's diagonal is zero
-    s_values = np.add.reduce(_squares(block), axis=-2) * scale
+    s_values = np.add.reduce(np.multiply(block, block, order="C"), axis=-2) * scale
     a = (block + np.swapaxes(block, -1, -2)) * -scale[..., None]
     a[..., range(a.shape[-1]), range(a.shape[-1])] = 1.0 + s_values
     return a, s_values
 
 
-def _squares(block: np.ndarray) -> np.ndarray:
-    """Each block's entries squared with Python's ** (the C library's pow), which rounds differently
-    from x * x in about one case in a thousand; a block where ** overflows takes x * x.  Row-major."""
-    squares = []
-    for one in block.reshape(-1, *block.shape[-2:]):
-        try:
-            squares.append([v**2 for v in one.ravel().tolist()])
-        except OverflowError:  # ** raises where * gives inf
-            squares.append((one * one).ravel().tolist())
-    return np.array(squares).reshape(block.shape)
-
-
-def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = None) -> MinErrorResult:
+def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """Solve the normal system; `synthesize` gates the result on admissibility.
 
     Succeeds when the system is non-singular and the solved weights are
@@ -82,11 +69,13 @@ def solve_min_error(problem: Problem | Prepared, parts: SystemParts | None = Non
     minimum here; the result is still returned, flagged accordingly
     (dominance is sufficient for positive definiteness, not necessary).
 
-    A `Prepared` problem from `preprocess` is solved as it is; ``parts`` is
-    passed on to `build_error_system`.  Raises SingularSystemError or
-    InadmissibleSolutionError on failure.
+    A `Prepared` problem from `preprocess` is solved as it is.  A problem
+    with no unknowns gives back its reference weights.  Raises
+    SingularSystemError or InadmissibleSolutionError on failure.
     """
     prepared, _ = preprocess(problem)
-    error_system = build_error_system(prepared, parts)
+    if not prepared.unknown_indices:
+        return MinErrorResult(*synthesize((), prepared), verified_minimum=True)
+    error_system = build_error_system(prepared)
     raw, unit = synthesize(solve_linear(error_system.system), prepared)
     return MinErrorResult(raw, unit, verified_minimum=error_system.hessian_dominant)

@@ -210,8 +210,8 @@ def build_system_loop(problem: Problem) -> tuple[list[list[float]], list[float]]
 def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[float], list[float], bool]:
     """The least-squares normal system entry by entry: (a, b, s_values, hessian_dominant).
 
-    On a complete matrix: s[v] sums m(u, v)**2 over the other unknowns u in
-    index order, times 1 / (n - 1); a[u][u] = 1 + s[u] and
+    On a complete matrix: s[v] sums m(u, v) * m(u, v) over the other unknowns
+    u in index order, times 1 / (n - 1); a[u][u] = 1 + s[u] and
     a[u][v] = -(m(u, v) + m(v, u)) / (n - 1); b is the averaging system's.
     Dominant when every |a[u][u]| exceeds the sum of its row's other |a[u][v]|.
     """
@@ -223,7 +223,7 @@ def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[f
         total = 0.0
         for u in unknowns:
             if u != v:
-                total += m[u - 1][v - 1] ** 2
+                total += m[u - 1][v - 1] * m[u - 1][v - 1]
         s.append(total * scale)
     a = [
         [1.0 + s[r] if u == v else (m[u - 1][v - 1] + m[v - 1][u - 1]) * -scale for v in unknowns]

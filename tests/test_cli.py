@@ -384,6 +384,19 @@ def test_auto_reference_designation(tmp_path, capsys):
     assert any("concept 1" in w for w in payload["warnings"])
 
 
+def test_min_error_answers_an_all_reference_problem(tmp_path, capsys):
+    path = tmp_path / "all_refs.txt"
+    path.write_text("2\n1 2\n1/2 1\nref 1 1.0\nref 2 0.5\n", encoding="utf-8")
+    payloads = {}
+    for method in ("hre", "min-error"):
+        code, out, err = run_cli(["rank", "--input", str(path), "--method", method, "--json"], capsys)
+        assert code == 0, err
+        payloads[method] = json.loads(out)
+    assert payloads["min-error"]["path"] == "min-error"
+    assert payloads["min-error"]["weights"] == payloads["hre"]["weights"] == [1.0, 0.5]
+    assert payloads["min-error"]["warnings"] == []
+
+
 def test_ev_does_not_need_references(tmp_path, capsys):
     text = (DATA_DIR / "example1.txt").read_text(encoding="utf-8")
     stripped = "\n".join(l for l in text.splitlines() if not l.startswith("ref")) + "\n"

@@ -1,7 +1,6 @@
 import math
 import random
 import warnings
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -553,18 +552,26 @@ class TestHreRank:
         assert not outcome.admissible
         assert any("non-positive" in w for w in outcome.warnings)
 
-    def test_min_error_fallback_builds_system_parts_once(self):
-        calls = []
+    def test_min_error_fallback_matches_solve_min_error(self):
+        for problem in (singular_direct_problem(), inadmissible_direct_problem()):
+            outcome = hre_rank(problem)
+            assert outcome.path == "min-error"
+            expected = min_error_solver.solve_min_error(problem)
+            assert outcome.weights_raw.values == expected.weights_raw.values
+            assert outcome.weights_normalized.values == expected.weights_normalized.values
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return system_parts(*args, **kwargs)
-
-        system_parts = hre_solver._system_parts
-        with patch.object(hre_solver, "_system_parts", counted), patch.object(min_error_solver, "_system_parts", counted):
-            outcome = hre_rank(inadmissible_direct_problem())
-        assert outcome.path == "min-error"
-        assert len(calls) == 1
+    def test_complete_route_falls_through_to_best_iterate(self):
+        # the direct solve and the least-squares solve both fail their residual checks
+        outcome = hre_rank(Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0}))
+        assert outcome.path == "best-iterate"
+        assert outcome.determinant_ok is False
+        assert outcome.convergence_ok is False
+        assert outcome.iterations_used == 2
+        assert outcome.weights_raw.values == (1.0, 5e199, 0.5)
+        assert outcome.warnings == (
+            "direct solve failed: solution residual 5.000e-01 exceeds tolerance",
+            "least-squares heuristic failed: solution residual nan exceeds tolerance",
+        )
 
     def test_divergent_incomplete_takes_best_iterate(self):
         outcome = hre_rank(diverging_incomplete_problem())

@@ -84,8 +84,8 @@ class TestBuildErrorSystem:
                     assert coeff[i][j] == coeff[j][i]
 
     def test_overflowing_square_keeps_row_order_sums(self):
-        # 1e200 squared leaves the float range, so the block squares with x * x; every
-        # column's s value still adds its squares in row order, as for any other block
+        # every entry is squared as x * x, so 1e200 squared is inf; every column's
+        # s value still adds its squares in row order
         rng = random.Random(5)
         for _ in range(20):
             n = 12
@@ -101,6 +101,12 @@ class TestBuildErrorSystem:
                         total += grid[u][v] * grid[u][v]  # 1e200 * 1e200 is inf
                 expected.append(total * (1.0 / (n - 1)))
             assert list(s_values) == expected
+
+    def test_squares_are_ieee_products(self):
+        # the C library's pow may give 5.3742366976 for 2.31824 ** 2; the correctly rounded x * x is 5.374236697599999
+        x = 2.31824
+        problem = Problem(PcMatrix([[1, 2, 4], [1 / 2, 1, x], [1 / 4, 1 / x, 1]]), {1: 1.0})
+        assert build_error_system(problem).s_values[1] == x * x * 0.5
 
     def test_incomplete_matrix_refused(self, example4):
         prepared, _ = preprocess(example4)
