@@ -10,7 +10,7 @@ import numpy as np
 
 from .baselines import WeightVector, principal_eigen
 from .errors import IncompleteMatrixError, NonConvergenceError
-from .matrix_core import PcMatrix, Problem, _above_diagonal, _samples, _sum_in_order, restore_reciprocity
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _samples, restore_reciprocity
 
 SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
 _NO_INDICES = np.empty(0, dtype=np.intp)
@@ -188,16 +188,32 @@ def estimation_error(problem: Problem, mu: WeightVector) -> tuple[dict[int, floa
     unknowns = problem.unknown_indices
     if not unknowns:
         return {}, 0.0
+    per, mean = _errors(problem, np.array([mu.values], dtype=float))
+    return dict(zip(unknowns, per[0].tolist())), float(mean[0])
+
+
+def _errors(problem: Problem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`estimation_error` of each weight row of a stack (B, n): per-unknown errors (B, k) and means (B).
+
+    The rows are scored in blocks of at most SCAN_BLOCK deviations (one row
+    per block when a row has more).  Expects a problem with unknowns.
+    """
     rows, ratios, sampled, counts = _samples(problem.matrix.array, problem.references)
     if not counts.all():
-        raise ValueError(f"concept {unknowns[int(np.argmin(counts))]} has no specified ratio to estimate it from")
-    w = np.array(mu.values)
-    # n x k, C order: summed down axis 0 in column order, as `jacobi_iterate` sums
-    deviations = np.where(sampled, np.abs(w[rows, None] - w * ratios), 0.0).T.copy()
-    # one column is contiguous down axis 0, where numpy would add pairwise: take its last prefix sum
-    sums = np.add.reduce(deviations, axis=0) if len(rows) > 1 else np.cumsum(deviations, axis=0)[-1]
-    per = (sums / counts).tolist()
-    return dict(zip(unknowns, per)), _sum_in_order(per) / len(per)
+        unknown = problem.unknown_indices[int(np.argmin(counts))]
+        raise ValueError(f"concept {unknown} has no specified ratio to estimate it from")
+    per = np.empty((len(w), len(rows)))
+    step = max(1, SCAN_BLOCK // ratios.size)  # weight rows per block
+    for b0 in range(0, len(w), step):
+        block = w[b0 : b0 + step]
+        deviations = np.where(sampled, np.abs(block[:, rows, None] - block[:, None, :] * ratios), 0.0)
+        # n x B x k, C order: summed down axis 0 in column order, as `jacobi_iterate` sums
+        deviations = deviations.transpose(2, 0, 1).copy()
+        # one unknown and one row make one contiguous column, which numpy adds pairwise: take its last prefix sum
+        sums = np.add.reduce(deviations, axis=0) if len(rows) > 1 else np.cumsum(deviations, axis=0)[-1]
+        per[b0 : b0 + step] = sums / counts
+    # left to right, one rounding per addition, as `_sum_in_order` adds
+    return per, np.cumsum(per, axis=1)[:, -1] / len(rows)
 
 
 def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .diagnostics import estimation_error
+from .diagnostics import _errors, estimation_error
 from .errors import (
     IncompleteMatrixError,
     InadmissibleSolutionError,
@@ -262,13 +262,18 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     sample-by-sample loop adds them, so the iterates are reproducible to
     the bit.  The unknowns' samples are those `_samples` gives.  Their
     ratios are held transposed (row i holds every concept's ratio to i;
-    zero where it is missing and on an unknown's diagonal) and
-    summed down axis 0, which numpy does row after row: it sums pairwise
-    only along a contiguous reduction, and an n x n array with n >= 2 has
-    none down axis 0.  A zero adds exactly +0.0.  A reference's column holds
-    only its own ratio 1, counted as its one sample, so the same step gives
-    back its weight bit for bit: the run is cut at the first infinite
-    estimate, so no 0 * inf term turns a kept sum into NaN.
+    zero where it is missing and on an unknown's diagonal), and a step is
+    one ``np.einsum("ij,i->j")`` of them with the current estimates.
+    numpy's sum-of-products loop starts each column's sum at +0.0 and adds
+    ratio * estimate for rows i = 0 ... n-1 in turn, rounding the product
+    and the sum separately, as the loop does.  A zero ratio adds +0.0 or
+    -0.0, which leaves the sum as it is: a sum that starts at +0.0 never
+    becomes -0.0.  A reference's column holds only its own ratio 1, counted
+    as its one sample, so the same step gives back its weight bit for bit:
+    the run is cut at the first infinite estimate, so no 0 * inf term turns
+    a kept sum into NaN.  A numpy build whose einsum loop fused the multiply
+    and the add into one rounding would change the last bits;
+    `test_jacobi_iterates_match_loop` has an example that then fails.
 
     Expects a preprocessed (reciprocal) problem with references.
     """
@@ -284,7 +289,6 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     ratios_t[:, rows] = ratios.T
     sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
     ratios_t[fixed, fixed] = 1.0
-    products = np.empty_like(ratios_t)
     out, current = np.empty((0, problem.n)), anchors  # out: the iterates, one row per step
     steps, block, filling = 0, 2, True
     converged = diverged = False
@@ -305,8 +309,7 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                 out = grown
             rows = out[steps:stop]
             for row in rows:
-                np.multiply(ratios_t, current[:, None], out=products)
-                np.add.reduce(products, axis=0, out=row)
+                np.einsum("ij,i->j", ratios_t, current, out=row)
                 row /= divisors
                 current = row
             sizes = np.fmax.reduce(np.abs(rows), axis=1)  # fmax skips the unestimated NaNs
@@ -340,21 +343,18 @@ def select_best_iterate(
     """Among fully-defined admissible iterates, the one with the least mean error.
 
     ``iterates`` is a steps x n array with NaN for "no estimate yet", such
-    as `JacobiRun.array`, or rows of floats with None for NaN.  Ties go to
-    the earliest iterate.  Raises SolveFailedError when no iterate is
-    admissible.
+    as `JacobiRun.array`, or rows of floats with None for NaN.  The
+    admissible rows are scored together, each as `estimation_error` scores
+    it; a NaN or infinite error never wins.  Ties go to the earliest
+    iterate.  Raises SolveFailedError when no iterate is admissible.
     """
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
-    best: WeightVector | None = None
-    best_error = math.inf
-    for vec in [row for row in rows.tolist() if _admissible(row, problem)]:
-        candidate = WeightVector(vec)
-        _, mean_error = estimation_error(problem, candidate)
-        if mean_error < best_error:
-            best, best_error = candidate, mean_error
-    if best is None:
+    candidates = rows[[_admissible(row, problem) for row in rows.tolist()]]
+    means = _errors(problem, candidates)[1] if problem.unknown_indices else np.zeros(len(candidates))
+    scored = np.flatnonzero(means < math.inf)  # NaN compares false
+    if not len(scored):
         raise SolveFailedError("no admissible iterate to select from")
-    return best
+    return WeightVector(candidates[scored[means[scored].argmin()]].tolist())
 
 
 def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVector, WeightVector]:

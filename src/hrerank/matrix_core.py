@@ -77,14 +77,6 @@ class PcMatrix:
     def n(self) -> int:
         return self._array.shape[0]
 
-    def entry(self, i: int, j: int) -> float | None:
-        """Ratio of concept i to concept j (1-based), or None if unspecified."""
-        v = float(self._array[i - 1, j - 1])
-        return None if v != v else v
-
-    def present(self, i: int, j: int) -> bool:
-        return not math.isnan(self._array[i - 1, j - 1])
-
     def is_complete(self) -> bool:
         return not np.isnan(self._array).any()
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
+from .errors import SingularSystemError
 from .hre_solver import LinearSystem, _dominant_columns, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
@@ -71,11 +72,16 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
 
     A `Prepared` problem from `preprocess` is solved as it is.  A problem
     with no unknowns gives back its reference weights.  Raises
-    SingularSystemError or InadmissibleSolutionError on failure.
+    SingularSystemError or InadmissibleSolutionError on failure, the former
+    also when a coefficient or constant of the system is beyond the float
+    range.
     """
     prepared, _ = preprocess(problem)
     if not prepared.unknown_indices:
         return MinErrorResult(*synthesize((), prepared), verified_minimum=True)
     error_system = build_error_system(prepared)
-    raw, unit = synthesize(solve_linear(error_system.system), prepared)
+    system = error_system.system
+    if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
+        raise SingularSystemError("least-squares system leaves the float range")
+    raw, unit = synthesize(solve_linear(system), prepared)
     return MinErrorResult(raw, unit, verified_minimum=error_system.hessian_dominant)

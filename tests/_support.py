@@ -12,8 +12,9 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``check_convergence_loop`` the two linear systems and their dominance tests,
 and ``cop_json_oracle`` and ``cop_text_oracle`` the `cop` output written one
 template per violation, which the column renderers must match byte for byte.
-``cop_report`` builds a `CopReport` from violation tuples, and
-``is_reciprocal`` tests whether a matrix is reciprocal.
+``cop_report`` builds a `CopReport` from violation tuples,
+``is_reciprocal`` tests whether a matrix is reciprocal, and ``entry`` reads
+one ratio of a matrix, None where it is missing.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
 least-squares solver from the objective itself.
 """
@@ -25,6 +26,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -88,6 +90,12 @@ def max_rel_diff(xs, ys) -> float:
     return max(abs(x - y) / abs(y) for x, y in zip(xs, ys))
 
 
+def entry(matrix: PcMatrix, i: int, j: int) -> float | None:
+    """Ratio of concept i to concept j (1-based) read from ``matrix.array``, None where it is missing."""
+    v = float(matrix.array[i - 1, j - 1])
+    return None if v != v else v
+
+
 def consistent_matrix(weights) -> PcMatrix:
     """Exact-ratio matrix from weights; lower triangle is the bit-exact inverse."""
     n = len(weights)
@@ -136,7 +144,7 @@ def permute_problem(problem: Problem, perm: list[int]) -> Problem:
     grid = [[None] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            grid[perm[i - 1] - 1][perm[j - 1] - 1] = problem.matrix.entry(i, j)
+            grid[perm[i - 1] - 1][perm[j - 1] - 1] = entry(problem.matrix, i, j)
     refs = {perm[i - 1]: w for i, w in problem.references.items()}
     return Problem(PcMatrix(tuple(tuple(row) for row in grid)), refs)
 
@@ -157,9 +165,9 @@ def estimation_error_oracle(problem: Problem, mu) -> tuple[dict[int, float], flo
     for j in problem.unknown_indices:
         terms = []
         for i in range(1, problem.n + 1):
-            if i == j or problem.matrix.entry(j, i) is None:
+            if i == j or entry(problem.matrix, j, i) is None:
                 continue
-            terms.append(abs(mu[j - 1] - mu[i - 1] * problem.matrix.entry(j, i)))
+            terms.append(abs(mu[j - 1] - mu[i - 1] * entry(problem.matrix, j, i)))
         per[j] = sum(terms) / len(terms)
     return per, sum(per.values()) / len(per)
 
@@ -416,8 +424,12 @@ def restore_reciprocity_loop(matrix: PcMatrix) -> tuple[tuple[float | None, ...]
     return tuple(tuple(row) for row in grid)
 
 
-def jacobi_loop(problem: Problem, max_r: int, stop_tol: float, divergence_limit: float):
-    """Averaging iterates, sample by sample: (iterates, converged, diverged)."""
+def jacobi_loop(problem: Problem, max_r: int, stop_tol: float, divergence_limit: float, fused: bool = False):
+    """Averaging iterates, sample by sample: (iterates, converged, diverged).
+
+    ``fused`` rounds each multiply-add once, as a fused multiply-add does:
+    the exact product and sum, rounded by `Fraction`.
+    """
     m = problem.matrix.entries
     n = problem.n
     refs = problem.references
@@ -435,7 +447,7 @@ def jacobi_loop(problem: Problem, max_r: int, stop_tol: float, divergence_limit:
                 value = refs.get(i, estimates.get(i))
                 if value is None:
                     continue
-                total += ratio * value
+                total = float(Fraction(total) + Fraction(ratio) * Fraction(value)) if fused else total + ratio * value
                 count += 1
             if count:
                 new_estimates[j] = total / count

@@ -14,6 +14,7 @@ from hrerank.baselines import principal_eigen
 from _support import (
     assert_vector_printed,
     consistent_matrix,
+    entry,
     max_abs_diff,
     permute_problem,
     random_reciprocal,
@@ -95,7 +96,7 @@ class TestGmWeights:
             n = rng.randint(3, 7)
             matrix = random_reciprocal(n, rng, spread=math.log(9.0))
             direct = [
-                math.prod(matrix.entry(i, j) for j in range(1, n + 1)) ** (1.0 / n)
+                math.prod(entry(matrix, i, j) for j in range(1, n + 1)) ** (1.0 / n)
                 for i in range(1, n + 1)
             ]
             total = sum(direct)

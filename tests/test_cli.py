@@ -218,6 +218,13 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("solver error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["big", "huge", "sum"])
+    def test_least_squares_beyond_the_float_range_says_so(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(EXTREME_INPUTS[name], encoding="utf-8")
+        code, out, err = run_cli(["rank", "--input", str(path), "--method", "min-error"], capsys)
+        assert (code, out, err) == (2, "", "solver error: least-squares system leaves the float range\n")
+
     def test_unconverged_power_iteration_leaves_ci_unset(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text(EXTREME_INPUTS["huge"], encoding="utf-8")

@@ -16,17 +16,17 @@ from hrerank import (
 )
 from hrerank.matrix_core import fill_known_ratios, restore_reciprocity
 
-from _support import is_reciprocal, random_reciprocal
+from _support import entry, is_reciprocal, random_reciprocal
 
 
 class TestParse:
     def test_example1_entries(self, example1):
         m = example1.matrix
         assert m.n == 5
-        assert m.entry(1, 2) == 2.0
-        assert m.entry(2, 1) == 0.5
-        assert m.entry(4, 5) == 7.0
-        assert m.entry(3, 1) == 1.0 / 3.0  # fraction token
+        assert entry(m, 1, 2) == 2.0
+        assert entry(m, 2, 1) == 0.5
+        assert entry(m, 4, 5) == 7.0
+        assert entry(m, 3, 1) == 1.0 / 3.0  # fraction token
         assert example1.references == {1: 1.0}
 
     def test_trivial_two_by_two(self):
@@ -40,7 +40,7 @@ class TestParse:
             (i, j)
             for i in range(1, 5)
             for j in range(1, 5)
-            if not m.present(i, j)
+            if entry(m, i, j) is None
         }
         assert absent == {(1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (3, 2), (3, 4), (4, 2)}
         assert example4.references == {1: 1.0}
@@ -48,8 +48,8 @@ class TestParse:
     def test_separators_and_comments(self):
         text = "3  # size\n1, 2,\t4   # row\n1/2 1 2\n0.25, 1/2, 1\nref 2 3.5 # fixed\n"
         problem = parse_matrix(text)
-        assert problem.matrix.entry(1, 3) == 4.0
-        assert problem.matrix.entry(3, 1) == 0.25
+        assert entry(problem.matrix, 1, 3) == 4.0
+        assert entry(problem.matrix, 3, 1) == 0.25
         assert problem.references == {2: 3.5}
 
     @pytest.mark.parametrize(
@@ -136,13 +136,13 @@ class TestValidate:
 class TestRestoreReciprocity:
     def test_example3_geometric_mean(self, example3):
         restored = restore_reciprocity(example3.matrix)
-        assert restored.entry(1, 4) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-        assert restored.entry(4, 1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert entry(restored, 1, 4) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert entry(restored, 4, 1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         # all other entries untouched
         for i in range(1, 5):
             for j in range(1, 5):
                 if (i, j) not in ((1, 4), (4, 1)):
-                    assert restored.entry(i, j) == example3.matrix.entry(i, j)
+                    assert entry(restored, i, j) == entry(example3.matrix, i, j)
 
     def test_reciprocal_matrix_is_fixpoint(self):
         # powers of two give bit-exact reciprocals, so the output is identical
@@ -156,8 +156,8 @@ class TestRestoreReciprocity:
         matrix = PcMatrix(rows)
         assert is_reciprocal(matrix) and not validate(Problem(matrix)).issues
         restored = restore_reciprocity(matrix)
-        assert restored.entry(1, 2) == pytest.approx(1e300, rel=2**-52)
-        assert restored.entry(2, 1) == 1e-300
+        assert entry(restored, 1, 2) == pytest.approx(1e300, rel=2**-52)
+        assert entry(restored, 2, 1) == 1e-300
         assert [row[2] for row in restored.entries] == [4.0, 0.5, 1.0]  # every other entry keeps its bits
         assert restored.entries[2] == rows[2]
         assert restore_reciprocity(restored) == restored
@@ -174,8 +174,8 @@ class TestRestoreReciprocity:
     def test_one_sided_pair_completed(self):
         rows = ((1.0, 4.0, 1.0), (None, 1.0, 1.0), (1.0, 1.0, 1.0))
         restored = restore_reciprocity(PcMatrix(rows))
-        assert restored.entry(1, 2) == 4.0
-        assert restored.entry(2, 1) == 0.25
+        assert entry(restored, 1, 2) == 4.0
+        assert entry(restored, 2, 1) == 0.25
 
     def test_random_properties(self):
         rng = random.Random(42)
@@ -201,8 +201,8 @@ class TestRestoreReciprocity:
             twice = restore_reciprocity(once)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    a, b = once.entry(i, j), twice.entry(i, j)
-                    either_input = matrix.present(i, j) or matrix.present(j, i)
+                    a, b = entry(once, i, j), entry(twice, i, j)
+                    either_input = entry(matrix, i, j) is not None or entry(matrix, j, i) is not None
                     # presence pattern becomes the symmetric closure of the input's
                     assert (a is not None) == either_input
                     if a is None:
@@ -211,15 +211,15 @@ class TestRestoreReciprocity:
                     # idempotent to a relative 1e-15
                     assert abs(a - b) <= 1e-15 * abs(a)
                     if i != j:
-                        assert abs(a * once.entry(j, i) - 1.0) <= 1e-12
+                        assert abs(a * entry(once, j, i) - 1.0) <= 1e-12
 
 
 class TestFillKnownRatios:
     def test_example2_already_definitional(self, example2):
         filled, issues = fill_known_ratios(example2)
         assert issues == ()
-        assert filled.matrix.entry(2, 3) == 5.0 / 7.0
-        assert filled.matrix.entry(3, 2) == 1.0 / (5.0 / 7.0)
+        assert entry(filled.matrix, 2, 3) == 5.0 / 7.0
+        assert entry(filled.matrix, 3, 2) == 1.0 / (5.0 / 7.0)
 
     def test_single_reference_is_noop(self, example1):
         filled, issues = fill_known_ratios(example1)
@@ -231,7 +231,7 @@ class TestFillKnownRatios:
         grid[1][2] = 1.0  # contradicts the 5/7 the references define
         problem = Problem(PcMatrix(tuple(tuple(r) for r in grid)), example2.references)
         filled, issues = fill_known_ratios(problem)
-        assert filled.matrix.entry(2, 3) == 5.0 / 7.0
+        assert entry(filled.matrix, 2, 3) == 5.0 / 7.0
         assert [i.category for i in issues] == ["known-known-mismatch"]
         assert issues[0].location == "(2,3)"
 
@@ -250,7 +250,7 @@ class TestFillKnownRatios:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i not in refs or j not in refs:
-                        assert filled.matrix.entry(i, j) == matrix.entry(i, j)
+                        assert entry(filled.matrix, i, j) == entry(matrix, i, j)
 
 
 class TestReachability:
@@ -302,7 +302,7 @@ def test_pc_matrix_finds_a_nan_among_missing_entries():
     rows = ((1.0, None, 2.0), (None, 1.0, None), (0.5, math.nan, 1.0))
     with pytest.raises(ValueError, match=r"entry \(3,2\) is NaN; use None for a missing comparison"):
         PcMatrix(rows)
-    assert PcMatrix(((1.0, None, 2.0), (None, 1.0, None), (0.5, None, 1.0))).entry(3, 2) is None
+    assert entry(PcMatrix(((1.0, None, 2.0), (None, 1.0, None), (0.5, None, 1.0))), 3, 2) is None
     assert PcMatrix(((1.0, None), (None, 1.0))).entries == ((1.0, None), (None, 1.0))
 
 

@@ -3,9 +3,11 @@
 Matrices come from `random_problem`: n in 3..40, random missing patterns,
 noise levels and 0, 1 or 3 reference concepts.  K, the triad count, the
 restored matrix, the validation issues and the Jacobi iterates must match
-bit for bit; the estimation error within 1e-12 relative of the loop and
-exactly equal to its prefix-sum form.  The COP report, the `cop --json`
-and text output (against json.dumps and the per-violation oracles), the
+bit for bit (one example fails if the Jacobi step fuses its multiply-add);
+the estimation error within 1e-12 relative of the loop and exactly equal
+to its prefix-sum form, and the best iterate's stacked scores exactly
+equal to it, row by row, with the same winner.  The COP report, the
+`cop --json` and text output (against json.dumps and the per-violation oracles), the
 parsed problem (or parse error), the linear solve alone and in stacks,
 the Monte Carlo records and unit-sum weights must equal their references
 exactly, as must the averaging and least-squares systems of complete
@@ -22,6 +24,7 @@ import random
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from hrerank import (
     PopViolation,
     Problem,
     SingularSystemError,
+    SolveFailedError,
     WeightVector,
     cop_check,
     estimation_error,
@@ -44,7 +48,7 @@ from hrerank import (
 )
 from hrerank import diagnostics
 from hrerank.cli import _cop_json, _cop_text
-from hrerank.diagnostics import SCAN_BLOCK, _triad_scans
+from hrerank.diagnostics import SCAN_BLOCK, _errors, _triad_scans
 from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
     DIVERGENCE_LIMIT,
@@ -57,6 +61,7 @@ from hrerank.hre_solver import (
     build_system,
     check_convergence,
     jacobi_iterate,
+    select_best_iterate,
     solve_linear,
 )
 from hrerank.matrix_core import _fatal_masks, _filled, _restored, fill_known_ratios, restore_reciprocity
@@ -164,6 +169,10 @@ one_unknown_problem = st.builds(
 )
 
 
+# a fused multiply-add changes the iterates of 13 of its 19 concepts, from step 2 on
+FMA_EXAMPLE = (random_problem(2, 19, 0.2, 0.3, 1), 4)
+
+
 # inconsistent triangles diverge after every concept has an estimate, the overflow case in the first step;
 # the steep triangle overflows to inf, and then to NaN, a few steps after its divergence is detected
 diverging_problem = st.sampled_from(
@@ -179,6 +188,39 @@ def test_estimation_error_matches_prefix_sum(problem, seed):
     mu = WeightVector(tuple(math.exp(rng.uniform(-3.0, 3.0)) for _ in range(prepared.n)))
     if prepared.unknown_indices:
         assert estimation_error(prepared, mu) == estimation_error_prefix_sum(prepared, mu)
+
+
+# candidate rows for the best iterate: weights, or weights with one value missing, too small or infinite, or
+# a copy of an earlier row (a tie)
+candidate_kinds = st.lists(st.sampled_from(["weights", "nan", "low", "inf", "tie"]), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(solvable_problem, one_unknown_problem), candidate_kinds, seeds, st.sampled_from([1, 300, SCAN_BLOCK]))
+def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block):
+    prepared = preprocess(problem).problem
+    rng = random.Random(seed)
+    low = ADMISSIBLE_TOL * max(prepared.references.values())
+    rows = []
+    for kind in kinds:
+        row = [prepared.references.get(i, math.exp(rng.uniform(-3.0, 3.0))) for i in range(1, prepared.n + 1)]
+        if kind == "tie" and rows:
+            row = list(rows[rng.randrange(len(rows))])
+        elif kind in ("nan", "low", "inf"):
+            row[rng.randrange(prepared.n)] = {"nan": math.nan, "low": rng.choice([low, 0.0, -1.0]), "inf": math.inf}[kind]
+        rows.append(row)
+    iterates = np.array(rows).reshape(len(rows), prepared.n)
+    admissible = [row for row in rows if all(low < v < math.inf for v in row)]
+    errors = [estimation_error(prepared, WeightVector(row))[1] for row in admissible]
+    with patch.object(diagnostics, "SCAN_BLOCK", block):  # small blocks: one or a few rows per block
+        if prepared.unknown_indices:
+            assert _errors(prepared, np.array(admissible).reshape(-1, prepared.n))[1].tolist() == errors
+        if not admissible:
+            with pytest.raises(SolveFailedError):
+                select_best_iterate(iterates, prepared)
+        else:
+            # the earliest of the rows with the least error, as scoring one row at a time finds it
+            assert select_best_iterate(iterates, prepared).values == tuple(admissible[errors.index(min(errors))])
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,12 +241,22 @@ def test_estimation_error_matches_prefix_sum(problem, seed):
 @example(random_problem(2, 10, 0.5, 1.0, 3), 3)
 @example(random_problem(2, 10, 0.5, 1.0, 3), 4)
 @example(graph_problem(1, 40, "ring", 0.3, 1), 27)  # 20 filling steps, blocks of 2 and 4, one step of 8
+@example(*FMA_EXAMPLE)  # fails where the step fuses multiply and add; see test_fma_example_is_fma_sensitive
 def test_jacobi_iterates_match_loop(problem, steps):
     prepared = preprocess(problem).problem
     run = jacobi_iterate(prepared, steps)
     iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
     assert (run.converged, run.diverged) == (converged, diverged)
     assert run.iterates == tuple(iterates)  # bit for bit: the same additions in the same order
+
+
+def test_fma_example_is_fma_sensitive():
+    # the Jacobi step's sum of products must round each product and each sum; this keeps the example a tripwire
+    problem, steps = FMA_EXAMPLE
+    prepared = preprocess(problem).problem
+    plain = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
+    fused = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT, fused=True)
+    assert len(plain[0]) == steps and plain[0] != fused[0]
 
 
 # every ratio specified, with 1, 3 or n - 1 references
