@@ -84,11 +84,12 @@ def principal_eigen(matrix: PcMatrix) -> EigenResult:
     m = _dense(matrix)
     v = np.ones(matrix.n)
     lam_prev = math.inf
+    w = m @ v
     for iteration in range(1, POWER_MAX_ITER + 1):
-        w = m @ v
         lam = float(np.mean(w / v))
         v = w / np.max(np.abs(w))
-        residual = float(np.max(np.abs(m @ v - lam * v)))
+        w = m @ v  # the residual's product is the next step's
+        residual = float(np.max(np.abs(w - lam * v)))
         if abs(lam - lam_prev) < POWER_EIG_TOL and residual <= POWER_RESIDUAL_TOL:
             return EigenResult(lam, WeightVector(tuple(v)), iteration, residual)
         lam_prev = lam

@@ -170,25 +170,23 @@ def _print_fatal(report) -> None:
 
 def _cmd_rank(args) -> int:
     problem = _load_problem(args.input)
-    extra_warnings: list[str] = []
+    warnings: list[str] = []
     if args.method in ("hre", "min-error") and not problem.references:
         problem = Problem(problem.matrix, {1: 1.0})
         notice = "no reference concepts given; concept 1 fixed at weight 1"
         print(f"notice: {notice}", file=sys.stderr)
-        extra_warnings.append(notice)
+        warnings.append(notice)
 
     prepared = preprocess(problem)  # the one validation of this request
     path: str | None
     if args.method == "hre":
         from .hre_solver import hre_rank  # `diagnose`, `cop`, `ev` and `gm` never load it
 
-        outcome = hre_rank(prepared, max_iterations=args.iterations, normalize=args.normalize)
-        weights = outcome.weights
-        path = outcome.path
-        warnings = extra_warnings + list(outcome.warnings)
-        error = outcome.error
+        outcome = hre_rank(prepared, max_iterations=args.iterations)
+        weights, path = outcome.weights_raw, outcome.path
+        warnings += outcome.warnings
     else:
-        warnings = extra_warnings + [str(i) for i in prepared.warnings]
+        warnings += [str(i) for i in prepared.warnings]
         if args.method == "ev":
             weights, path = ev_weights(problem.matrix), None
         elif args.method == "gm":
@@ -197,11 +195,12 @@ def _cmd_rank(args) -> int:
             from .min_error_solver import UNVERIFIED_MINIMUM, solve_min_error  # only this method loads it
 
             result = solve_min_error(prepared)
-            weights = result.weights_normalized if args.normalize else result.weights_raw
-            path = "min-error"
+            weights, path = result.weights_raw, "min-error"
             if not result.verified_minimum:
                 warnings.append(UNVERIFIED_MINIMUM)
-        _, error = estimation_error(prepared.problem, weights)
+    if args.normalize and not weights.normalized:  # ev and gm weights already sum to 1
+        weights = weights.normalize()
+    _, error = estimation_error(prepared.problem, weights)
 
     indices = inconsistency_report(problem.matrix)
     if args.json:

@@ -31,7 +31,7 @@ class IncompleteMatrixError(HreError):
 
 
 class SingularSystemError(HreError):
-    """Linear system has no unique solution (pivot below tolerance)."""
+    """Linear system has no usable solution: a pivot below tolerance, a failed residual check, or beyond the float range."""
 
 
 class InadmissibleSolutionError(HreError):

@@ -76,9 +76,9 @@ class JacobiRun:
 class RankOutcome(NamedTuple):
     """Solution plus provenance: which strategy fired and how it behaved.
 
-    ``weights`` is the vector the caller asked for (normalized or not);
-    ``weights_raw`` keeps the reference concepts at exactly their input
-    values, ``weights_normalized`` rescales to unit sum.  ``admissible``
+    ``weights_raw`` is the answer on the references' scale: they keep
+    exactly their input values (``weights_raw.normalize()`` rescales it to
+    unit sum), and ``error`` is its mean estimation error.  ``admissible``
     reports whether the first-choice strategy for the problem class (direct
     solve, or a convergent iteration) produced an admissible solution;
     it is False whenever a fallback had to fire.  ``convergence_ok`` is the
@@ -86,9 +86,7 @@ class RankOutcome(NamedTuple):
     built); ``determinant_ok`` is None until a direct solve was attempted.
     """
 
-    weights: WeightVector
     weights_raw: WeightVector
-    weights_normalized: WeightVector
     path: str  # direct | jacobi | min-error | best-iterate
     convergence_ok: bool | None
     determinant_ok: bool | None
@@ -357,11 +355,10 @@ def select_best_iterate(
     return WeightVector(candidates[scored[means[scored].argmin()]].tolist())
 
 
-def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVector, WeightVector]:
-    """Weave solved unknowns and fixed reference weights into full vectors.
+def synthesize(solved: tuple[float, ...], problem: Problem) -> WeightVector:
+    """Weave solved unknowns and fixed reference weights into one full vector.
 
-    Returns (reference-scale vector, unit-sum vector).  Reference concepts
-    keep their input weights bit for bit in the first form.  Raises
+    Reference concepts keep their input weights bit for bit.  Raises
     InadmissibleSolutionError unless the solved values are admissible.
     """
     expected = problem.n - len(problem.references)
@@ -370,8 +367,7 @@ def synthesize(solved: tuple[float, ...], problem: Problem) -> tuple[WeightVecto
     if not _admissible(solved, problem):
         nonpositive = [u for u, v in zip(problem.unknown_indices, solved) if not _admissible((v,), problem)]
         raise InadmissibleSolutionError(f"non-positive solved weight for concept(s) {nonpositive}")
-    raw = WeightVector(_woven(solved, problem))
-    return raw, raw.normalize()
+    return WeightVector(_woven(solved, problem))
 
 
 def _woven(solved, problem: Problem) -> list[float]:
@@ -380,9 +376,7 @@ def _woven(solved, problem: Problem) -> list[float]:
     return [problem.references[i] if i in problem.references else next(values) for i in range(1, problem.n + 1)]
 
 
-def hre_rank(
-    problem: Problem | Prepared, *, max_iterations: int = 10, normalize: bool = False
-) -> RankOutcome:
+def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOutcome:
     """Full solution pipeline: validate, repair, solve, attach provenance.
 
     Complete matrices are solved directly; a singular or inadmissible
@@ -397,7 +391,7 @@ def hre_rank(
     Raises ValidationError for fatally invalid input (including unreachable
     concepts), ValueError when no reference concept is given or
     ``max_iterations`` is below 1, and SolveFailedError when every
-    strategy fails.
+    strategy fails; its message gives each strategy's failure in turn.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
@@ -406,17 +400,17 @@ def hre_rank(
 
     convergence_ok: bool | None = None
     determinant_ok: bool | None = None
-    raw = unit = run = None
+    raw = run = None
 
     if not prepared.unknown_indices:
-        raw, unit = synthesize((), prepared)
+        raw = synthesize((), prepared)
         path = "direct"
     elif prepared.matrix.is_complete():
         system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
         determinant_ok = True
         try:
-            raw, unit = synthesize(solve_linear(system), prepared)
+            raw = synthesize(solve_linear(system), prepared)
             path = "direct"
         except SingularSystemError as exc:
             determinant_ok = False
@@ -427,7 +421,7 @@ def hre_rank(
             from . import min_error_solver  # deferred: it builds on this module, and a direct solve never needs it
 
             try:
-                raw, unit, verified_minimum = min_error_solver.solve_min_error(ready)
+                raw, verified_minimum = min_error_solver.solve_min_error(ready)
                 path = "min-error"
                 if not verified_minimum:
                     warnings.append(min_error_solver.UNVERIFIED_MINIMUM)
@@ -442,21 +436,17 @@ def hre_rank(
         elif run.converged:
             warnings.append("iteration limit has non-positive weights; selecting the best early iterate")
         else:
-            warnings.append(
-                "iteration did not converge; selecting the best early iterate"
-            )
+            warnings.append("iteration did not converge; selecting the best early iterate")
     if raw is None:
-        raw = select_best_iterate(run.array[:max_iterations], prepared)
+        try:
+            raw = select_best_iterate(run.array[:max_iterations], prepared)
+        except SolveFailedError as exc:  # say why each rung before it failed too
+            raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"
-    if unit is None:
-        unit = raw.normalize()
 
-    selected = unit if normalize else raw
-    _, mean_error = estimation_error(prepared, selected)
+    _, mean_error = estimation_error(prepared, raw)
     return RankOutcome(
-        weights=selected,
         weights_raw=raw,
-        weights_normalized=unit,
         path=path,
         convergence_ok=convergence_ok,
         determinant_ok=determinant_ok,

@@ -39,7 +39,6 @@ UNVERIFIED_MINIMUM = "least-squares stationary point not verified as a minimum"
 
 class MinErrorResult(NamedTuple):
     weights_raw: WeightVector
-    weights_normalized: WeightVector
     verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
@@ -78,10 +77,9 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """
     prepared, _ = preprocess(problem)
     if not prepared.unknown_indices:
-        return MinErrorResult(*synthesize((), prepared), verified_minimum=True)
+        return MinErrorResult(synthesize((), prepared), verified_minimum=True)
     error_system = build_error_system(prepared)
     system = error_system.system
     if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
         raise SingularSystemError("least-squares system leaves the float range")
-    raw, unit = synthesize(solve_linear(system), prepared)
-    return MinErrorResult(raw, unit, verified_minimum=error_system.hessian_dominant)
+    return MinErrorResult(synthesize(solve_linear(system), prepared), error_system.hessian_dominant)

@@ -103,12 +103,12 @@ def _perturbed(matrix: PcMatrix, levels, seed: int) -> np.ndarray:
 def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
     """Unit-sum weights from one solved system; None when it is singular or inadmissible.
 
-    The values of ``synthesize(solution, problem)[1]``, built as it builds them; reads only n and the references.
+    The values of ``synthesize(solution, problem).normalize()``, built as they build them; reads only n and the references.
     """
     if isinstance(solution, HreError) or not _admissible(solution, problem):
         return None
     unit = _unit(_woven(solution, problem))
-    # a weight that underflowed: WeightVector raises as `synthesize` does
+    # a weight that underflowed: WeightVector raises as `normalize` does
     return unit if min(unit) > 0.0 else WeightVector(unit, normalized=True).values
 
 

@@ -786,11 +786,11 @@ def solve_stack(systems) -> list:
 
 
 def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:
-    """`montecarlo._unit_weights` through `synthesize`: both `WeightVector`s built and the unit-sum one kept."""
+    """`montecarlo._unit_weights` through `synthesize` and `WeightVector.normalize`."""
     if isinstance(solution, HreError):
         return None
     try:  # an inadmissible solution raises InadmissibleSolutionError
-        return synthesize(solution, problem)[1].values
+        return synthesize(solution, problem).normalize().values
     except HreError:
         return None
 
@@ -798,14 +798,14 @@ def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:
 def _averaging_direct(problem: Problem) -> tuple[float, ...] | None:
     """Unit-sum direct solution of the averaging system; None when singular or inadmissible."""
     try:
-        return synthesize(solve_linear(build_system(problem)), problem)[1].values
+        return synthesize(solve_linear(build_system(problem)), problem).normalize().values
     except HreError:
         return None
 
 
 def _least_squares(prepared) -> tuple[float, ...] | None:
     try:
-        return solve_min_error(prepared).weights_normalized.values
+        return solve_min_error(prepared).weights_raw.normalize().values
     except HreError:
         return None
 
@@ -918,5 +918,4 @@ def brute_force_min_error(
             if value < best_value:
                 best_point, best_value = point, value
 
-    raw, _ = synthesize(best_point, prepared)
-    return raw
+    return synthesize(best_point, prepared)

@@ -74,10 +74,10 @@ def test_criterion_1_example_1_reproduction(example1):
             gm_weights(example1.matrix).values,
             ["0.424", "0.284", "0.169", "0.098", "0.026"],
         )
-        outcome = hre_rank(example1, normalize=True)
+        outcome = hre_rank(example1)
         assert outcome.path == "direct"
         assert_vector_printed(
-            outcome.weights.values, ["0.368", "0.311", "0.182", "0.11", "0.028"]
+            outcome.weights_raw.normalize().values, ["0.368", "0.311", "0.182", "0.11", "0.028"]
         )
         assert_printed(saaty_ci(example1.matrix), "0.057")
         assert_printed(koczkodaj_index(example1.matrix), "0.743")
@@ -101,7 +101,7 @@ def test_criterion_1_example_1_reproduction(example1):
         assert {flagged.quadruple[:2], flagged.quadruple[2:]} == {(4, 5), (1, 4)}
         assert_printed(flagged.rhs, "4.218")
         assert_printed(flagged.lhs, "3.741")
-        assert cop_check(example1.matrix, outcome.weights).satisfies_cop
+        assert cop_check(example1.matrix, outcome.weights_raw.normalize()).satisfies_cop
 
 
 def test_criterion_2_example_2_reproduction(example2):
@@ -121,7 +121,7 @@ def test_criterion_2_example_2_reproduction(example2):
             outcome.weights_raw.values, ["2.527", "5.0", "7.0", "2.88", "2.616"]
         )
         assert_vector_printed(
-            outcome.weights_normalized.values,
+            outcome.weights_raw.normalize().values,
             ["0.126", "0.249", "0.349", "0.144", "0.13"],
         )
         assert_vector_printed(
@@ -141,7 +141,7 @@ def test_criterion_2_example_2_reproduction(example2):
             (5, 1) in (v.quadruple[:2], v.quadruple[2:]) for v in ev_report.pop_violations
         )
         assert not cop_check(example2.matrix, gm_weights(example2.matrix)).pop_violations
-        assert not cop_check(example2.matrix, outcome.weights_normalized).pop_violations
+        assert not cop_check(example2.matrix, outcome.weights_raw.normalize()).pop_violations
 
 
 def test_criterion_3_example_3_reproduction(example3):
@@ -156,8 +156,8 @@ def test_criterion_3_example_3_reproduction(example3):
                 assert_printed(system.a.tolist()[i][j], "1" if i == j else "-0.333")
         assert_vector_printed(system.b.tolist(), ["0.333", "0.333", "0.471"])
 
-        outcome = hre_rank(example3, normalize=True)
-        assert_vector_printed(outcome.weights.values, ["0.227", "0.25", "0.25", "0.273"])
+        outcome = hre_rank(example3)
+        assert_vector_printed(outcome.weights_raw.normalize().values, ["0.227", "0.25", "0.25", "0.273"])
         assert_vector_printed(
             ev_weights(example3.matrix).values, ["0.236", "0.236", "0.236", "0.292"]
         )
@@ -166,14 +166,14 @@ def test_criterion_3_example_3_reproduction(example3):
         )
         assert not cop_check(example3.matrix, ev_weights(example3.matrix)).satisfies_cop
         assert not cop_check(example3.matrix, gm_weights(example3.matrix)).satisfies_cop
-        assert cop_check(example3.matrix, outcome.weights).satisfies_cop
+        assert cop_check(example3.matrix, outcome.weights_raw.normalize()).satisfies_cop
 
 
 def test_criterion_4_example_4_reproduction(example4):
     with criterion(4, "example 4: iterative solution on missing data; EV/GM refuse"):
-        outcome = hre_rank(example4, normalize=True)
+        outcome = hre_rank(example4)
         assert outcome.path == "jacobi"
-        assert_vector_printed(outcome.weights.values, ["0.369", "0.338", "0.154", "0.138"])
+        assert_vector_printed(outcome.weights_raw.normalize().values, ["0.369", "0.338", "0.154", "0.138"])
         raw = outcome.weights_raw.values
         assert abs(raw[0] / raw[2] - 2.396) <= 5e-3
         assert abs(raw[3] / raw[0] - 0.374) <= 5e-3
@@ -233,10 +233,10 @@ def test_criterion_5_property_suite():
             matrix, weights = noisy_consistent(n, rng, noise=0.4)
             refs = {i + 1: weights[i] for i in range(rng.randint(1, n - 1))}
             factor = math.exp(rng.uniform(-3, 3))
-            base = hre_rank(Problem(matrix, refs)).weights_normalized.values
+            base = hre_rank(Problem(matrix, refs)).weights_raw.normalize().values
             scaled = hre_rank(
                 Problem(matrix, {i: w * factor for i, w in refs.items()})
-            ).weights_normalized.values
+            ).weights_raw.normalize().values
             assert max_abs_diff(base, scaled) <= 1e-10
 
         # direct/Jacobi agreement whenever the dominance test passes
@@ -269,10 +269,10 @@ def test_criterion_5_property_suite():
             rng.shuffle(perm)
             shuffled = permute_problem(problem, perm)
             pairs = [
-                (hre_rank(problem).weights_normalized.values,
-                 hre_rank(shuffled).weights_normalized.values),
-                (solve_min_error(problem).weights_normalized.values,
-                 solve_min_error(shuffled).weights_normalized.values),
+                (hre_rank(problem).weights_raw.normalize().values,
+                 hre_rank(shuffled).weights_raw.normalize().values),
+                (solve_min_error(problem).weights_raw.normalize().values,
+                 solve_min_error(shuffled).weights_raw.normalize().values),
                 (ev_weights(problem.matrix).values, ev_weights(shuffled.matrix).values),
                 (gm_weights(problem.matrix).values, gm_weights(shuffled.matrix).values),
             ]

@@ -7,10 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from hrerank import WeightVector, ev_weights, parse_matrix
+from hrerank import WeightVector, estimation_error, ev_weights, parse_matrix, preprocess
 from hrerank.cli import main
 
-from _support import DATA_DIR, GOLDEN_DIR, cop_check_loop, cop_payload, cop_text_oracle, noisy_consistent
+from _support import (
+    DATA_DIR,
+    GOLDEN_DIR,
+    cop_check_loop,
+    cop_payload,
+    cop_text_oracle,
+    noisy_consistent,
+    singular_direct_problem,
+)
 
 # golden cases: name -> CLI arguments (paths resolved against tests/data)
 GOLDEN_CASES = {
@@ -19,6 +27,7 @@ GOLDEN_CASES = {
     "rank_ex1_ev_human.txt": ["rank", "--input", "example1.txt", "--method", "ev"],
     "rank_ex1_gm.json": ["rank", "--input", "example1.txt", "--method", "gm", "--json"],
     "rank_ex2_hre.json": ["rank", "--input", "example2.txt", "--method", "hre", "--json"],
+    "rank_ex2_minerr.json": ["rank", "--input", "example2.txt", "--method", "min-error", "--json"],
     "rank_ex2_minerr_human.txt": ["rank", "--input", "example2.txt", "--method", "min-error", "--normalize"],
     "rank_ex3_hre_human.txt": ["rank", "--input", "example3.txt", "--method", "hre", "--normalize"],
     "rank_ex3_ev.json": ["rank", "--input", "example3.txt", "--method", "ev", "--json"],
@@ -204,6 +213,48 @@ EXTREME_INPUTS = {
 }
 
 
+def _problem_text(problem) -> str:
+    """A matrix file that parses back to ``problem`` (complete matrices only)."""
+    rows = "".join(" ".join(map(repr, row)) + "\n" for row in problem.matrix.array.tolist())
+    refs = "".join(f"ref {c} {w!r}\n" for c, w in sorted(problem.references.items()))
+    return f"{problem.n}\n{rows}{refs}"
+
+
+# one input per route of `rank`: method, input (a file in tests/data or an EXTREME_INPUTS key), the path it takes
+RANK_ROUTES = [
+    ("hre", "example1.txt", "direct"),
+    ("hre", "example4.txt", "jacobi"),
+    ("hre", "singular_direct", "min-error"),
+    ("hre", "huge", "best-iterate"),
+    ("min-error", "example2.txt", "min-error"),
+]
+
+
+@pytest.mark.parametrize("method, source, path", RANK_ROUTES)
+def test_normalize_prints_the_unit_sum_of_the_plain_answer(method, source, path, tmp_path, capsys):
+    if source.endswith(".txt"):
+        text = (DATA_DIR / source).read_text(encoding="utf-8")
+    elif source == "singular_direct":
+        text = _problem_text(singular_direct_problem())
+    else:
+        text = EXTREME_INPUTS[source]
+    file = tmp_path / "input.txt"
+    file.write_text(text, encoding="utf-8")
+    args = ["rank", "--input", str(file), "--method", method, "--json"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    plain = json.loads(out)
+    code, out, err = run_cli(args + ["--normalize"], capsys)
+    assert code == 0, err
+    scaled = json.loads(out)
+    assert plain["path"] == scaled["path"] == path
+    assert (plain["normalized"], scaled["normalized"]) == (False, True)
+    expected = WeightVector(plain["weights"]).normalize()
+    assert scaled["weights"] == list(expected.values)
+    _, error = estimation_error(preprocess(parse_matrix(text)).problem, expected)
+    assert scaled["diagnostics"]["error"] == error
+
+
 class TestErrorPaths:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -224,6 +275,17 @@ class TestErrorPaths:
         path.write_text(EXTREME_INPUTS[name], encoding="utf-8")
         code, out, err = run_cli(["rank", "--input", str(path), "--method", "min-error"], capsys)
         assert (code, out, err) == (2, "", "solver error: least-squares system leaves the float range\n")
+
+    def test_failed_ladder_says_why_each_rung_failed(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(EXTREME_INPUTS["big"], encoding="utf-8")
+        code, out, err = run_cli(["rank", "--input", str(path), "--method", "hre"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "solver error: direct solve failed: solution residual nan exceeds tolerance; "
+            "least-squares heuristic failed: least-squares system leaves the float range; "
+            "no admissible iterate to select from\n"
+        )
 
     def test_unconverged_power_iteration_leaves_ci_unset(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"

@@ -131,7 +131,7 @@ class TestEstimationError:
 
     def test_matches_independent_oracle_on_example2(self, example2):
         outcome = hre_rank(example2)
-        for vector in (outcome.weights_raw, outcome.weights_normalized):
+        for vector in (outcome.weights_raw, outcome.weights_raw.normalize()):
             per, mean = estimation_error(example2, vector)
             oracle_per, oracle_mean = estimation_error_oracle(example2, vector.values)
             assert mean == pytest.approx(oracle_mean, abs=1e-12)
@@ -180,8 +180,8 @@ class TestCopCheck:
         assert_printed(violation.lhs, "3.741")  # mu(c4)/mu(c5)
 
     def test_example1_averaging_solution_passes(self, example1):
-        outcome = hre_rank(example1, normalize=True)
-        assert cop_check(example1.matrix, outcome.weights).satisfies_cop
+        outcome = hre_rank(example1)
+        assert cop_check(example1.matrix, outcome.weights_raw.normalize()).satisfies_cop
 
     def test_example2_pop_verdicts(self, example2):
         from hrerank import gm_weights
@@ -194,7 +194,7 @@ class TestCopCheck:
         )
         gm_report = cop_check(example2.matrix, gm_weights(example2.matrix))
         assert gm_report.pop_violations == ()
-        hre_report = cop_check(example2.matrix, hre_rank(example2).weights_normalized)
+        hre_report = cop_check(example2.matrix, hre_rank(example2).weights_raw.normalize())
         assert hre_report.pop_violations == ()
         # none of the three methods preserves every intensity comparison here
         for report in (ev_report, gm_report, hre_report):
@@ -205,7 +205,7 @@ class TestCopCheck:
 
         ev_report = cop_check(example3.matrix, ev_weights(example3.matrix))
         gm_report = cop_check(example3.matrix, gm_weights(example3.matrix))
-        hre_report = cop_check(example3.matrix, hre_rank(example3).weights_normalized)
+        hre_report = cop_check(example3.matrix, hre_rank(example3).weights_raw.normalize())
         assert not ev_report.satisfies_cop
         assert not gm_report.satisfies_cop
         assert hre_report.satisfies_cop

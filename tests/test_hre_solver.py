@@ -435,16 +435,17 @@ class TestSelectBestIterate:
 
 class TestSynthesize:
     def test_example2_interleaving(self, example2):
-        raw, unit = synthesize((2.5, 2.9, 2.6), example2)
+        raw = synthesize((2.5, 2.9, 2.6), example2)
         assert raw.values == (2.5, 5.0, 7.0, 2.9, 2.6)
+        unit = raw.normalize()
         assert unit.normalized
         assert sum(unit.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_concepts_known(self):
         problem = Problem(consistent_matrix((2.0, 4.0)), {1: 2.0, 2: 4.0})
-        raw, unit = synthesize((), problem)
+        raw = synthesize((), problem)
         assert raw.values == (2.0, 4.0)
-        assert unit.values == (1.0 / 3.0, 2.0 / 3.0)
+        assert raw.normalize().values == (1.0 / 3.0, 2.0 / 3.0)
 
     def test_nonpositive_value_rejected(self, example2):
         with pytest.raises(InadmissibleSolutionError):
@@ -468,19 +469,19 @@ class TestHreRank:
         expected = hre_rank(example3)
         monkeypatch.setattr(matrix_core, "validate", None)  # any call would fail
         outcome = hre_rank(ready)
-        assert outcome.weights == expected.weights
+        assert outcome.weights_raw == expected.weights_raw
         assert outcome.warnings == expected.warnings
         assert hre_solver.preprocess(ready) is ready
 
     def test_example1_direct(self, example1):
-        outcome = hre_rank(example1, normalize=True)
+        outcome = hre_rank(example1)
         assert outcome.path == "direct"
         assert outcome.determinant_ok is True
         assert outcome.convergence_ok is False  # not diagonally dominant, yet solvable
         assert outcome.admissible
         assert outcome.iterations_used == 0
         assert_vector_printed(
-            outcome.weights.values, ["0.368", "0.311", "0.182", "0.11", "0.028"]
+            outcome.weights_raw.normalize().values, ["0.368", "0.311", "0.182", "0.11", "0.028"]
         )
 
     def test_example2_direct(self, example2):
@@ -491,21 +492,21 @@ class TestHreRank:
             outcome.weights_raw.values, ["2.527", "5.0", "7.0", "2.88", "2.616"]
         )
         assert_vector_printed(
-            outcome.weights_normalized.values,
+            outcome.weights_raw.normalize().values,
             ["0.126", "0.249", "0.349", "0.144", "0.13"],
         )
 
     def test_example3_restores_then_solves(self, example3):
-        outcome = hre_rank(example3, normalize=True)
+        outcome = hre_rank(example3)
         assert outcome.path == "direct"
-        assert_vector_printed(outcome.weights.values, ["0.227", "0.25", "0.25", "0.273"])
+        assert_vector_printed(outcome.weights_raw.normalize().values, ["0.227", "0.25", "0.25", "0.273"])
         assert any("non-reciprocal-pair" in w for w in outcome.warnings)
 
     def test_example4_iterative(self, example4):
-        outcome = hre_rank(example4, normalize=True)
+        outcome = hre_rank(example4)
         assert outcome.path == "jacobi"
         assert outcome.iterations_used == 4  # hits the exact fixed point quickly
-        assert_vector_printed(outcome.weights.values, ["0.369", "0.338", "0.154", "0.138"])
+        assert_vector_printed(outcome.weights_raw.normalize().values, ["0.369", "0.338", "0.154", "0.138"])
         raw = outcome.weights_raw.values
         assert_printed(raw[0] / raw[2], "2.4")
         assert_printed(raw[3] / raw[0], "0.375")
@@ -558,7 +559,7 @@ class TestHreRank:
             assert outcome.path == "min-error"
             expected = min_error_solver.solve_min_error(problem)
             assert outcome.weights_raw.values == expected.weights_raw.values
-            assert outcome.weights_normalized.values == expected.weights_normalized.values
+            assert outcome.weights_raw.normalize().values == expected.weights_raw.normalize().values
 
     def test_complete_route_falls_through_to_best_iterate(self):
         # the direct solve fails its residual check; the least-squares squares overflow to inf
@@ -577,7 +578,7 @@ class TestHreRank:
         outcome = hre_rank(diverging_incomplete_problem())
         assert outcome.path == "best-iterate"
         assert not outcome.admissible
-        assert all(v > 0 for v in outcome.weights.values)
+        assert all(v > 0 for v in outcome.weights_raw.values)
 
     def test_inadmissible_jacobi_limit_takes_best_iterate(self):
         # the limit's second weight settles at 7.5e-10, below 1e-9 times the reference
@@ -619,10 +620,10 @@ class TestHreRank:
             n = rng.randint(3, 6)
             matrix, weights = noisy_consistent(n, rng, noise=0.4)
             refs = {i + 1: weights[i] for i in range(rng.randint(1, n - 1))}
-            base = hre_rank(Problem(matrix, refs)).weights_normalized.values
+            base = hre_rank(Problem(matrix, refs)).weights_raw.normalize().values
             for scale in (math.exp(rng.uniform(-3, 3)), 1e-12, 1e12):
                 scaled_refs = {i: w * scale for i, w in refs.items()}
-                scaled = hre_rank(Problem(matrix, scaled_refs)).weights_normalized.values
+                scaled = hre_rank(Problem(matrix, scaled_refs)).weights_raw.normalize().values
                 assert max_abs_diff(base, scaled) <= 1e-10
 
     def test_permutation_equivariance(self):
@@ -634,8 +635,8 @@ class TestHreRank:
             problem = Problem(matrix, refs)
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
-            base = hre_rank(problem).weights_normalized.values
-            permuted = hre_rank(permute_problem(problem, perm)).weights_normalized.values
+            base = hre_rank(problem).weights_raw.normalize().values
+            permuted = hre_rank(permute_problem(problem, perm)).weights_raw.normalize().values
             assert max_abs_diff(base, unpermute(permuted, perm)) <= 1e-10
 
     def test_error_field_matches_oracle(self, example1):

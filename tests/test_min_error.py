@@ -157,8 +157,8 @@ class TestSolveMinError:
             if koczkodaj_index(problem.matrix) >= 0.1:
                 continue
             checked += 1
-            averaging = hre_rank(problem).weights_normalized.values
-            least_squares = solve_min_error(problem).weights_normalized.values
+            averaging = hre_rank(problem).weights_raw.normalize().values
+            least_squares = solve_min_error(problem).weights_raw.normalize().values
             assert max_rel_diff(least_squares, averaging) <= 1e-3
         assert checked >= 30
 
@@ -171,8 +171,8 @@ class TestSolveMinError:
             for _ in range(25):
                 matrix, weights = noisy_consistent(4, rng_level, noise=noise)
                 problem = Problem(matrix, {1: weights[0]})
-                a = hre_rank(problem).weights_normalized.values
-                b = solve_min_error(problem).weights_normalized.values
+                a = hre_rank(problem).weights_raw.normalize().values
+                b = solve_min_error(problem).weights_raw.normalize().values
                 level_gaps.append(max_abs_diff(a, b))
             gaps.append(sum(level_gaps) / len(level_gaps))
         assert gaps[0] < gaps[1]

@@ -3,6 +3,8 @@
 import importlib
 import inspect
 import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from hrerank import (
 )
 from hrerank.baselines import EigenResult
 from hrerank.min_error_solver import ErrorSystem
+
+from _support import DATA_DIR
 
 # the README's Library section, what the CLI and the benchmark import, the errors and the two indices
 EXPORTED = {
@@ -113,3 +117,15 @@ def test_record_is_a_frozen_named_tuple(record):
         with pytest.raises(AttributeError):
             setattr(rec, name, -1)
     assert rec == values
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    # the documented API, run as written, on example 1 as its matrix.txt
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    shutil.copy(DATA_DIR / "example1.txt", tmp_path / "matrix.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    outcome = hrerank.hre_rank(hrerank.parse_matrix((DATA_DIR / "example1.txt").read_text(encoding="utf-8")))
+    raw = outcome.weights_raw
+    assert capsys.readouterr().out == f"direct {raw.values}\n{raw.normalize().values}\n"
