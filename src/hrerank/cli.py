@@ -163,11 +163,6 @@ def _load_weights(path: str, n: int) -> WeightVector:
     return WeightVector(tuple(values))
 
 
-def _print_fatal(report) -> None:
-    for issue in report.fatal_issues:
-        print(f"error: {issue}", file=sys.stderr)
-
-
 def _cmd_rank(args) -> int:
     problem = _load_problem(args.input)
     warnings: list[str] = []
@@ -242,10 +237,7 @@ def _cmd_diagnose(args) -> int:
     complete = matrix.is_complete()
     reciprocity_warnings = [i for i in report.issues if i.category == "non-reciprocal-pair"]
     indices = inconsistency_report(matrix) if not fatal else None
-    if problem.references:
-        reachable, unreachable = is_reachable(problem)
-    else:
-        reachable, unreachable = None, ()
+    reachable, unreachable = is_reachable(problem) if problem.references else (None, ())
 
     if args.json:
         payload = {
@@ -361,7 +353,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        _print_fatal(exc.report)
+        for issue in exc.report.fatal_issues:
+            print(f"error: {issue}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

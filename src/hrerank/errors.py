@@ -31,7 +31,7 @@ class IncompleteMatrixError(HreError):
 
 
 class SingularSystemError(HreError):
-    """Linear system has no usable solution: a pivot below tolerance, a failed residual check, or beyond the float range."""
+    """Linear system without a usable solution: beyond the float range, a pivot below tolerance, or a failed residual."""
 
 
 class InadmissibleSolutionError(HreError):

@@ -152,12 +152,15 @@ def _parts(a: np.ndarray, references: dict[int, float]) -> SystemParts:
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
     """Gaussian elimination with partial pivoting on the augmented array [a | b].
 
-    Raises SingularSystemError when some pivot drops below 1e-12 in
+    Raises SingularSystemError before eliminating when a coefficient or
+    constant is beyond the float range, when some pivot drops below 1e-12 in
     magnitude (the practical "determinant differs from 0" test) or when the
     computed solution fails the residual bound
     |ax - b|_inf <= 1e-9 * (1 + |b|_inf), which a NaN residual fails.  The
     same elimination as `_solved` on a stack of one.
     """
+    if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
+        raise SingularSystemError("linear system leaves the float range")
     (solution,) = _solved(system.a[None], system.b[None])
     if isinstance(solution, SingularSystemError):
         raise solution
@@ -344,14 +347,20 @@ def select_best_iterate(
     as `JacobiRun.array`, or rows of floats with None for NaN.  The
     admissible rows are scored together, each as `estimation_error` scores
     it; a NaN or infinite error never wins.  Ties go to the earliest
-    iterate.  Raises SolveFailedError when no iterate is admissible.
+    iterate.  Raises SolveFailedError when no iterate is admissible, saying
+    how many it examined and why each failed.
     """
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
     candidates = rows[[_admissible(row, problem) for row in rows.tolist()]]
     means = _errors(problem, candidates)[1] if problem.unknown_indices else np.zeros(len(candidates))
     scored = np.flatnonzero(means < math.inf)  # NaN compares false
     if not len(scored):
-        raise SolveFailedError("no admissible iterate to select from")
+        partial = int(np.isnan(rows).any(axis=1).sum())
+        why = {"with a concept still without an estimate": partial,
+               "with a weight that is not positive and finite": len(rows) - partial - len(candidates),
+               "whose mean error is not finite": len(candidates)}
+        reasons = ", ".join(f"{count} {reason}" for reason, count in why.items() if count)
+        raise SolveFailedError(f"no admissible iterate among the {len(rows)} examined" + (reasons and f": {reasons}"))
     return WeightVector(candidates[scored[means[scored].argmin()]].tolist())
 
 
@@ -433,16 +442,16 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
         if run.converged and _admissible(run.array[-1], prepared):  # a converged run's last row has every estimate
             raw = WeightVector(run.array[-1].tolist())
             path = "jacobi"
-        elif run.converged:
-            warnings.append("iteration limit has non-positive weights; selecting the best early iterate")
         else:
-            warnings.append("iteration did not converge; selecting the best early iterate")
+            warnings.append("iteration limit has non-positive weights" if run.converged else "iteration did not converge")
     if raw is None:
         try:
             raw = select_best_iterate(run.array[:max_iterations], prepared)
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"
+        if not prepared.matrix.is_complete():  # the iterative route's warning announces the selection it made
+            warnings[-1] += "; selecting the best early iterate"
 
     _, mean_error = estimation_error(prepared, raw)
     return RankOutcome(

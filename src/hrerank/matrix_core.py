@@ -417,8 +417,12 @@ def _above_diagonal(n: int) -> np.ndarray:
 
 def _fatal_masks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`validate`'s fatal rule on a stack (..., n, n), reachability aside: bad entries, diagonals not 1."""
-    bad_diagonal = ~(np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1.0) <= DIAGONAL_TOL)
-    return (a <= 0) | (a == math.inf), bad_diagonal  # a missing (NaN) entry compares false
+    return _bad_entries(a), ~(np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1.0) <= DIAGONAL_TOL)
+
+
+def _bad_entries(a: np.ndarray) -> np.ndarray:
+    """The entries of a stack (..., n, n) that are not positive finite ratios; a missing (NaN) one compares false."""
+    return (a <= 0) | (a == math.inf)
 
 
 def _samples(a: np.ndarray, references) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .errors import SingularSystemError
 from .hre_solver import LinearSystem, _dominant_columns, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
@@ -71,15 +70,11 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
 
     A `Prepared` problem from `preprocess` is solved as it is.  A problem
     with no unknowns gives back its reference weights.  Raises
-    SingularSystemError or InadmissibleSolutionError on failure, the former
-    also when a coefficient or constant of the system is beyond the float
-    range.
+    SingularSystemError (`solve_linear`'s, including a system beyond the
+    float range) or InadmissibleSolutionError on failure.
     """
     prepared, _ = preprocess(problem)
     if not prepared.unknown_indices:
         return MinErrorResult(synthesize((), prepared), verified_minimum=True)
     error_system = build_error_system(prepared)
-    system = error_system.system
-    if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
-        raise SingularSystemError("least-squares system leaves the float range")
-    return MinErrorResult(synthesize(solve_linear(system), prepared), error_system.hessian_dominant)
+    return MinErrorResult(synthesize(solve_linear(error_system.system), prepared), error_system.hessian_dominant)

@@ -20,7 +20,7 @@ from .baselines import WeightVector, _unit
 from .diagnostics import _triad_scans
 from .errors import HreError
 from .hre_solver import _admissible, _averaging, _parts, _solved, _woven
-from .matrix_core import PcMatrix, Problem, _above_diagonal, _fatal_masks, _filled, _restored, _sum_in_order, is_reachable
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _bad_entries, _filled, _restored, _sum_in_order
 from .min_error_solver import _normal
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
@@ -89,13 +89,15 @@ def _perturbed(matrix: PcMatrix, levels, seed: int) -> np.ndarray:
         raise ValueError(f"noise level must be finite, non-negative and at most {_MAX_NOISE:.2f}")
     rng = random.Random(seed)
     rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(matrix.array))
-    draws = [rng.random() for _ in rows]  # in row order
-    # random.uniform's own arithmetic; math.exp, not np.exp whose last bit can differ, keeps the records
-    factors = [[math.exp(-level + (level - -level) * u) for u in draws] for level in levels]
-    grid = np.repeat(matrix.array[None], len(factors), axis=0)
+    high = np.array(levels, dtype=float)[:, None]
+    # random.uniform's own a + (b - a) * u for every level and draw (in row order) as one array expression, the
+    # same IEEE operations; math.exp entry by entry, not np.exp whose last bit can differ by CPU, keeps the records
+    exponents = -high + (high - -high) * np.array([rng.random() for _ in rows])
+    factors = np.fromiter(map(math.exp, exponents.ravel().tolist()), float, exponents.size).reshape(exponents.shape)
+    grid = np.repeat(matrix.array[None], len(levels), axis=0)
     with np.errstate(over="ignore", divide="ignore"):  # an entry out of float range is inf or 0: `validate` refuses it
-        grid[:, rows, cols] *= factors
-        grid[:, cols, rows] = 1.0 / grid[:, rows, cols]
+        upper = grid[:, rows, cols] = matrix.array[rows, cols] * factors
+        grid[:, cols, rows] = 1.0 / upper
     grid.flags.writeable = False
     return grid
 
@@ -131,8 +133,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         matrix, weights = generate_consistent(config.n, gen_seed)
         problem = Problem(matrix, {i + 1: weights[i] for i in range(config.reference_count)})
         noisy = _perturbed(matrix, config.noise_levels, gen_seed + 1)
-        bad, bad_diagonal = _fatal_masks(noisy)  # reachability is the base matrix's: perturb keeps its pattern
-        accepted = ~(bad.any(axis=(1, 2)) | bad_diagonal.any(axis=1)) & is_reachable(problem)[0]
+        # `validate`'s fatal rule; the base matrix is complete, so every unknown is linked to a reference (no
+        # reachability search) and perturbing leaves its diagonal at 1: only an entry out of range is refused
+        accepted = ~_bad_entries(noisy).any(axis=(1, 2))
         solutions = iter(())
         if accepted.any():  # `preprocess`, both system builds and their solve, each once on the accepted levels
             filled = _filled(_restored(noisy[accepted]), problem.references)[0]
@@ -171,17 +174,12 @@ class NoiseLevelSummary(NamedTuple):
 
 def summarize(records: list[TrialRecord]) -> list[NoiseLevelSummary]:
     """Per-noise-level means, in first-seen level order."""
-    levels: list[float] = []
-    for r in records:
-        if r.noise_level not in levels:
-            levels.append(r.noise_level)
+    levels = dict.fromkeys(r.noise_level for r in records)
     summaries = []
     for level in levels:
         bucket = [r for r in records if r.noise_level == level]
         solved = [r for r in bucket if r.both_solved]
-        mean_distance = (
-            _sum_in_order(r.distance for r in solved) / len(solved) if solved else math.nan
-        )
+        mean_distance = _sum_in_order(r.distance for r in solved) / len(solved) if solved else math.nan
         summaries.append(
             NoiseLevelSummary(
                 noise_level=level,

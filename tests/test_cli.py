@@ -274,7 +274,7 @@ class TestErrorPaths:
         path = tmp_path / f"{name}.txt"
         path.write_text(EXTREME_INPUTS[name], encoding="utf-8")
         code, out, err = run_cli(["rank", "--input", str(path), "--method", "min-error"], capsys)
-        assert (code, out, err) == (2, "", "solver error: least-squares system leaves the float range\n")
+        assert (code, out, err) == (2, "", "solver error: linear system leaves the float range\n")
 
     def test_failed_ladder_says_why_each_rung_failed(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
@@ -282,9 +282,9 @@ class TestErrorPaths:
         code, out, err = run_cli(["rank", "--input", str(path), "--method", "hre"], capsys)
         assert (code, out) == (2, "")
         assert err == (
-            "solver error: direct solve failed: solution residual nan exceeds tolerance; "
-            "least-squares heuristic failed: least-squares system leaves the float range; "
-            "no admissible iterate to select from\n"
+            "solver error: direct solve failed: linear system leaves the float range; "
+            "least-squares heuristic failed: linear system leaves the float range; "
+            "no admissible iterate among the 1 examined: 1 with a weight that is not positive and finite\n"
         )
 
     def test_unconverged_power_iteration_leaves_ci_unset(self, tmp_path, capsys):

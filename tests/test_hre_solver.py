@@ -571,7 +571,7 @@ class TestHreRank:
         assert outcome.weights_raw.values == (1.0, 5e199, 0.5)
         assert outcome.warnings == (
             "direct solve failed: solution residual 5.000e-01 exceeds tolerance",
-            "least-squares heuristic failed: least-squares system leaves the float range",
+            "least-squares heuristic failed: linear system leaves the float range",
         )
 
     def test_divergent_incomplete_takes_best_iterate(self):
@@ -579,6 +579,15 @@ class TestHreRank:
         assert outcome.path == "best-iterate"
         assert not outcome.admissible
         assert all(v > 0 for v in outcome.weights_raw.values)
+
+    def test_failed_incomplete_ladder_says_why_no_iterate_qualified(self):
+        # the 60-concept ring does not converge, and its first 10 iterates still leave concepts unestimated
+        with pytest.raises(SolveFailedError) as failure:
+            hre_rank(graph_problem(1, 60, "ring", 0.1, 1))
+        assert str(failure.value) == (
+            "iteration did not converge; "
+            "no admissible iterate among the 10 examined: 10 with a concept still without an estimate"
+        )
 
     def test_inadmissible_jacobi_limit_takes_best_iterate(self):
         # the limit's second weight settles at 7.5e-10, below 1e-9 times the reference

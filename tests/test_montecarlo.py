@@ -152,6 +152,18 @@ class TestRunExperiment:
         assert repr(records[:3] + records[6:9]) == repr(alone)
         assert all(r.both_solved for r in alone)
 
+    def test_runs_no_reachability_search(self, monkeypatch):
+        # every base matrix is complete, so every unknown is linked to a reference without a search
+        config = ExperimentConfig(n=5, trials=3, noise_levels=(0.0, 0.3, 709.78), reference_count=2, seed=4)
+        expected = run_experiment(config)
+
+        def refuse(problem):
+            raise AssertionError("run_experiment searched for reachability")
+
+        monkeypatch.setattr("hrerank.montecarlo.is_reachable", refuse, raising=False)
+        monkeypatch.setattr("hrerank.matrix_core.is_reachable", refuse)
+        assert repr(run_experiment(config)) == repr(expected)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, trials=5, noise_levels=(0.1,), reference_count=1, seed=0)

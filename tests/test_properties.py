@@ -485,7 +485,8 @@ def test_solve_linear_matches_oracle(k, seed, shift, singular):
             results.append(solve(system))
         except SingularSystemError as exc:  # the same message
             results.append(str(exc))
-    assert results[0] == results[1]
+    # an inf constant is refused by name before eliminating; `_solved` still eliminates it (next test)
+    assert results[0] == (results[1] if singular != "nonfinite" else "linear system leaves the float range")
 
 
 @settings(max_examples=100, deadline=None)
@@ -562,9 +563,19 @@ def bits(array) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
+# a matrix with a missing pair (1,3) and half-specified pairs (2,4) and (3,4), then a complete one: perturb skips
+# the unspecified upper entries and inverts the specified ones
+MISSING_PAIRS_STACK = np.array([
+    [[1.0, 2.0, math.nan, 0.25], [0.5, 1.0, 3.0, math.nan], [math.nan, 1 / 3, 1.0, 5.0], [4.0, 8.0, math.nan, 1.0]],
+    [[1.0, 2.0, 3.0, 0.25], [0.5, 1.0, 3.0, 4.0], [1 / 3, 1 / 3, 1.0, 5.0], [4.0, 0.25, 0.2, 1.0]],
+])
+MISSING_PAIRS_STACK.flags.writeable = False
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrix_stacks(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 6.0, 300.0, 700.0, 709.78]), min_size=1, max_size=5),
        seeds)
+@example((MISSING_PAIRS_STACK, {1: 1.0}), (0.0, 709.78), 7)
 def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
     stack, references = inputs
     matrices = [PcMatrix._from_array(one.copy()) for one in stack]
