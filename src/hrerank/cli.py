@@ -174,11 +174,12 @@ def _cmd_rank(args) -> int:
 
     prepared = preprocess(problem)  # the one validation of this request
     path: str | None
+    error: float | None = None  # the printed vector's mean error, once known
     if args.method == "hre":
         from .hre_solver import hre_rank  # `diagnose`, `cop`, `ev` and `gm` never load it
 
         outcome = hre_rank(prepared, max_iterations=args.iterations)
-        weights, path = outcome.weights_raw, outcome.path
+        weights, path, error = outcome.weights_raw, outcome.path, outcome.error
         warnings += outcome.warnings
     else:
         warnings += [str(i) for i in prepared.warnings]
@@ -194,8 +195,9 @@ def _cmd_rank(args) -> int:
             if not result.verified_minimum:
                 warnings.append(UNVERIFIED_MINIMUM)
     if args.normalize and not weights.normalized:  # ev and gm weights already sum to 1
-        weights = weights.normalize()
-    _, error = estimation_error(prepared.problem, weights)
+        weights, error = weights.normalize(), None
+    if error is None:  # `hre_rank` scored its answer on the same problem
+        _, error = estimation_error(prepared.problem, weights)
 
     indices = inconsistency_report(problem.matrix)
     if args.json:

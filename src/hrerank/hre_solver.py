@@ -16,6 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:  # np.einsum's C kernel, called directly by the Jacobi step (see `jacobi_iterate`)
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum
+
 from .baselines import WeightVector
 from .diagnostics import _errors, estimation_error
 from .errors import (
@@ -251,7 +256,8 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     each step recounts which estimates exist and how many samples each row
     has, and is tested for divergence on its own.  From then on the counts
     cannot change and the steps run in blocks of 2, 4, 8, ... up to 64.
-    After each block the tests of all its steps are made at once, and the
+    After each block the tests of all its steps are made at once, by ufunc
+    reductions (``np.maximum.reduce``, ``np.logical_or.reduce``), and the
     run is cut right after the first step that is infinite or beyond 1e12
     in magnitude (tested first) or agrees with the step before to a
     relative 1e-10 in the max-norm.  Later steps never change earlier ones,
@@ -264,8 +270,13 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     the bit.  The unknowns' samples are those `_samples` gives.  Their
     ratios are held transposed (row i holds every concept's ratio to i;
     zero where it is missing and on an unknown's diagonal), and a step is
-    one ``np.einsum("ij,i->j")`` of them with the current estimates.
-    numpy's sum-of-products loop starts each column's sum at +0.0 and adds
+    one ``"ij,i->j"`` sum of products of them with the current estimates,
+    written into the step's row and divided there by the sample counts.
+    The sum of products calls numpy's C kernel ``c_einsum`` directly, the
+    one ``np.einsum`` forwards to when ``optimize`` is False (imported from
+    ``numpy._core.multiarray`` on numpy 2.x, ``numpy.core.multiarray`` on
+    1.x): the same loop without the Python wrapper.  That kernel's
+    sum-of-products loop starts each column's sum at +0.0 and adds
     ratio * estimate for rows i = 0 ... n-1 in turn, rounding the product
     and the sum separately, as the loop does.  A zero ratio adds +0.0 or
     -0.0, which leaves the sum as it is: a sum that starts at +0.0 never
@@ -310,15 +321,16 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                 out = grown
             rows = out[steps:stop]
             for row in rows:
-                np.einsum("ij,i->j", ratios_t, current, out=row)
+                c_einsum("ij,i->j", ratios_t, current, out=row)
                 row /= divisors
                 current = row
             sizes = np.fmax.reduce(np.abs(rows), axis=1)  # fmax skips the unestimated NaNs
             over = sizes > DIVERGENCE_LIMIT  # inf included
             ends = over
             if tested:
-                ends = over | (np.abs(rows - out[steps - 1 : stop - 1]).max(axis=1) <= JACOBI_STOP_TOL * sizes)
-            if ends.any():  # cut the run right after the first step that ends it
+                change = np.maximum.reduce(np.abs(rows - out[steps - 1 : stop - 1]), axis=1)
+                ends = over | (change <= JACOBI_STOP_TOL * sizes)
+            if np.logical_or.reduce(ends):  # cut the run right after the first step that ends it
                 last = int(ends.argmax())
                 steps += last + 1
                 diverged = bool(over[last])

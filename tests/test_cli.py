@@ -107,6 +107,14 @@ def test_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_solver_import_raises_no_deprecation_warning():
+    # on numpy 2 the Jacobi step's kernel must come from numpy._core, not the deprecated numpy.core alias
+    code = "import hrerank.hre_solver"
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                          env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "name", [n for n in sorted(GOLDEN_CASES) if n.endswith(".json")]
 )
@@ -230,14 +238,31 @@ RANK_ROUTES = [
 ]
 
 
+def _route_text(source):
+    if source.endswith(".txt"):
+        return (DATA_DIR / source).read_text(encoding="utf-8")
+    if source == "singular_direct":
+        return _problem_text(singular_direct_problem())
+    return EXTREME_INPUTS[source]
+
+
+@pytest.mark.parametrize("method, source, path", RANK_ROUTES)
+def test_plain_answer_prints_its_own_error(method, source, path, tmp_path, capsys):
+    # `hre` prints the error `hre_rank` computed; it must be the one the printed weights have
+    text = _route_text(source)
+    file = tmp_path / "input.txt"
+    file.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["rank", "--input", str(file), "--method", method, "--json"], capsys)
+    assert code == 0, err
+    plain = json.loads(out)
+    assert plain["path"] == path
+    _, error = estimation_error(preprocess(parse_matrix(text)).problem, WeightVector(plain["weights"]))
+    assert plain["diagnostics"]["error"] == error
+
+
 @pytest.mark.parametrize("method, source, path", RANK_ROUTES)
 def test_normalize_prints_the_unit_sum_of_the_plain_answer(method, source, path, tmp_path, capsys):
-    if source.endswith(".txt"):
-        text = (DATA_DIR / source).read_text(encoding="utf-8")
-    elif source == "singular_direct":
-        text = _problem_text(singular_direct_problem())
-    else:
-        text = EXTREME_INPUTS[source]
+    text = _route_text(source)
     file = tmp_path / "input.txt"
     file.write_text(text, encoding="utf-8")
     args = ["rank", "--input", str(file), "--method", method, "--json"]

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hrerank import (
     ExperimentConfig,
@@ -59,6 +60,7 @@ from hrerank.hre_solver import (
     _solved,
     _system_parts,
     build_system,
+    c_einsum,
     check_convergence,
     jacobi_iterate,
     select_best_iterate,
@@ -248,6 +250,31 @@ def test_jacobi_iterates_match_loop(problem, steps):
     iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
     assert (run.converged, run.diverged) == (converged, diverged)
     assert run.iterates == tuple(iterates)  # bit for bit: the same additions in the same order
+
+
+# any finite float: zeros of both signs, negatives, subnormals and values whose products overflow
+step_operands = st.integers(1, 120).flatmap(
+    lambda n: st.tuples(
+        hnp.arrays(np.float64, (n, n), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False)),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_operands, st.integers(0, 2))
+@example((np.zeros((1, 1)), np.array([-0.0])), 0)
+@example((np.array([[-2.0, 0.0], [1e308, -0.0]]), np.array([1e308, -3.0])), 1)  # overflows to inf, then inf - inf
+@example((np.full((120, 120), -1e-3), np.linspace(-1e300, 1e300, 120)), 2)
+def test_step_kernel_matches_einsum(operands, row):
+    # the Jacobi step writes c_einsum into a row of its iterate buffer; it must give np.einsum's bits
+    ratios_t, current = operands
+    buffer = np.full((3, len(current)), 7.0)
+    with np.errstate(all="ignore"):
+        c_einsum("ij,i->j", ratios_t, current, out=buffer[row])
+        expected = np.einsum("ij,i->j", ratios_t, current)
+    assert buffer[row].tobytes() == expected.tobytes()
+    assert (np.delete(buffer, row, axis=0) == 7.0).all()
 
 
 def test_fma_example_is_fma_sensitive():
