@@ -108,9 +108,16 @@ def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
     only grows as q moves away from 1 on either side (also in floating
     point, where each step rounds monotonically), so the index is the
     larger contribution of the smallest and the largest q; no other triad
-    is evaluated.  The q values are formed in blocks of pivots k that span
-    the whole stack, of at most SCAN_BLOCK entries (one pivot's n x n slab
-    of every matrix when they are larger), never as an n x n x n array.
+    is evaluated.  The q values are formed over the triads alone, slab by
+    slab of the middle index j (j x (n - 1 - j) values per matrix, at most
+    about n^2 / 4), never as an n x n x n array.  Consecutive j make one
+    block across the whole stack, of at most SCAN_BLOCK entries (one j when
+    the stack is larger); each block's extremes go into slots combined
+    once, and fmin and fmax pick the same extremes in any order.  When every
+    entry is finite and non-zero no q can be NaN (a product of two such
+    entries may overflow or underflow, but never both at once, and inf or 0
+    over a finite non-zero entry stays inf or 0), so every matrix counts
+    C(n, 3) triads; otherwise the non-NaN q are counted block by block.
     Returns one (index, count) pair per matrix, in order; (None, 0) for a
     matrix with no complete triad.
     """
@@ -119,18 +126,26 @@ def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
     above = _above_diagonal(n)
     upper = np.where(above, a, np.nan)  # m_ij, i < j
     lower = np.where(above.T, a, np.nan)  # m_kj, j < k
-    low, high, count = np.full(len(a), math.inf), np.full(len(a), -math.inf), np.zeros(len(a), dtype=int)
-    step = max(1, SCAN_BLOCK // a.size)  # pivots per block
+    step = max(1, SCAN_BLOCK // a.size)  # middle indices per block
+    starts = range(1, n - 1, step)
+    # one slot per block, after a first slot that holds the bounds of a matrix without triads
+    low = np.full((len(starts) + 1, len(a)), math.inf)
+    high = -low
+    counted = not (np.isfinite(a).all() and a.all())
+    count = np.full(len(a), 0 if counted else math.comb(n, 3))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k0 in range(2, n, step):
-            k1 = min(n, k0 + step)
-            # q[., k, i, j] = (m_ik * m_kj) / m_ij, NaN unless i < j < k and all three are given
-            q = np.swapaxes(upper[:, :k1, k0:k1], 1, 2)[:, :, :, None] * lower[:, k0:k1, None, :k1]
-            q /= upper[:, None, :k1, :k1]
-            count += [q[0].size - np.count_nonzero(np.isnan(one)) for one in q]
-            low = np.fmin(low, np.fmin.reduce(q, axis=(1, 2, 3)))  # an all-NaN slice leaves its bound as it is
-            high = np.fmax(high, np.fmax.reduce(q, axis=(1, 2, 3)))
-    bounds = zip(low.tolist(), high.tolist())  # a q that underflowed to 0 contributes its limit, 1
+        for slot, j0 in enumerate(starts, 1):
+            j1 = min(n - 1, j0 + step)
+            # q[., j, i, k] = (m_ik * m_kj) / m_ij over i < j1 - 1 and k > j0, NaN unless i < j < k and all three
+            # are given (a masked m_kj or m_ij makes it NaN whatever m_ik is); no padding when the block is one j
+            q = a[:, None, : j1 - 1, j0 + 1 :] * np.swapaxes(lower[:, j0 + 1 :, j0:j1], 1, 2)[:, :, None, :]
+            q /= np.swapaxes(upper[:, : j1 - 1, j0:j1], 1, 2)[:, :, :, None]
+            if counted:
+                count += np.count_nonzero(q == q, axis=(1, 2, 3))  # NaN compares false
+            low[slot] = np.fmin.reduce(q, axis=(1, 2, 3))  # NaN for an all-NaN slice, which the combination skips
+            high[slot] = np.fmax.reduce(q, axis=(1, 2, 3))
+    bounds = zip(np.fmin.reduce(low).tolist(), np.fmax.reduce(high).tolist())
+    # a q that underflowed to 0 contributes its limit, 1
     index = [max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0 for q in pair) for pair in bounds]
     return [(k, found) if found else (None, 0) for k, found in zip(index, count.tolist())]
 

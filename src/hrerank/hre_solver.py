@@ -362,6 +362,11 @@ def select_best_iterate(
     iterate.  Raises SolveFailedError when no iterate is admissible, saying
     how many it examined and why each failed.
     """
+    return _best_iterate(iterates, problem)[0]
+
+
+def _best_iterate(iterates, problem: Problem) -> tuple[WeightVector, float]:
+    """`select_best_iterate`'s winner and its mean error, which equals `estimation_error`'s bit for bit."""
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
     candidates = rows[[_admissible(row, problem) for row in rows.tolist()]]
     means = _errors(problem, candidates)[1] if problem.unknown_indices else np.zeros(len(candidates))
@@ -373,7 +378,8 @@ def select_best_iterate(
                "whose mean error is not finite": len(candidates)}
         reasons = ", ".join(f"{count} {reason}" for reason, count in why.items() if count)
         raise SolveFailedError(f"no admissible iterate among the {len(rows)} examined" + (reasons and f": {reasons}"))
-    return WeightVector(candidates[scored[means[scored].argmin()]].tolist())
+    best = scored[means[scored].argmin()]
+    return WeightVector(candidates[best].tolist()), float(means[best])
 
 
 def synthesize(solved: tuple[float, ...], problem: Problem) -> WeightVector:
@@ -421,7 +427,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
 
     convergence_ok: bool | None = None
     determinant_ok: bool | None = None
-    raw = run = None
+    raw = run = error = None
 
     if not prepared.unknown_indices:
         raw = synthesize((), prepared)
@@ -458,21 +464,20 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
             warnings.append("iteration limit has non-positive weights" if run.converged else "iteration did not converge")
     if raw is None:
         try:
-            raw = select_best_iterate(run.array[:max_iterations], prepared)
+            raw, error = _best_iterate(run.array[:max_iterations], prepared)
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"
         if not prepared.matrix.is_complete():  # the iterative route's warning announces the selection it made
             warnings[-1] += "; selecting the best early iterate"
 
-    _, mean_error = estimation_error(prepared, raw)
     return RankOutcome(
         weights_raw=raw,
         path=path,
         convergence_ok=convergence_ok,
         determinant_ok=determinant_ok,
         admissible=path in ("direct", "jacobi"),
-        error=mean_error,
+        error=estimation_error(prepared, raw)[1] if error is None else error,
         iterations_used=0 if run is None else len(run.array),
         warnings=tuple(warnings),
     )

@@ -24,6 +24,7 @@ KNOWN_RATIO_WARN_TOL = 1e-6   # relative deviation of a provided known-known rat
 _TINY = np.finfo(float).tiny  # smallest normal float64
 
 FATAL_CATEGORIES = frozenset({"nonpositive-entry", "bad-diagonal", "unreachable-concept"})
+_NAN_ENTRY = "entry ({},{}) is NaN; use None for a missing comparison"
 
 
 class PcMatrix:
@@ -52,7 +53,7 @@ class PcMatrix:
         if np.count_nonzero(np.isnan(array)) != sum(row.count(None) for row in rows):  # some NaN is not a None
             for i, j in np.argwhere(np.isnan(array)).tolist():
                 if rows[i][j] is not None:
-                    raise ValueError(f"entry ({i + 1},{j + 1}) is NaN; use None for a missing comparison")
+                    raise ValueError(_NAN_ENTRY.format(i + 1, j + 1))
         array.flags.writeable = False
         self._array = array
 
@@ -195,11 +196,14 @@ def parse_matrix(text: str) -> Problem:
         <n rows of n tokens> token := decimal | integer | a/b | ?
         ref <i> <w>          zero or more reference lines, i 1-based
 
-    Raises ParseError with line/column on any syntax problem.  Numeric
+    Raises ParseError with line/column on any syntax problem, and then
+    ValueError for a fraction that came out NaN (inf over inf).  Numeric
     soundness (positivity, unit diagonal) is left to `validate`.
     """
     n: int | None = None
-    rows: list[list[float | None]] = []
+    grid = np.empty((0, 0))
+    row = 0  # matrix rows read so far
+    nan_entry = None  # the first entry whose fraction came out NaN (inf over inf), refused once parsing is done
     references: dict[int, float] = {}
     last_line = 0
 
@@ -217,16 +221,21 @@ def parse_matrix(text: str) -> Problem:
                 raise ParseError(f"matrix size must be an integer, got '{toks[0]}'", line_no, _column(raw, 0)) from None
             if n < 2:
                 raise ParseError("matrix size must be at least 2", line_no, _column(raw, 0))
-        elif len(rows) < n:
+        elif row < n:
             if len(toks) != n:
-                raise ParseError(f"row {len(rows) + 1} has {len(toks)} values, expected {n}", line_no, _column(raw, 0))
+                raise ParseError(f"row {row + 1} has {len(toks)} values, expected {n}", line_no, _column(raw, 0))
+            if not row:  # allocated once a row of n tokens is there
+                grid = np.empty((n, n))
             try:
                 values = list(map(float, toks))  # the whole row in one call
                 if math.isnan(sum(values)):  # a 'nan' token, or inf beside -inf
                     raise ValueError
             except ValueError:  # '?', a fraction or a bad token: token by token, for the value or the error
                 values = [_parse_value(tok, line_no, raw, index) for index, tok in enumerate(toks)]
-            rows.append(values)
+                if nan_entry is None:  # the first NaN value; a None (missing) compares equal to itself
+                    nan_entry = next(((row + 1, col + 1) for col, v in enumerate(values) if v != v), None)
+            grid[row] = values  # None becomes NaN
+            row += 1
         else:
             if toks[0] != "ref":
                 raise ParseError(f"expected 'ref' line, got '{toks[0]}'", line_no, _column(raw, 0))
@@ -250,9 +259,11 @@ def parse_matrix(text: str) -> Problem:
 
     if n is None:
         raise ParseError("empty input, expected matrix size", max(last_line, 1))
-    if len(rows) < n:
-        raise ParseError(f"expected {n} matrix rows, got {len(rows)}", last_line)
-    return Problem(PcMatrix(rows), references)  # refuses a fraction that came out NaN
+    if row < n:
+        raise ParseError(f"expected {n} matrix rows, got {row}", last_line)
+    if nan_entry:
+        raise ValueError(_NAN_ENTRY.format(*nan_entry))
+    return Problem(PcMatrix._from_array(grid), references)
 
 
 def validate(problem: Problem) -> ValidationReport:

@@ -50,6 +50,7 @@ from hrerank import (
     preprocess,
     solve_min_error,
 )
+from hrerank.diagnostics import SCAN_BLOCK
 from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL, _solved, build_system, solve_linear, synthesize
 from hrerank.montecarlo import _SEED_STRIDE, generate_consistent, perturb
 from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
@@ -346,6 +347,33 @@ def triad_scan_loop(matrix: PcMatrix) -> tuple[float | None, int]:
                 if worst is None or contribution > worst:
                     worst = contribution
     return worst, count
+
+
+def triad_scans_pivot(a: np.ndarray) -> list[tuple[float | None, int]]:
+    """`_triad_scans` as first stacked: q over whole k x k pivot slabs, NaN outside i < j < k, NaNs counted.
+
+    Unlike `triad_scan_loop` it forms each q as one IEEE expression on the
+    array, so it also agrees where an entry is inf, 0 or NaN.
+    """
+    n = a.shape[-1]
+    a = a.reshape(-1, n, n)
+    above = np.arange(n)[:, None] < np.arange(n)
+    upper = np.where(above, a, np.nan)  # m_ij, i < j
+    lower = np.where(above.T, a, np.nan)  # m_kj, j < k
+    low, high, count = np.full(len(a), math.inf), np.full(len(a), -math.inf), np.zeros(len(a), dtype=int)
+    step = max(1, SCAN_BLOCK // a.size)  # pivots per block
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k0 in range(2, n, step):
+            k1 = min(n, k0 + step)
+            # q[., k, i, j] = (m_ik * m_kj) / m_ij, NaN unless i < j < k and all three are given
+            q = np.swapaxes(upper[:, :k1, k0:k1], 1, 2)[:, :, :, None] * lower[:, k0:k1, None, :k1]
+            q /= upper[:, None, :k1, :k1]
+            count += [q[0].size - np.count_nonzero(np.isnan(one)) for one in q]
+            low = np.fmin(low, np.fmin.reduce(q, axis=(1, 2, 3)))  # an all-NaN slice leaves its bound as it is
+            high = np.fmax(high, np.fmax.reduce(q, axis=(1, 2, 3)))
+    bounds = zip(low.tolist(), high.tolist())  # a q that underflowed to 0 contributes its limit, 1
+    index = [max(min(abs(1.0 - q), abs(1.0 - 1.0 / q)) if q else 1.0 for q in pair) for pair in bounds]
+    return [(k, found) if found else (None, 0) for k, found in zip(index, count.tolist())]
 
 
 def is_reachable_loop(problem: Problem) -> tuple[bool, tuple[int, ...]]:

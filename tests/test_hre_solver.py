@@ -13,10 +13,11 @@ from hrerank import (
     SingularSystemError,
     SolveFailedError,
     ValidationError,
+    estimation_error,
     hre_rank,
     preprocess,
 )
-from hrerank import hre_solver, min_error_solver
+from hrerank import diagnostics, hre_solver, min_error_solver
 from hrerank.hre_solver import (
     JACOBI_MAX_ITER,
     LinearSystem,
@@ -42,6 +43,7 @@ from _support import (
     noisy_consistent,
     overflow_problem,
     permute_problem,
+    random_problem,
     random_weights,
     singular_direct_problem,
     solve_stack,
@@ -599,6 +601,27 @@ class TestHreRank:
             assert not outcome.admissible
             assert max_rel_diff([v / reference for v in outcome.weights_raw.values], (1.0, 1.2e-9, 1.0, 1.0)) <= 1e-12
             assert outcome.warnings == ("iteration limit has non-positive weights; selecting the best early iterate",)
+
+    def test_best_iterate_answer_is_scored_once(self, monkeypatch):
+        calls = []
+
+        def counted(problem, w):
+            calls.append(len(w))
+            return errors(problem, w)
+
+        errors = diagnostics._errors
+        monkeypatch.setattr(diagnostics, "_errors", counted)  # the scoring behind `estimation_error`
+        monkeypatch.setattr(hre_solver, "_errors", counted)  # the stacked scoring of the candidates
+        complete = Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0})
+        for problem in (complete, diverging_incomplete_problem(), random_problem(1, 40, 0.5, 0.3, 1)):
+            calls.clear()
+            outcome = hre_rank(problem)
+            assert outcome.path == "best-iterate"
+            assert len(calls) == 1
+            assert outcome.error == estimation_error(_prepared(problem), outcome.weights_raw)[1]
+        calls.clear()
+        outcome = hre_rank(graph_problem(1, 10, "ring", 0.1, 1))  # any other path scores its answer once too
+        assert outcome.path == "jacobi" and calls == [1]
 
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):

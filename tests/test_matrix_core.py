@@ -84,6 +84,15 @@ class TestParse:
         assert (err.value.line, err.value.column) == (2, 3)
         assert "'?'" in str(err.value)
 
+    def test_nan_fraction_is_refused_by_entry_after_parsing(self):
+        huge = f"{'9' * 400}/{'9' * 400}"  # inf over inf
+        text = f"3\n1 2 ?\n? 1 {huge}\n1 {huge} 1\nref 1 1.0\n"
+        with pytest.raises(ValueError, match=r"^entry \(2,3\) is NaN; use None for a missing comparison$") as err:
+            parse_matrix(text)
+        assert not isinstance(err.value, ParseError)
+        with pytest.raises(ParseError, match="expected 'ref' line"):  # a syntax error anywhere is reported first
+            parse_matrix(text + "junk\n")
+
     def test_error_carries_line_and_column(self):
         with pytest.raises(ParseError) as err:
             parse_matrix("3\n1 2 3\n1/2 1 oops\n1/3 1 1\n")

@@ -14,7 +14,9 @@ the Monte Carlo records and unit-sum weights must equal their references
 exactly, as must the averaging and least-squares systems of complete
 problems (1, 3 or n - 1 references) and their dominance tests.  Every
 slice of the stacked stage kernels that `run_experiment` runs must equal
-the public one-matrix function of that stage bit for bit.
+the public one-matrix function of that stage bit for bit, and the triad
+scan must print as its pivot-block form prints on stacks with NaN, inf,
+0, negative and subnormal entries, at any block size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import runpy
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -94,6 +98,7 @@ from _support import (
     solve_linear_oracle,
     solve_stack,
     triad_scan_loop,
+    triad_scans_pivot,
     unit_weights_oracle,
     validate_loop,
 )
@@ -143,6 +148,45 @@ def test_restored_matrix_and_triads_match_loop(problem):
         expected = triad_scan_loop(matrix)
         assert _triad_scans(matrix.array) == [expected]
         assert koczkodaj_index(matrix) == expected[0]
+
+
+# entries that make a product or a quotient NaN (inf * 0, 0 / 0, inf / inf), negative, subnormal or overflowing
+TRIAD_SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -2.5, 5e-324, 1e-310, 1e300, 1e-300)
+
+
+@st.composite
+def triad_stacks(draw):
+    """1-4 matrices of one size n in 3..30: log-uniform ratios, some missing, some entries special."""
+    n, count = draw(st.integers(3, 30)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(seeds))
+    stack = np.exp(rng.uniform(-3.0, 3.0, (count, n, n)))
+    stack[rng.random(stack.shape) < draw(st.sampled_from([0.0, 0.0, 0.2, 0.6]))] = math.nan
+    positions = st.tuples(st.integers(0, count - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    for (b, i, j), value in draw(st.lists(st.tuples(positions, st.sampled_from(TRIAD_SPECIALS)), max_size=12)):
+        stack[b, i, j] = value
+    return stack
+
+
+def _with_entries(stack: np.ndarray, entries: dict[tuple[int, int, int], float]) -> np.ndarray:
+    stack = stack.copy()
+    for index, value in entries.items():
+        stack[index] = value
+    return stack
+
+
+_BENCH_INPUTS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
+COMPLETE_STACK = np.exp(np.random.default_rng(5).uniform(-3.0, 3.0, (2, 6, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(triad_stacks(), st.sampled_from([1, 7, 64, 4096, SCAN_BLOCK]))
+@example(_with_entries(COMPLETE_STACK, {(1, 0, 4): math.inf}), SCAN_BLOCK)  # complete, one inf: the counted path
+@example(_with_entries(COMPLETE_STACK, {(0, 0, 1): 0.0, (0, 0, 2): 0.0}), SCAN_BLOCK)  # finite, 0 / 0: counted too
+@example(COMPLETE_STACK[:, :3, :3].copy(), 1)  # finite and non-zero at n = 3: C(3, 3) = 1 triad each
+@example(_BENCH_INPUTS["make_case"](7, "complete", 200, 0.3, 3).matrix[None], SCAN_BLOCK)  # the n = 200 request
+def test_triad_scans_match_pivot_blocks(stack, block):
+    with patch.object(diagnostics, "SCAN_BLOCK", block):  # small blocks: several middle indices or one per block
+        assert repr(_triad_scans(stack)) == repr(triad_scans_pivot(stack))
 
 
 @settings(max_examples=60, deadline=None)
