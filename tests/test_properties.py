@@ -174,6 +174,7 @@ def _with_entries(stack: np.ndarray, entries: dict[tuple[int, int, int], float])
     return stack
 
 
+# the benchmark's own input generator, loaded by path: `bench/` is a directory of scripts, not a package
 _BENCH_INPUTS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
 COMPLETE_STACK = np.exp(np.random.default_rng(5).uniform(-3.0, 3.0, (2, 6, 6)))
 
