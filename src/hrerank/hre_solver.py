@@ -352,21 +352,17 @@ def _admissible(values, problem: Problem) -> bool:
 
 def select_best_iterate(
     iterates: np.ndarray | tuple[tuple[float | None, ...], ...], problem: Problem
-) -> WeightVector:
-    """Among fully-defined admissible iterates, the one with the least mean error.
+) -> tuple[WeightVector, float]:
+    """Among fully-defined admissible iterates, the one with the least mean error, and that error.
 
     ``iterates`` is a steps x n array with NaN for "no estimate yet", such
     as `JacobiRun.array`, or rows of floats with None for NaN.  The
     admissible rows are scored together, each as `estimation_error` scores
-    it; a NaN or infinite error never wins.  Ties go to the earliest
-    iterate.  Raises SolveFailedError when no iterate is admissible, saying
-    how many it examined and why each failed.
+    it, so the returned error equals its mean bit for bit; a NaN or
+    infinite error never wins.  Ties go to the earliest iterate.  Raises
+    SolveFailedError when no iterate is admissible, saying how many it
+    examined and why each failed.
     """
-    return _best_iterate(iterates, problem)[0]
-
-
-def _best_iterate(iterates, problem: Problem) -> tuple[WeightVector, float]:
-    """`select_best_iterate`'s winner and its mean error, which equals `estimation_error`'s bit for bit."""
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
     candidates = rows[[_admissible(row, problem) for row in rows.tolist()]]
     means = _errors(problem, candidates)[1] if problem.unknown_indices else np.zeros(len(candidates))
@@ -464,7 +460,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
             warnings.append("iteration limit has non-positive weights" if run.converged else "iteration did not converge")
     if raw is None:
         try:
-            raw, error = _best_iterate(run.array[:max_iterations], prepared)
+            raw, error = select_best_iterate(run.array[:max_iterations], prepared)
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"

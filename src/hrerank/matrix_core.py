@@ -276,7 +276,7 @@ def validate(problem: Problem) -> ValidationReport:
     and then column.
     """
     a = problem.matrix.array
-    bad, bad_diagonal = _fatal_masks(a)
+    bad = _bad_entries(a)
     with np.errstate(over="ignore", invalid="ignore"):
         far = np.abs(a * a.T - 1.0) > RECIPROCAL_WARN_TOL  # symmetric: reported for i < j only
     issues: list[Issue] = []
@@ -287,7 +287,7 @@ def validate(problem: Problem) -> ValidationReport:
             message = f"entry {v!r} is not a positive finite ratio"
             issues.append(Issue(f"({i + 1},{j + 1})", "nonpositive-entry", message))
 
-    if bad_diagonal.any():
+    if not (np.abs(a.diagonal() - 1.0) <= DIAGONAL_TOL).all():  # NaN fails the comparison
         for i, v in enumerate(a.diagonal().tolist(), start=1):
             if v != v:
                 issues.append(Issue(f"({i},{i})", "bad-diagonal", "diagonal entry is missing"))
@@ -346,20 +346,7 @@ def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
     is worth reporting, not worth failing on).  Entries touching at least
     one unknown concept are never modified.
     """
-    a = problem.matrix.array
-    grid, rows, cols, targets = _filled(a, problem.references)
-    if not targets:
-        return problem, ()
-    issues = tuple(
-        Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
-        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist(), targets)
-        if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
-    )
-    return Problem(PcMatrix._from_array(grid), problem.references), issues
-
-
-def _filled(a: np.ndarray, references: dict[int, float]) -> tuple[np.ndarray, list[int], list[int], list[float]]:
-    """`fill_known_ratios` over a stack (..., n, n): the filled copy and the pairs' rows, columns and ratios."""
+    references, a = problem.references, problem.matrix.array
     known = sorted(references)
     rows, cols, targets = [], [], []
     for pos, i in enumerate(known):
@@ -368,9 +355,16 @@ def _filled(a: np.ndarray, references: dict[int, float]) -> tuple[np.ndarray, li
             rows += (i - 1, j - 1)
             cols += (j - 1, i - 1)
             targets += (target, 1.0 / target)
+    if not targets:
+        return problem, ()
+    issues = tuple(
+        Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
+        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist(), targets)
+        if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
+    )
     grid = a.copy()
-    grid[..., rows, cols] = targets
-    return grid, rows, cols, targets
+    grid[rows, cols] = targets
+    return Problem(PcMatrix._from_array(grid), problem.references), issues
 
 
 def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
@@ -424,11 +418,6 @@ def _above_diagonal(n: int) -> np.ndarray:
     """Boolean n x n mask of the strict upper triangle (i < j), rows first."""
     index = np.arange(n)
     return index[:, None] < index
-
-
-def _fatal_masks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`validate`'s fatal rule on a stack (..., n, n), reachability aside: bad entries, diagonals not 1."""
-    return _bad_entries(a), ~(np.abs(np.diagonal(a, axis1=-2, axis2=-1) - 1.0) <= DIAGONAL_TOL)
 
 
 def _bad_entries(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .baselines import WeightVector, _unit
 from .diagnostics import _triad_scans
 from .errors import HreError
 from .hre_solver import _admissible, _averaging, _parts, _solved, _woven
-from .matrix_core import PcMatrix, Problem, _above_diagonal, _bad_entries, _filled, _restored, _sum_in_order
+from .matrix_core import PcMatrix, Problem, _above_diagonal, _bad_entries, _restored, _sum_in_order
 from .min_error_solver import _normal
 
 _SEED_STRIDE = 1_000_003  # spreads per-trial seeds away from the base seed
@@ -32,7 +32,7 @@ class TrialRecord(NamedTuple):
     seed: int
     n: int
     noise_level: float
-    koczkodaj: float
+    koczkodaj: float  # nan when no triad is defined
     distance: float  # max-norm between the normalized solutions; nan if unsolved
     both_solved: bool
 
@@ -121,11 +121,15 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     matrix and the same noise directions at every level, so the recorded
     distances are directly comparable between levels (common random
     numbers).  Each trial is one stacked pass: its base matrix is perturbed
-    at every level into one (L, n, n) stack, and each stage (validation,
-    repair, both systems, their solve, the Koczkodaj scan) runs once on it,
-    giving every level the bits a level-by-level pass gives.  A level that
-    `validate` refuses (an entry pushed out of the float range), or where
-    either heuristic fails, keeps both_solved=False and a nan distance.
+    at every level into one (L, n, n) stack, and each stage (validation's
+    fatal rule, repair, both systems, their solve, the Koczkodaj scan) runs
+    once on it, giving every level the bits a level-by-level pass gives.
+    The known-ratio fill is skipped: it overwrites only entries between two
+    references, which the systems never read (`_samples` takes the
+    unknowns' rows).  A level that `validate` refuses (an entry pushed out
+    of the float range), or where either heuristic fails, keeps
+    both_solved=False and a nan distance; one with no defined triad records
+    a nan K.
     """
     by_level: list[list[TrialRecord]] = [[] for _ in config.noise_levels]
     for trial in range(config.trials):
@@ -137,9 +141,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         # reachability search) and perturbing leaves its diagonal at 1: only an entry out of range is refused
         accepted = ~_bad_entries(noisy).any(axis=(1, 2))
         solutions = iter(())
-        if accepted.any():  # `preprocess`, both system builds and their solve, each once on the accepted levels
-            filled = _filled(_restored(noisy[accepted]), problem.references)[0]
-            block, constants, scale = _parts(filled, problem.references)
+        if accepted.any():  # repair, both system builds and their solve, each once on the accepted levels
+            block, constants, scale = _parts(_restored(noisy[accepted]), problem.references)
             coefficients = np.stack((_averaging(block, scale), _normal(block, scale)[0]), axis=1)  # averaging first
             solutions = iter(_solved(coefficients.reshape(-1, *block.shape[1:]), np.repeat(constants, 2, axis=0)))
         for noise, solvable, (koczkodaj, _), records in zip(config.noise_levels, accepted, _triad_scans(noisy), by_level):
@@ -149,6 +152,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 least_squares = _unit_weights(next(solutions), problem)
             solved = averaging is not None and least_squares is not None
             distance = max(abs(a - b) for a, b in zip(averaging, least_squares)) if solved else math.nan
+            koczkodaj = math.nan if koczkodaj is None else koczkodaj
             records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj, distance, solved))
     return [record for records in by_level for record in records]
 
@@ -168,7 +172,7 @@ class NoiseLevelSummary(NamedTuple):
     noise_level: float
     trials: int
     solved: int
-    mean_koczkodaj: float
+    mean_koczkodaj: float  # over trials with a defined K; nan when none has one
     mean_distance: float  # over solved trials; nan when none solved
 
 
@@ -179,13 +183,14 @@ def summarize(records: list[TrialRecord]) -> list[NoiseLevelSummary]:
     for level in levels:
         bucket = [r for r in records if r.noise_level == level]
         solved = [r for r in bucket if r.both_solved]
+        defined = [r.koczkodaj for r in bucket if not math.isnan(r.koczkodaj)]
         mean_distance = _sum_in_order(r.distance for r in solved) / len(solved) if solved else math.nan
         summaries.append(
             NoiseLevelSummary(
                 noise_level=level,
                 trials=len(bucket),
                 solved=len(solved),
-                mean_koczkodaj=_sum_in_order(r.koczkodaj for r in bucket) / len(bucket),
+                mean_koczkodaj=_sum_in_order(defined) / len(defined) if defined else math.nan,
                 mean_distance=mean_distance,
             )
         )

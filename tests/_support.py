@@ -861,7 +861,9 @@ def run_experiment_oracle(config: ExperimentConfig) -> list[TrialRecord]:
                 least_squares = _least_squares(prepared)
             solved = averaging is not None and least_squares is not None
             distance = max(abs(a - b) for a, b in zip(averaging, least_squares)) if solved else math.nan
-            records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj_index(noisy), distance, solved))
+            koczkodaj = koczkodaj_index(noisy)  # None when no triad is defined, which a record holds as nan
+            records.append(TrialRecord(gen_seed, config.n, noise, math.nan if koczkodaj is None else koczkodaj,
+                                       distance, solved))
     return records
 
 GRID_REFINEMENTS = 10  # halvings of the brute-force grid step around the incumbent

@@ -202,6 +202,19 @@ class TestMc:
         rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 2 and all(row.endswith(",nan,false") for row in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_level_without_a_defined_triad_writes_nan(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            ["mc", "--n", "3", "--trials", "1", "--noise", "709.782712893384", "--refs", "1",
+             "--seed", "17626", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0 and "error" not in err
+        assert out == "noise 709.783: solved 0/1, mean K nan, mean distance nan\n"
+        rows = out_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == ["17626052878,3,709.782712893384,nan,nan,false"]
+
     def test_unwritable_output(self, tmp_path, capsys):
         code, _, err = run_cli(
             self.ARGS + ["--out", str(tmp_path / "missing" / "x.csv")], capsys

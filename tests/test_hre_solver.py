@@ -385,27 +385,34 @@ class TestJacobiIterate:
         assert diverged == [False, False, True, True]
 
 
+def best_iterate(iterates, problem):
+    """`select_best_iterate`'s winner, after checking that its error is `estimation_error`'s for the winner."""
+    weights, error = select_best_iterate(iterates, problem)
+    assert error == estimation_error(problem, weights)[1]
+    return weights
+
+
 class TestSelectBestIterate:
     def test_picks_minimal_error(self):
         # two concepts, m(2,1) = 2, reference weight 1: error is |mu2 - 2|
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
         iterates = ((1.0, 2.4), (1.0, 2.2), (1.0, 2.3))
-        assert select_best_iterate(iterates, problem).values == (1.0, 2.2)
+        assert best_iterate(iterates, problem).values == (1.0, 2.2)
 
     def test_singleton(self):
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
-        assert select_best_iterate(((1.0, 5.0),), problem).values == (1.0, 5.0)
+        assert best_iterate(((1.0, 5.0),), problem).values == (1.0, 5.0)
 
     def test_tie_broken_by_earliest(self):
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
         # same error above and below the fixed point
-        chosen = select_best_iterate(((1.0, 2.5), (1.0, 1.5)), problem)
+        chosen = best_iterate(((1.0, 2.5), (1.0, 1.5)), problem)
         assert chosen.values == (1.0, 2.5)
 
     def test_skips_partial_and_nonpositive(self):
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
         iterates = ((1.0, None), (1.0, -1.0), (1.0, 9.0))
-        assert select_best_iterate(iterates, problem).values == (1.0, 9.0)
+        assert best_iterate(iterates, problem).values == (1.0, 9.0)
 
     def test_no_admissible_iterate_fails(self):
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
@@ -415,7 +422,7 @@ class TestSelectBestIterate:
     def test_array_rows_with_nan(self):
         problem = Problem(PcMatrix(((1.0, 0.5), (2.0, 1.0))), {1: 1.0})
         rows = np.array([[1.0, np.nan], [1.0, -1.0], [1.0, 9.0], [1.0, np.inf]])
-        assert select_best_iterate(rows, problem).values == (1.0, 9.0)
+        assert best_iterate(rows, problem).values == (1.0, 9.0)
         with pytest.raises(SolveFailedError):
             select_best_iterate(rows[:2], problem)
 
@@ -431,7 +438,7 @@ class TestSelectBestIterate:
             estimation_error_oracle(prepared, iterate)[1] for iterate in run.iterates
         ]
         best_index = errors.index(min(errors))
-        chosen = select_best_iterate(run.iterates, prepared)
+        chosen = best_iterate(run.iterates, prepared)
         assert chosen.values == run.iterates[best_index]
 
 
@@ -622,6 +629,24 @@ class TestHreRank:
         calls.clear()
         outcome = hre_rank(graph_problem(1, 10, "ring", 0.1, 1))  # any other path scores its answer once too
         assert outcome.path == "jacobi" and calls == [1]
+
+    def test_best_iterate_rung_calls_select_best_iterate(self, monkeypatch, example1):
+        calls = []
+
+        def counted(iterates, problem):
+            calls.append(len(iterates))
+            return select(iterates, problem)
+
+        select = hre_solver.select_best_iterate
+        monkeypatch.setattr(hre_solver, "select_best_iterate", counted)  # rebound as a module global
+        complete = Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0})
+        for problem, path in ((complete, "best-iterate"), (diverging_incomplete_problem(), "best-iterate"),
+                              (random_problem(1, 40, 0.5, 0.3, 1), "best-iterate"),
+                              (example1, "direct"), (graph_problem(1, 10, "ring", 0.1, 1), "jacobi")):
+            calls.clear()
+            outcome = hre_rank(problem)
+            assert outcome.path == path
+            assert len(calls) == (path == "best-iterate")
 
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):

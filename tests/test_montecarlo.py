@@ -12,7 +12,7 @@ from hrerank import (
     validate,
     write_csv,
 )
-from hrerank.montecarlo import _SEED_STRIDE, generate_consistent, perturb
+from hrerank.montecarlo import _MAX_NOISE, _SEED_STRIDE, generate_consistent, perturb
 
 from _support import entry
 
@@ -95,6 +95,14 @@ class TestRunExperiment:
             assert record.both_solved
             assert record.distance <= 1e-8
             assert record.koczkodaj <= 1e-12
+
+    def test_level_without_a_defined_triad_records_nan(self):
+        # entries pushed to inf and 0 leave every triad's quotient NaN
+        config = ExperimentConfig(n=3, trials=1, noise_levels=(_MAX_NOISE,), reference_count=1, seed=17626)
+        (record,) = run_experiment(config)
+        assert math.isnan(record.koczkodaj) and math.isnan(record.distance) and not record.both_solved
+        (summary,) = summarize([record])
+        assert math.isnan(summary.mean_koczkodaj) and summary.solved == 0
 
     def test_deterministic_records_and_csv(self, tmp_path):
         config = ExperimentConfig(
@@ -208,3 +216,14 @@ class TestCsvOutput:
         assert summary.solved == 1
         assert summary.trials == 2
         assert summary.mean_distance == 0.1
+
+    def test_summary_skips_undefined_koczkodaj(self):
+        from hrerank import TrialRecord
+
+        records = [
+            TrialRecord(seed=1, n=3, noise_level=0.5, koczkodaj=0.25, distance=0.1, both_solved=True),
+            TrialRecord(seed=2, n=3, noise_level=0.5, koczkodaj=math.nan, distance=math.nan, both_solved=False),
+            TrialRecord(seed=3, n=3, noise_level=0.5, koczkodaj=0.75, distance=0.3, both_solved=True),
+        ]
+        assert summarize(records)[0].mean_koczkodaj == 0.5
+        assert math.isnan(summarize(records[1:2])[0].mean_koczkodaj)

@@ -14,7 +14,9 @@ the Monte Carlo records and unit-sum weights must equal their references
 exactly, as must the averaging and least-squares systems of complete
 problems (1, 3 or n - 1 references) and their dominance tests.  Every
 slice of the stacked stage kernels that `run_experiment` runs must equal
-the public one-matrix function of that stage bit for bit, and the triad
+the public one-matrix function of that stage bit for bit, the systems'
+parts must not change when the reference-to-reference entries (which
+`run_experiment` leaves unfilled) hold any other values, and the triad
 scan must print as its pivot-block form prints on stacks with NaN, inf,
 0, negative and subnormal entries, at any block size.
 """
@@ -71,7 +73,7 @@ from hrerank.hre_solver import (
     select_best_iterate,
     solve_linear,
 )
-from hrerank.matrix_core import _fatal_masks, _filled, _restored, fill_known_ratios, restore_reciprocity
+from hrerank.matrix_core import _bad_entries, _restored, fill_known_ratios, restore_reciprocity
 from hrerank.min_error_solver import _normal, build_error_system
 from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, perturb
 
@@ -268,7 +270,8 @@ def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block)
                 select_best_iterate(iterates, prepared)
         else:
             # the earliest of the rows with the least error, as scoring one row at a time finds it
-            assert select_best_iterate(iterates, prepared).values == tuple(admissible[errors.index(min(errors))])
+            weights, error = select_best_iterate(iterates, prepared)
+            assert weights.values == tuple(admissible[errors.index(min(errors))]) and error == min(errors)
 
 
 @settings(max_examples=100, deadline=None)
@@ -656,21 +659,21 @@ def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
     for level, one in zip(levels, _perturbed(matrices[0], levels, seed)):
         alone = perturb(matrices[0], level, seed).array
         assert bits(one) == bits(alone) == bits(perturb_loop(matrices[0], level, seed))
-    bad, bad_diagonal = _fatal_masks(stack)
-    restored, filled, scans = _restored(stack), _filled(stack, references)[0], _triad_scans(stack)
+    bad, restored, scans = _bad_entries(stack), _restored(stack), _triad_scans(stack)
     for i, matrix in enumerate(matrices):
-        assert (not bad[i].any() and not bad_diagonal[i].any()) == validate(Problem(matrix)).ok
+        flagged = [issue.location for issue in validate(Problem(matrix)).issues if issue.category == "nonpositive-entry"]
+        assert flagged == [f"({r + 1},{c + 1})" for r, c in np.argwhere(bad[i]).tolist()]
         assert bits(restored[i]) == bits(restore_reciprocity(matrix).array)
-        assert bits(filled[i]) == bits(fill_known_ratios(Problem(matrix, references))[0].matrix.array)
         assert repr(scans[i]) == repr(_triad_scans(matrix.array)[0])
     complete = [i for i, matrix in enumerate(matrices) if matrix.is_complete()]
     if not complete:
         return
-    parts = _parts(filled[complete], references)
+    # unfilled: the systems never read the reference-to-reference entries that the fill overwrites
+    parts = _parts(stack[complete], references)
     averaging, (normal, s_values) = _averaging(*parts[::2]), _normal(*parts[::2])
     systems = []
     for row, i in enumerate(complete):
-        problem = Problem(PcMatrix._from_array(filled[i].copy()), references)
+        problem = fill_known_ratios(Problem(matrices[i], references))[0]
         assert [bits(part[row]) for part in parts] == [bits(part) for part in _system_parts(problem)]
         system, error = build_system(problem), build_error_system(problem)
         assert bits(averaging[row]) == bits(system.a) and bits(normal[row]) == bits(error.system.a)
@@ -679,6 +682,30 @@ def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
     coefficients = np.stack((averaging, normal), axis=1).reshape(len(systems), *averaging.shape[1:])
     stacked = _solved(coefficients, np.repeat(parts[1], 2, axis=0))
     assert [stacked_bits(result) for result in stacked] == [stacked_bits(result) for result in solve_stack(systems)]
+
+
+@st.composite
+def overwritten_reference_pairs(draw):
+    """A trial's repaired stack at 1-4 noise levels, 1-4 references, and any values (NaN and +-inf included)
+    for every entry between two references, its diagonal too."""
+    n = draw(st.integers(3, 12))
+    matrix, weights = generate_consistent(n, draw(seeds))
+    levels = draw(st.lists(st.one_of(st.floats(0.0, 6.0), st.sampled_from([300.0, 709.78])), min_size=1, max_size=4))
+    known = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(4, n - 1), unique=True))
+    stack = _restored(_perturbed(matrix, levels, draw(seeds)))
+    values = draw(hnp.arrays(float, (len(levels), len(known), len(known)), elements=st.floats()))
+    return stack, {c: weights[c - 1] for c in known}, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(overwritten_reference_pairs())
+def test_system_parts_never_read_reference_pairs(inputs):
+    # `run_experiment` builds its systems from the unfilled stack on the strength of this
+    stack, references, values = inputs
+    known = [c - 1 for c in references]
+    overwritten = stack.copy()
+    overwritten[np.ix_(range(len(stack)), known, known)] = values
+    assert [bits(part) for part in _parts(overwritten, references)] == [bits(part) for part in _parts(stack, references)]
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
