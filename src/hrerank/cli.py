@@ -4,15 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-import numpy as np
-
 from .baselines import WeightVector, ev_weights, gm_weights
-from .diagnostics import CopReport, cop_check, estimation_error, inconsistency_report
+from .diagnostics import cop_check, estimation_error, inconsistency_report
 from .errors import HreError, ParseError, ValidationError
-from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
+from .matrix_core import Problem, _reference_gap, is_reachable, parse_matrix, preprocess, validate
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -40,105 +37,6 @@ def _positive_int(text: str) -> int:
 
 def _fmt(value: float) -> str:
     return format(value, ".6g")
-
-
-# `cop --json` layout, as json.dumps(payload, indent=2) writes it; each {} is one column.  A POP
-# violation lists the first failed pair, then the second one if both failed, framed as in _PAIR_JSON.
-_POP_JSON = (
-    '    {\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
-    '      "failed_pairs": [\n        [\n          {},\n          {}\n        ]{}{}{}{}{}\n      ]\n    }'
-)
-_PAIR_JSON = (",\n        [\n          ", ",\n          ", "\n        ]")
-_POIP_JSON = (
-    '    {\n      "quadruple": [\n        {},\n        {},\n        {},\n        {}\n      ],\n'
-    '      "lhs": {},\n      "rhs": {}\n    }'
-)
-
-# `cop` text layout, one line per violation
-_POP_TEXT = "  - ({},{}) vs ({},{}): mu(c{}) <= mu(c{}){}{}{}{}{}"
-_PAIR_TEXT = (", mu(c", ") <= mu(c", ")")
-_POIP_TEXT = "  - ({},{}) vs ({},{}): mu(c{})/mu(c{}) = {} <= mu(c{})/mu(c{}) = {}"
-
-
-def _json_float(value: float) -> str:
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
-def _json_list(key: str, body: str) -> str:
-    return f'  "{key}": [\n{body}\n  ]' if body else f'  "{key}": []'
-
-
-def _formatted(values: np.ndarray, fmt) -> np.ndarray:
-    """fmt of every entry, as an object array of str of the same shape.
-
-    Each distinct bit pattern is formatted once: grouping by == would merge
-    0.0 with -0.0, which print differently.
-    """
-    keys, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    table = np.array([fmt(v) for v in keys.view(values.dtype).tolist()], dtype=object)
-    return table[inverse.reshape(values.shape)]
-
-
-def _join_rows(template: str, columns, sep: str) -> str:
-    """One copy of the template per row, its n-th {} replaced by the row's entry of the n-th column,
-    joined by sep; the pieces are interleaved by list slice assignment and joined once.
-
-    ``columns`` are equally long object arrays of str, one per {} of the
-    template; any other brace in it is literal text.
-    """
-    pieces = template.split("{}")
-    rows, width = len(columns[0]), 2 * len(columns) + 1
-    out = [sep + pieces[0]] * (rows * width)
-    for f, column in enumerate(columns):
-        out[2 * f + 1 :: width] = column.tolist()
-        out[2 * f + 2 :: width] = [pieces[f + 1]] * rows
-    if rows:
-        out[0] = pieces[0]
-    return "".join(out)
-
-
-def _pop_columns(result: CopReport, frame: tuple[str, str, str]) -> list[np.ndarray]:
-    """The columns of the POP templates: i, j, k, l, the first failed pair, and the second one framed
-    by ``frame`` where both pairs failed (empty strings elsewhere)."""
-    i, j, k, l = _formatted(result.pop_quadruples, str).T
-    head, tail = result.pop_failed.T
-    both, blank = head & tail, np.full(len(head), "", dtype=object)
-    second = (frame[0], k, frame[1], l, frame[2])
-    return [i, j, k, l, np.where(head, i, k), np.where(head, j, l), *(np.where(both, part, blank) for part in second)]
-
-
-def _cop_json(result: CopReport) -> str:
-    """The report with the bytes of json.dumps(payload, indent=2), rendered column by column.
-
-    With ``indent`` set, json falls back to its pure-Python encoder, which is
-    slow on the hundreds of thousands of violations a mid-sized matrix can have.
-    """
-    pop = _join_rows(_POP_JSON, _pop_columns(result, _PAIR_JSON), ",\n")
-    q = _formatted(result.poip_quadruples, str)
-    ratios = _formatted(np.stack((result.lhs, result.rhs)), _json_float)
-    poip = _join_rows(_POIP_JSON, [*q.T, *ratios], ",\n")
-    return (
-        f'{{\n  "satisfies_cop": {"true" if result.satisfies_cop else "false"},\n'
-        f'  "quadruples_checked": {result.quadruples_checked},\n'
-        f'{_json_list("pop_violations", pop)},\n{_json_list("poip_violations", poip)}\n}}'
-    )
-
-
-def _cop_text(result: CopReport) -> str:
-    """The human-readable report, one line per violation, rendered column by column."""
-    lines = [f"quadruples checked: {result.quadruples_checked}"]
-    if len(result.pop_quadruples):
-        lines += ["POP violations:", _join_rows(_POP_TEXT, _pop_columns(result, _PAIR_TEXT), "\n")]
-    else:
-        lines.append("POP violations: none")
-    if len(result.poip_quadruples):
-        i, j, k, l = _formatted(result.poip_quadruples, str).T
-        lhs, rhs = _formatted(np.stack((result.lhs, result.rhs)), _fmt)
-        lines += ["POIP violations:", _join_rows(_POIP_TEXT, [i, j, k, l, i, j, lhs, k, l, rhs], "\n")]
-    else:
-        lines.append("POIP violations: none")
-    lines.append(f"satisfies COP: {'yes' if result.satisfies_cop else 'no'}")
-    return "\n".join(lines)
 
 
 def _load_problem(path: str) -> Problem:
@@ -199,7 +97,9 @@ def _cmd_rank(args) -> int:
     if error is None:  # `hre_rank` scored its answer on the same problem
         _, error = estimation_error(prepared.problem, weights)
 
-    indices = inconsistency_report(problem.matrix)
+    # the prepared matrix is the restored one, unless the fill closed a gap between two references
+    restored = None if _reference_gap(problem.matrix.array, problem.references) else prepared.problem.matrix
+    indices = inconsistency_report(problem.matrix, restored)
     if args.json:
         payload = {
             "method": args.method,
@@ -286,8 +186,9 @@ def _cmd_cop(args) -> int:
         raise ValidationError(report)
     weights = _load_weights(args.weights, problem.n)
     result = cop_check(problem.matrix, weights)
+    from .cop_writer import write_json, write_text  # only `cop` loads it
 
-    print(_cop_json(result) if args.json else _cop_text(result))
+    (write_json if args.json else write_text)(result, sys.stdout)
     return EXIT_OK
 
 
@@ -320,7 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="derive a weight vector")
     rank.add_argument("--input", required=True, help="matrix file")
     rank.add_argument("--method", required=True, choices=["hre", "ev", "gm", "min-error"])
-    rank.add_argument("--iterations", type=_positive_int, default=10, help="fallback iteration budget (>= 1)")
+    rank.add_argument("--iterations", type=_positive_int, default=10,
+                      help="early iterates the best-iterate fallback compares (>= 1): the first ones, or as many "
+                      "from the first with every estimate when none of those has one")
     rank.add_argument("--normalize", action="store_true", help="rescale weights to sum 1")
     rank.add_argument("--json", action="store_true")
     rank.set_defaults(func=_cmd_rank)

@@ -175,13 +175,16 @@ def saaty_ci(matrix: PcMatrix) -> float:
     return (eig.lambda_max - matrix.n) / (matrix.n - 1)
 
 
-def inconsistency_report(matrix: PcMatrix) -> InconsistencyReport:
-    """CI of the raw matrix (None if incomplete or power iteration fails) plus Koczkodaj of its restored form."""
+def inconsistency_report(matrix: PcMatrix, restored: PcMatrix | None = None) -> InconsistencyReport:
+    """CI of the raw matrix (None if incomplete or power iteration fails) plus Koczkodaj of its restored form.
+
+    ``restored`` is that form when the caller has it already; otherwise it is made here.
+    """
     try:
         ci = saaty_ci(matrix)
     except (IncompleteMatrixError, NonConvergenceError):
         ci = None
-    ((k, triads),) = _triad_scans(restore_reciprocity(matrix).array)
+    ((k, triads),) = _triad_scans((restore_reciprocity(matrix) if restored is None else restored).array)
     return InconsistencyReport(ci, k, triads)
 
 

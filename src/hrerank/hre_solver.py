@@ -37,6 +37,7 @@ ADMISSIBLE_TOL = 1e-9      # admissible weights exceed this times the largest re
 JACOBI_STOP_TOL = 1e-10    # relative max-norm change that counts as converged
 JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
 DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
+SPECTRAL_TOL = 1e-9        # a lower bound on rho(I - a) beyond 1 + this skips the direct solve
 
 
 @dataclass(frozen=True, eq=False)  # array fields have no usable == or hash
@@ -88,7 +89,9 @@ class RankOutcome(NamedTuple):
     solve, or a convergent iteration) produced an admissible solution;
     it is False whenever a fallback had to fire.  ``convergence_ok`` is the
     diagonal-dominance test of the built system (None when no system was
-    built); ``determinant_ok`` is None until a direct solve was attempted.
+    built); ``determinant_ok`` is None until a direct solve was attempted,
+    and stays None when `_above_one` proved before it that no positive
+    solution exists.
     """
 
     weights_raw: WeightVector
@@ -236,6 +239,28 @@ def _dominant_columns(a: np.ndarray) -> bool:
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
     return bool((np.abs(np.diagonal(a)) > np.add.reduce(off, axis=0)).all())
+
+
+def _above_one(system: LinearSystem) -> bool:
+    """Whether the averaging system provably has no positive solution, so that a direct solve is wasted.
+
+    The system is (I - M) x = b with M = I - a non-negative, irreducible on
+    a complete matrix, and b > 0.  When rho(M) > 1 the left Perron vector
+    y > 0 of M gives (1 - rho) y.x = y.b > 0, so x has a negative entry.
+    The Collatz-Wielandt bound min_i (Mx)_i / x_i <= rho(M) holds for any
+    x >= 0 (over its positive entries); x comes from 4 power steps from the
+    ones vector, each scaled to a largest entry of 1.  Mx is x - ax, whose
+    rounding moves the bound by about k * 1e-16, far below SPECTRAL_TOL.
+    A NaN or infinite bound, and a b beyond the float range (which the
+    solve refuses by name), prove nothing.
+    """
+    x = np.ones(len(system.b))
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            x = x - system.a @ x
+            x /= x.max()
+        bound = np.min((x - system.a @ x) / x)
+    return 1.0 + SPECTRAL_TOL < bound < math.inf and bool(np.isfinite(system.b).all())
 
 
 def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
@@ -404,9 +429,13 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
 
     Complete matrices are solved directly; a singular or inadmissible
     direct solution falls back to the least-squares heuristic and then to
-    the best Jacobi iterate (``max_iterations`` bounds that last resort).
+    the best Jacobi iterate.  The direct solve is skipped, with the same
+    warning, when `_above_one` proves that it has no positive solution.
     Incomplete matrices use the iterative route: its limit when it
     converges to admissible weights, otherwise again the best early iterate.
+    ``max_iterations`` is the number of early iterates examined: the first
+    ones, or, when none of those has an estimate for every concept, as many
+    from the first iterate that has.
 
     A `Prepared` problem from `preprocess` is solved as it is, without
     validating or repairing it again.
@@ -431,8 +460,10 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
     elif prepared.matrix.is_complete():
         system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
-        determinant_ok = True
         try:
+            if _above_one(system):  # the elimination could only end in the error below
+                raise InadmissibleSolutionError
+            determinant_ok = True
             raw = synthesize(solve_linear(system), prepared)
             path = "direct"
         except SingularSystemError as exc:
@@ -459,8 +490,11 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
         else:
             warnings.append("iteration limit has non-positive weights" if run.converged else "iteration did not converge")
     if raw is None:
+        start = 0  # a long ring may leave a concept unestimated in every early iterate: then start where none is
+        if np.isnan(run.array[:max_iterations]).any(axis=1).all():  # on a reachable problem, within n steps
+            start = int(np.isnan(run.array[: prepared.n]).any(axis=1).argmin())
         try:
-            raw, error = select_best_iterate(run.array[:max_iterations], prepared)
+            raw, error = select_best_iterate(run.array[start : start + max_iterations], prepared)
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"

@@ -346,7 +346,16 @@ def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
     is worth reporting, not worth failing on).  Entries touching at least
     one unknown concept are never modified.
     """
-    references, a = problem.references, problem.matrix.array
+    rows, cols, targets, issues = _known_ratios(problem.matrix.array, problem.references)
+    if not targets:
+        return problem, ()
+    grid = problem.matrix.array.copy()
+    grid[rows, cols] = targets
+    return Problem(PcMatrix._from_array(grid), problem.references), issues
+
+
+def _known_ratios(a: np.ndarray, references: dict[int, float]) -> tuple[list[int], list[int], list[float], tuple[Issue, ...]]:
+    """Rows, columns and reference-defined ratios of the known-known entries, and ``a``'s mismatches with them."""
     known = sorted(references)
     rows, cols, targets = [], [], []
     for pos, i in enumerate(known):
@@ -355,16 +364,12 @@ def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
             rows += (i - 1, j - 1)
             cols += (j - 1, i - 1)
             targets += (target, 1.0 / target)
-    if not targets:
-        return problem, ()
     issues = tuple(
         Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
-        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist(), targets)
+        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist() if rows else (), targets)
         if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
     )
-    grid = a.copy()
-    grid[rows, cols] = targets
-    return Problem(PcMatrix._from_array(grid), problem.references), issues
+    return rows, cols, targets, issues
 
 
 def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
@@ -390,7 +395,11 @@ class Prepared(NamedTuple):
     """A validated, repaired problem and its warnings, as `preprocess` returns them.
 
     Every solver accepts one in place of a `Problem` and then neither
-    validates nor repairs again.
+    validates nor repairs again.  Its matrix is the restored one, unfilled:
+    no solver reads a ratio between two references (`_samples` takes the
+    unknowns' rows), so of the known-ratio fill only its warnings are kept.
+    Only a matrix with such a ratio missing is filled, which makes it
+    complete when that was its only gap.
     """
 
     problem: Problem
@@ -402,7 +411,9 @@ def preprocess(problem: Problem | Prepared) -> Prepared:
 
     The standard entry gate for every solver.  Raises ValidationError when
     the report contains fatal issues; returns the repaired problem together
-    with the accumulated warnings.  An already prepared problem is returned
+    with the accumulated warnings.  The fill runs only where a ratio between
+    two references is missing (see `Prepared`); the solvers answer as on
+    the filled matrix either way.  An already prepared problem is returned
     as it is.
     """
     if isinstance(problem, Prepared):
@@ -410,8 +421,19 @@ def preprocess(problem: Problem | Prepared) -> Prepared:
     report = validate(problem)
     if not report.ok:
         raise ValidationError(report)
-    filled, fill_issues = fill_known_ratios(Problem(restore_reciprocity(problem.matrix), problem.references))
-    return Prepared(filled, report.warnings + fill_issues)
+    restored = Problem(restore_reciprocity(problem.matrix), problem.references)
+    if _reference_gap(restored.matrix.array, problem.references):  # see `Prepared`
+        restored, fill_issues = fill_known_ratios(restored)
+    else:
+        fill_issues = _known_ratios(restored.matrix.array, problem.references)[3]
+    return Prepared(restored, report.warnings + fill_issues)
+
+
+def _reference_gap(a: np.ndarray, references) -> bool:
+    """Whether a ratio between two references is missing both ways, a gap that the known-ratio fill closes."""
+    known = sorted(references)
+    pairs = ((i - 1, j - 1) for p, i in enumerate(known) for j in known[p + 1 :])
+    return any(math.isnan(a[i, j]) and math.isnan(a[j, i]) for i, j in pairs)
 
 
 def _above_diagonal(n: int) -> np.ndarray:

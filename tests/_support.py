@@ -277,8 +277,13 @@ def spearman(xs, ys) -> float:
 SINGULAR_T = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def singular_direct_problem() -> Problem:
-    t = SINGULAR_T
+def singular_direct_problem(t: float = SINGULAR_T) -> Problem:
+    """Three unknowns in a cycle of ratio t, each at ratio 1 to the reference, concept 4.
+
+    The averaging block's Perron root is (t + 1/t) / 3, with the ones
+    vector for Perron vector: exactly 1 at SINGULAR_T, above 1 for any
+    larger t, where the direct solution is negative.
+    """
     rows = (
         (1.0, t, 1.0 / t, 1.0),
         (1.0 / t, 1.0, t, 1.0),

@@ -95,6 +95,7 @@ def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
         assert csv.read_bytes() == (GOLDEN_DIR / "mc_small.csv").read_bytes()
         return
     assert "hrerank.montecarlo" not in modules
+    assert ("hrerank.cop_writer" in modules) == (args[0] == "cop")  # only `cop` renders a COP report
     if args[0] != "rank":
         assert "hrerank.hre_solver" not in modules
     elif args[args.index("--method") + 1] == "hre" and (b"path: direct" in out or b'"path": "direct"' in out):
@@ -465,6 +466,33 @@ class TestErrorPaths:
         code, _, err = run_cli(["rank", "--input", str(bad), "--method", "hre"], capsys)
         assert code == 1
         assert "nonpositive-entry" in err
+
+
+@pytest.mark.parametrize("gap, restores", [(False, 1), (True, 2)])
+def test_rank_scans_the_matrix_it_restored(gap, restores, tmp_path, capsys, monkeypatch):
+    # the references define m12 = 0.01, against 1 everywhere else: a triad scan that saw that
+    # ratio would report K 0.99 instead of 0
+    from hrerank import diagnostics, matrix_core
+
+    restore, calls = matrix_core.restore_reciprocity, []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return restore(matrix)
+
+    monkeypatch.setattr(matrix_core, "restore_reciprocity", counted)
+    monkeypatch.setattr(diagnostics, "restore_reciprocity", counted)
+    m12 = "?" if gap else "1"
+    path = tmp_path / "m.txt"
+    path.write_text(f"4\n1 {m12} 1 1\n{m12} 1 1 1\n1 1 1 1\n1 1 1 1\nref 1 1.0\nref 2 100.0\n", encoding="utf-8")
+    code, out, _ = run_cli(["rank", "--input", str(path), "--method", "hre", "--json"], capsys)
+    assert code == 0
+    # the fill's warning is kept; a gap between the references is closed, and then scanned as missing
+    assert [w.split(" at ")[0] for w in json.loads(out)["warnings"]] == ([] if gap else ["known-known-mismatch"] * 2)
+    assert len(calls) == restores
+    assert json.loads(out)["diagnostics"]["koczkodaj"] == 0.0
+    code, out, _ = run_cli(["diagnose", "--input", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["koczkodaj"] == 0.0
 
 
 def test_auto_reference_designation(tmp_path, capsys):

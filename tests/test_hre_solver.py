@@ -590,13 +590,46 @@ class TestHreRank:
         assert all(v > 0 for v in outcome.weights_raw.values)
 
     def test_failed_incomplete_ladder_says_why_no_iterate_qualified(self):
-        # the 60-concept ring does not converge, and its first 10 iterates still leave concepts unestimated
+        # a 13-concept chain whose ratios of 20 carry the estimates past 1e12 at step 10, before its
+        # last concepts have one: the run diverges, and none of its 10 iterates has every estimate
+        n = 13
+        rows = [[1.0 if i == j else 20.0 if i == j + 1 else 0.05 if j == i + 1 else None for j in range(n)]
+                for i in range(n)]
         with pytest.raises(SolveFailedError) as failure:
-            hre_rank(graph_problem(1, 60, "ring", 0.1, 1))
+            hre_rank(Problem(PcMatrix(rows), {1: 1.0}))
         assert str(failure.value) == (
             "iteration did not converge; "
             "no admissible iterate among the 10 examined: 10 with a concept still without an estimate"
         )
+
+    def test_slow_ring_selects_from_its_first_complete_iterate(self):
+        # the 60-concept ring does not converge, and its first 10 iterates still leave concepts unestimated
+        problem = graph_problem(1, 60, "ring", 0.1, 1)
+        run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER)
+        complete = [not np.isnan(row).any() for row in run.array]
+        assert not run.converged and not any(complete[:10])
+        start = complete.index(True)
+        outcome = hre_rank(problem)
+        assert outcome.path == "best-iterate"
+        assert outcome.warnings == ("iteration did not converge; selecting the best early iterate",)
+        weights, error = select_best_iterate(run.array[start : start + 10], _prepared(problem))
+        assert outcome.weights_raw == weights and outcome.error == error
+
+    def test_doomed_direct_solve_is_skipped_with_the_same_answer(self, monkeypatch):
+        problem = singular_direct_problem(3.0)  # Perron root 10/9: no positive direct solution
+        assert hre_solver._above_one(build_system(_prepared(problem)))
+        outcome = hre_rank(problem)
+        assert outcome.path == "min-error"
+        assert outcome.determinant_ok is None  # no elimination was tried
+        assert outcome.warnings == ("direct solution has non-positive weights",)
+        monkeypatch.setattr(hre_solver, "_above_one", lambda system: False)  # the ladder without the certificate
+        eliminated = hre_rank(problem)
+        assert eliminated.determinant_ok is True
+        assert outcome._replace(determinant_ok=True) == eliminated
+
+    def test_certificate_never_fires_on_the_examples(self, example1, example2, example3):
+        for problem in (example1, example2, example3, singular_direct_problem(), inadmissible_direct_problem()):
+            assert not hre_solver._above_one(build_system(_prepared(problem)))
 
     def test_inadmissible_jacobi_limit_takes_best_iterate(self):
         # the limit's second weight settles at 7.5e-10, below 1e-9 times the reference

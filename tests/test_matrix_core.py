@@ -7,8 +7,10 @@ import pytest
 from hrerank import (
     ParseError,
     PcMatrix,
+    Prepared,
     Problem,
     ValidationError,
+    hre_rank,
     is_reachable,
     parse_matrix,
     preprocess,
@@ -289,6 +291,20 @@ def test_preprocess_collects_warnings(example3):
     prepared, issues = preprocess(example3)
     assert is_reciprocal(prepared.matrix)
     assert [i.category for i in issues] == ["non-reciprocal-pair"]
+
+
+def test_preprocess_keeps_the_restored_matrix_and_the_fill_warnings(example2):
+    grid = [list(row) for row in example2.matrix.entries]
+    grid[1][2] = 1.0  # contradicts the 5/7 the references define
+    problem = Problem(PcMatrix(grid), example2.references)
+    ready = preprocess(problem)
+    prepared, issues = ready
+    assert prepared.matrix == restore_reciprocity(problem.matrix)  # unfilled
+    filled, fill_issues = fill_known_ratios(Problem(prepared.matrix, problem.references))
+    assert [i.category for i in fill_issues] == ["known-known-mismatch"] * 2
+    assert issues == validate(problem).warnings + fill_issues
+    # no solver reads a ratio between two references
+    assert hre_rank(Prepared(filled, issues)) == hre_rank(ready)
 
 
 def test_is_reciprocal_rejects_undefined_products_without_warning():

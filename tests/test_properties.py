@@ -8,7 +8,8 @@ as must the step's kernel, written into a row view, and ``np.einsum``;
 the estimation error within 1e-12 relative of the loop and exactly equal
 to its prefix-sum form, and the best iterate's stacked scores exactly
 equal to it, row by row, with the same winner.  The COP report, the
-`cop --json` and text output (against json.dumps and the per-violation oracles), the
+`cop --json` and text output as the writers emit them, chunk by chunk (against json.dumps and the
+per-violation oracles, each with one final newline), the
 parsed problem (or parse error), the linear solve alone and in stacks,
 the Monte Carlo records and unit-sum weights must equal their references
 exactly, as must the averaging and least-squares systems of complete
@@ -23,6 +24,7 @@ scan must print as its pivot-block form prints on stacks with NaN, inf,
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -38,6 +40,7 @@ from hypothesis.extra import numpy as hnp
 
 from hrerank import (
     ExperimentConfig,
+    InadmissibleSolutionError,
     ParseError,
     PcMatrix,
     PoipViolation,
@@ -54,14 +57,15 @@ from hrerank import (
     run_experiment,
     validate,
 )
-from hrerank import diagnostics
-from hrerank.cli import _cop_json, _cop_text
+from hrerank import cop_writer, diagnostics
+from hrerank.cop_writer import write_json, write_text
 from hrerank.diagnostics import SCAN_BLOCK, _errors, _triad_scans
 from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
     DIVERGENCE_LIMIT,
     JACOBI_STOP_TOL,
     LinearSystem,
+    _above_one,
     _averaging,
     _parts,
     _solved,
@@ -72,6 +76,7 @@ from hrerank.hre_solver import (
     jacobi_iterate,
     select_best_iterate,
     solve_linear,
+    synthesize,
 )
 from hrerank.matrix_core import _bad_entries, _restored, fill_known_ratios, restore_reciprocity
 from hrerank.min_error_solver import _normal, build_error_system
@@ -368,6 +373,17 @@ judgments = st.one_of(
 cop_weights = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 1e-300, 1e300]), st.floats(1e-3, 1e3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seeds, sizes, st.integers(1, 3), st.floats(0.0, 1.5))
+@example(1, 40, 1, 0.6)  # fires
+def test_spectral_certificate_fires_only_where_the_direct_solution_is_not_positive(seed, n, references, level):
+    prepared = preprocess(random_problem(seed, n, 0.0, level, min(references, n - 1))).problem
+    system = build_system(prepared)
+    if _above_one(system):
+        with pytest.raises(InadmissibleSolutionError):
+            synthesize(solve_linear(system), prepared)
+
+
 @st.composite
 def cop_inputs(draw):
     n = draw(st.integers(2, 12))
@@ -384,7 +400,8 @@ def test_cop_report_matches_loop(inputs, block):
         assert cop_check(matrix, mu) == cop_check_loop(matrix, mu)
 
 
-concepts = st.integers(1, 60)
+# one-, two- and three-digit concept indices
+concepts = st.one_of(st.integers(1, 9), st.integers(10, 99), st.integers(100, 999))
 quadruples = st.tuples(concepts, concepts, concepts, concepts)
 pop_violations = quadruples.flatmap(
     lambda q: st.sampled_from([(q[:2],), (q[2:],), (q[:2], q[2:])]).map(lambda failed: PopViolation(q, failed))
@@ -402,26 +419,39 @@ OVERFLOW_INPUT = (PcMatrix([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [1 / 3, 0.25, 1.0]
 OVERFLOW_REPORT = cop_check(*OVERFLOW_INPUT)
 
 
+# violations per chunk: one, two and three per chunk split a report's rows at every place
+chunks = st.sampled_from([1, 2, 3, cop_writer.CHUNK])
+
+
+def emitted(write, report, chunk=cop_writer.CHUNK) -> str:
+    """The text a cop writer emits for the report, chunk violations at a time."""
+    out = io.StringIO()
+    with patch.object(cop_writer, "CHUNK", chunk):
+        write(report, out)
+    return out.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
-@given(cop_reports)
-@example(cop_report((), (), 0))
-@example(OVERFLOW_REPORT)
-def test_cop_json_matches_json_dumps(report):
-    assert _cop_json(report) == json.dumps(cop_payload(report), indent=2)
+@given(cop_reports, chunks)
+@example(cop_report((), (), 0), cop_writer.CHUNK)
+@example(OVERFLOW_REPORT, cop_writer.CHUNK)
+def test_cop_json_matches_json_dumps(report, chunk):
+    # as print writes it: the json text and exactly one newline
+    assert emitted(write_json, report, chunk) == json.dumps(cop_payload(report), indent=2) + "\n"
 
 
 def test_overflow_report_has_an_infinite_ratio():
     assert any(math.inf in (v.lhs, v.rhs) for v in OVERFLOW_REPORT.poip_violations)
-    assert "Infinity" in _cop_json(OVERFLOW_REPORT)
+    assert "Infinity" in emitted(write_json, OVERFLOW_REPORT)
 
 
 @settings(max_examples=150, deadline=None)
-@given(cop_inputs())
-@example(OVERFLOW_INPUT)
-def test_cop_renderers_match_oracles_on_checked_reports(inputs):
+@given(cop_inputs(), chunks)
+@example(OVERFLOW_INPUT, cop_writer.CHUNK)
+def test_cop_renderers_match_oracles_on_checked_reports(inputs, chunk):
     report = cop_check(*inputs)
-    assert _cop_json(report) == cop_json_oracle(report)
-    assert _cop_text(report) == cop_text_oracle(report)
+    assert emitted(write_json, report, chunk) == cop_json_oracle(report) + "\n"
+    assert emitted(write_text, report, chunk) == cop_text_oracle(report) + "\n"
 
 
 # ±0.0, NaN, ±inf, subnormals and ordinary values, drawn into a small pool so that values repeat
@@ -444,12 +474,12 @@ special_cop_reports = special_cop_parts().map(lambda parts: cop_report(*parts))
 
 
 @settings(max_examples=200, deadline=None)
-@given(special_cop_reports)
-@example(cop_report((), (), 0))
-@example(cop_report((), (PoipViolation((1, 2, 3, 4), 0.0, -0.0), PoipViolation((4, 3, 2, 1), -0.0, 0.0)), 2))
-def test_cop_renderers_match_oracles_on_arbitrary_reports(report):
-    assert _cop_json(report) == cop_json_oracle(report)
-    assert _cop_text(report) == cop_text_oracle(report)
+@given(special_cop_reports, chunks)
+@example(cop_report((), (), 0), cop_writer.CHUNK)
+@example(cop_report((), (PoipViolation((1, 2, 3, 4), 0.0, -0.0), PoipViolation((4, 3, 2, 1), -0.0, 0.0)), 2), 1)
+def test_cop_renderers_match_oracles_on_arbitrary_reports(report, chunk):
+    assert emitted(write_json, report, chunk) == cop_json_oracle(report) + "\n"
+    assert emitted(write_text, report, chunk) == cop_text_oracle(report) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
