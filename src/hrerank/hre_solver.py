@@ -37,6 +37,7 @@ ADMISSIBLE_TOL = 1e-9      # admissible weights exceed this times the largest re
 JACOBI_STOP_TOL = 1e-10    # relative max-norm change that counts as converged
 JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
 DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
+NONCONVERGENCE_MARGIN = 1e3  # a stopped run's bounds keep every later change this far above the stop test
 SPECTRAL_TOL = 1e-9        # a lower bound on rho(I - a) beyond 1 + this skips the direct solve
 
 
@@ -63,11 +64,14 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)  # an array field has no usable == or hash
 class JacobiRun:
-    """All iterates of one averaging run, one row per step.
+    """All iterates of one averaging run, one row per step actually run.
 
     ``array`` is a read-only steps x n float64 array in which NaN marks a
     concept with no estimate yet, as in `PcMatrix.array`.  ``iterates`` is
     the same run as tuples of floats with None for NaN, built when read.
+    A run that `jacobi_iterate` stopped early, because it provably never
+    converges, is neither converged nor diverged and holds fewer rows than
+    the budget.
     """
 
     array: np.ndarray
@@ -91,7 +95,9 @@ class RankOutcome(NamedTuple):
     diagonal-dominance test of the built system (None when no system was
     built); ``determinant_ok`` is None until a direct solve was attempted,
     and stays None when `_above_one` proved before it that no positive
-    solution exists.
+    solution exists.  ``iterations_used`` is the number of Jacobi steps
+    actually run (0 when none ran); a run stopped because it provably never
+    converges counts only the steps it ran.
     """
 
     weights_raw: WeightVector
@@ -263,7 +269,7 @@ def _above_one(system: LinearSystem) -> bool:
     return 1.0 + SPECTRAL_TOL < bound < math.inf and bool(np.isfinite(system.b).all())
 
 
-def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
+def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> JacobiRun:
     """Run the averaging update, starting from the reference weights only.
 
     At step r each unknown concept j averages the samples
@@ -312,18 +318,50 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
     and the add into one rounding would change the last bits;
     `test_jacobi_iterates_match_loop` has an example that then fails.
 
+    Given a ``window`` (the number of early iterates `hre_rank` selects
+    from), the run also stops once it provably never passes the stop test
+    and every row of that window (placed as `_window` places it) exists:
+    then the rows past the window could only be thrown away.  Such a run is
+    neither converged nor diverged, and holds fewer than ``max_r`` rows.
+    The proof is tried after each block while the blocks still double (2
+    up to 32), so a converging run pays at most five O(n) checks; without a
+    ``window`` the run is the full one.  Past the filling phase each step is
+    x <- D^-1 R x with D fixed, so consecutive differences of the unknowns
+    obey d' = M d with M = D^-1 M_UU >= 0.  If the last three rows give
+    d > 0 on every unknown and l d <= d' <= L d componentwise with l > 0,
+    then by induction l^t d' <= d_t <= L^t d' for the difference d_t t
+    steps later.  So step t changes by at least l^t max d', and its size is
+    at most S(t) = max|x| + max d' * (L + ... + L^t), a constant plus a
+    multiple of L^t (or linear in t when L = 1).  Where that constant is
+    positive and L > 1, log S is convex and the log of the ratio of the two
+    bounds concave; otherwise log S rises at least as fast as t log L >=
+    t log l and the ratio falls.  Either way its least value over the
+    remaining steps is at the first or the last one, and `_never_converges`
+    evaluates just those two: O(n) work and two scalars.  A NaN or
+    infinite ratio and a power beyond the float range prove nothing.  A
+    later step beyond 1e12 would end the full run as diverged instead, and
+    `hre_rank` answers a diverged run as it answers one that merely did
+    not converge: from the same window.
+    The bounds hold for exact steps; the computed ones round.  Each row is
+    a sum of positive terms, so it lies within (n+1) eps (eps = 2.2e-16)
+    relative of the exact step from the row before: 2.2e-14 of its size at
+    n = 100, 2.2e-11 even added up over `hre_rank`'s 1,000 steps.  The
+    proof must therefore clear the stop test by NONCONVERGENCE_MARGIN =
+    1e3: every change it bounds stays above 1e-7 of the size, 4,500 times
+    that sum at n = 100 and still 45 times it at n = 10,000.
+
     Expects a preprocessed (reciprocal) problem with references.
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
-    rows, ratios, unknown_sampled, _ = _samples(problem.matrix.array, problem.references)
+    unknown, ratios, unknown_sampled, _ = _samples(problem.matrix.array, problem.references)
     fixed = [c - 1 for c in problem.references]
     anchors = np.full(problem.n, np.nan)
     anchors[fixed] = list(problem.references.values())
     sampled = np.zeros((problem.n, problem.n), dtype=bool)  # row j: the samples concept j may use
-    sampled[rows] = unknown_sampled
+    sampled[unknown] = unknown_sampled
     ratios_t = np.zeros((problem.n, problem.n))
-    ratios_t[:, rows] = ratios.T
+    ratios_t[:, unknown] = ratios.T
     sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
     ratios_t[fixed, fixed] = 1.0
     out, current = np.empty((0, problem.n)), anchors  # out: the iterates, one row per step
@@ -363,15 +401,63 @@ def jacobi_iterate(problem: Problem, max_r: int) -> JacobiRun:
                 break
             steps = stop
             if tested:
+                if (window is not None and block < 64 and steps >= _window(out[:steps], window).stop
+                        and _never_converges(out[steps - 3 : steps, unknown], sizes[-1], max_r - steps)):
+                    break
                 block = min(2 * block, 64)
     array = out[:steps]
     array.flags.writeable = False
     return JacobiRun(array, converged, diverged)
 
 
-def _admissible(values, problem: Problem) -> bool:
-    """The package's one admissibility rule: every value finite and above ADMISSIBLE_TOL times the largest reference."""
+def _never_converges(rows: np.ndarray, size: float, remaining: int) -> bool:
+    """Whether none of the next ``remaining`` fixed-divisor steps can pass the stop test (see `jacobi_iterate`).
+
+    ``rows`` holds the unknowns' estimates in the last three steps, each
+    step computed from a row with every estimate, and ``size`` is the last
+    step's largest magnitude.
+    """
+    delta, after = rows[1] - rows[0], rows[2] - rows[1]
+    if not (delta > 0).all():  # NaN fails
+        return False
+    ratios = after / delta
+    low, high, top = float(ratios.min()), float(ratios.max()), float(after.max())  # Python floats: pow raises on overflow
+    if not 0 < low <= high < math.inf:
+        return False
+
+    def ratio(t: int) -> float:  # least change over largest size, t steps on
+        total = t if high == 1 else high * math.expm1(t * math.log(high)) / (high - 1)  # high + ... + high^t
+        return low**t * top / (size + top * total)
+
+    try:
+        least = min(ratio(1), ratio(remaining))
+    except OverflowError:
+        return False
+    return least > NONCONVERGENCE_MARGIN * JACOBI_STOP_TOL  # a NaN fails
+
+
+def _window(rows: np.ndarray, size: int) -> slice:
+    """The rows `hre_rank` selects its best iterate from: the first ``size`` of a run's ``rows``.
+
+    When none of those has an estimate for every concept (a long ring may
+    leave one unestimated in every early iterate), the ``size`` rows from
+    the first that has; on a reachable problem that row is within n steps.
+    """
+    start = 0
+    if np.isnan(rows[:size]).any(axis=1).all():
+        start = int(np.isnan(rows[: rows.shape[1]]).any(axis=1).argmin())
+    return slice(start, start + size)
+
+
+def _admissible(values, problem: Problem) -> bool | np.ndarray:
+    """The package's one admissibility rule: every value finite and above ADMISSIBLE_TOL times the largest reference.
+
+    ``values`` is a sequence of floats, or a 2-d array whose rows are then
+    tested together, one array comparison for all of them: a bool per row.
+    """
     low = ADMISSIBLE_TOL * max(problem.references.values())
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return ((low < values) & (values < math.inf)).all(axis=1)
     return all(low < v < math.inf for v in values)  # NaN fails both comparisons
 
 
@@ -389,7 +475,7 @@ def select_best_iterate(
     examined and why each failed.
     """
     rows = np.asarray(iterates, dtype=float).reshape(len(iterates), problem.n)
-    candidates = rows[[_admissible(row, problem) for row in rows.tolist()]]
+    candidates = rows[_admissible(rows, problem)]
     means = _errors(problem, candidates)[1] if problem.unknown_indices else np.zeros(len(candidates))
     scored = np.flatnonzero(means < math.inf)  # NaN compares false
     if not len(scored):
@@ -435,7 +521,10 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
     converges to admissible weights, otherwise again the best early iterate.
     ``max_iterations`` is the number of early iterates examined: the first
     ones, or, when none of those has an estimate for every concept, as many
-    from the first iterate that has.
+    from the first iterate that has (`_window`).  The iteration stops early,
+    with the same answer, once it provably never converges and those
+    iterates exist (see `jacobi_iterate`); ``iterations_used`` then counts
+    the steps actually run.
 
     A `Prepared` problem from `preprocess` is solved as it is, without
     validating or repairing it again.
@@ -483,18 +572,15 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
                 warnings.append(f"least-squares heuristic failed: {exc}")
                 run = jacobi_iterate(prepared, max_iterations)
     else:
-        run = jacobi_iterate(prepared, JACOBI_MAX_ITER)
+        run = jacobi_iterate(prepared, JACOBI_MAX_ITER, max_iterations)
         if run.converged and _admissible(run.array[-1], prepared):  # a converged run's last row has every estimate
             raw = WeightVector(run.array[-1].tolist())
             path = "jacobi"
         else:
             warnings.append("iteration limit has non-positive weights" if run.converged else "iteration did not converge")
     if raw is None:
-        start = 0  # a long ring may leave a concept unestimated in every early iterate: then start where none is
-        if np.isnan(run.array[:max_iterations]).any(axis=1).all():  # on a reachable problem, within n steps
-            start = int(np.isnan(run.array[: prepared.n]).any(axis=1).argmin())
         try:
-            raw, error = select_best_iterate(run.array[start : start + max_iterations], prepared)
+            raw, error = select_best_iterate(run.array[_window(run.array, max_iterations)], prepared)
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"

@@ -1,6 +1,9 @@
 import math
 import random
+import runpy
 import warnings
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -757,3 +760,72 @@ class TestHreRank:
             final = [run.iterates[-1][i - 1] for i in prepared.unknown_indices]
             assert max_abs_diff(final, direct) <= 1e-8
         assert checked >= 100
+
+
+# the benchmark's own input generator, loaded by path: `bench/` is a directory of scripts, not a package
+_BENCH_INPUTS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
+
+
+def _bench_problem(label: str, seed: int = 7) -> Problem:
+    """A `lib-incomplete` request: "half-n100-noise0.3-r1" is `make_case(seed, "half", 100, 0.3, 1)`."""
+    pattern, n, noise, refs = label.split("-")
+    case = _BENCH_INPUTS["make_case"](seed, pattern, int(n[1:]), float(noise[5:]), int(refs[1:]))
+    return Problem(PcMatrix([[None if v != v else v for v in row] for row in case.matrix.tolist()]), case.references)
+
+
+def _without_certificate(problem, **options):
+    """`hre_rank` with the non-convergence certificate patched off: the full 1,000-step run."""
+    with patch.object(hre_solver, "_never_converges", lambda *args: False):
+        return hre_rank(problem, **options)
+
+
+class TestNonConvergenceCertificate:
+    CERTIFIED = ("half-n100-noise0.1-r1", "half-n100-noise0.3-r1", "half-n50-noise0.3-r1")
+
+    @pytest.mark.parametrize("label", CERTIFIED)
+    def test_certified_bench_runs_stop_after_16_steps(self, label):
+        problem = _bench_problem(label)
+        run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
+        assert len(run.array) == 16 and not run.converged and not run.diverged
+        outcome, full = hre_rank(problem), _without_certificate(problem)
+        assert outcome.iterations_used == 16 and full.iterations_used == JACOBI_MAX_ITER
+        assert outcome.path == "best-iterate"
+        assert outcome.warnings == ("iteration did not converge; selecting the best early iterate",)
+        assert np.array(outcome.weights_raw.values).tobytes() == np.array(full.weights_raw.values).tobytes()
+        assert outcome._replace(iterations_used=JACOBI_MAX_ITER) == full
+
+    @pytest.mark.parametrize("label", CERTIFIED)
+    def test_a_wider_window_selects_from_the_same_rows(self, label):
+        # 40 rows: the run stops after the block of 32 that ends at step 64, past every row the window reads
+        problem = _bench_problem(label)
+        outcome, full = hre_rank(problem, max_iterations=40), _without_certificate(problem, max_iterations=40)
+        assert outcome.iterations_used == 64
+        assert np.array(outcome.weights_raw.values).tobytes() == np.array(full.weights_raw.values).tobytes()
+        assert outcome._replace(iterations_used=JACOBI_MAX_ITER) == full
+
+    def test_silent_on_a_converging_run(self):
+        outcome = hre_rank(_bench_problem("half-n50-noise0.1-r1"))
+        assert (outcome.path, outcome.iterations_used) == ("jacobi", 897)
+
+    def test_silent_on_a_run_one_step_short_of_converging(self):
+        # the differences shrink by 0.982 a step: too slowly to prove anything, and step 1,000 misses the test
+        problem = _bench_problem("half-n100-noise0.3-r3")
+        run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
+        assert len(run.array) == JACOBI_MAX_ITER and not run.converged and not run.diverged
+        change = np.abs(run.array[-1] - run.array[-2]).max() / np.abs(run.array[-1]).max()
+        assert 1.0e-10 < change < 1.1e-10
+        assert hre_rank(problem).iterations_used == JACOBI_MAX_ITER
+
+    def test_direct_callers_get_the_full_run(self):
+        prepared = _prepared(_bench_problem(self.CERTIFIED[0]))
+        run = jacobi_iterate(prepared, JACOBI_MAX_ITER)
+        assert len(run.array) == JACOBI_MAX_ITER and not run.converged and not run.diverged
+        assert jacobi_iterate(prepared, JACOBI_MAX_ITER, 10).array.tobytes() == run.array[:16].tobytes()
+
+    def test_ring_differences_change_sign(self):
+        # a ring's differences are never all positive, so the certificate leaves its 1,000 steps alone
+        problem = _bench_problem("ring-n60-noise0.1-r1")
+        run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
+        assert len(run.array) == JACOBI_MAX_ITER and not run.converged
+        delta = np.diff(run.array[299:301], axis=0)
+        assert (delta > 0).any() and (delta < 0).any()

@@ -51,18 +51,20 @@ from hrerank import (
     WeightVector,
     cop_check,
     estimation_error,
+    hre_rank,
     koczkodaj_index,
     parse_matrix,
     preprocess,
     run_experiment,
     validate,
 )
-from hrerank import cop_writer, diagnostics
+from hrerank import cop_writer, diagnostics, hre_solver
 from hrerank.cop_writer import write_json, write_text
 from hrerank.diagnostics import SCAN_BLOCK, _errors, _triad_scans
 from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
     DIVERGENCE_LIMIT,
+    JACOBI_MAX_ITER,
     JACOBI_STOP_TOL,
     LinearSystem,
     _above_one,
@@ -338,6 +340,45 @@ def test_fma_example_is_fma_sensitive():
     plain = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
     fused = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT, fused=True)
     assert len(plain[0]) == steps and plain[0] != fused[0]
+
+
+# reachable incomplete requests: half the pairs missing around a chain that keeps the graph connected, rings, trees
+incomplete_request = st.one_of(
+    st.builds(random_problem, seed=seeds, n=st.integers(3, 60), missing=st.just(0.5), noise=st.floats(0.0, 0.5),
+              references=st.integers(1, 3)),
+    st.builds(graph_problem, seed=seeds, n=st.integers(3, 60), shape=st.sampled_from(["ring", "tree"]),
+              noise=st.floats(0.0, 0.5), references=st.integers(1, 3)),
+)
+
+
+def _answer(problem, window):
+    """`hre_rank`'s outcome with its weights and error as bytes, or the message of its SolveFailedError."""
+    try:
+        outcome = hre_rank(problem, max_iterations=window)
+    except SolveFailedError as exc:
+        return str(exc)
+    bits = np.array([*outcome.weights_raw.values, outcome.error]).tobytes()
+    return outcome._replace(weights_raw=bits, error=None, iterations_used=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(incomplete_request, st.sampled_from([1, 10, 40]))
+@example(random_problem(0, 30, 0.5, 0.5, 1), 10)  # stopped after 16 steps
+@example(random_problem(2, 40, 0.5, 0.3, 1), 40)  # stopped after 64 steps, past the window's 40 rows
+def test_stopped_jacobi_run_could_not_converge(problem, window):
+    prepared = preprocess(problem).problem
+    if not prepared.unknown_indices:
+        return
+    run = jacobi_iterate(prepared, JACOBI_MAX_ITER, window)
+    with patch.object(hre_solver, "_never_converges", lambda *args: False):  # the run without the certificate
+        full = jacobi_iterate(prepared, JACOBI_MAX_ITER, window)
+        expected = _answer(problem, window)
+    assert run.array.tobytes() == full.array[: len(run.array)].tobytes()
+    if len(run.array) == len(full.array):
+        assert (run.converged, run.diverged) == (full.converged, full.diverged)
+    else:  # stopped: the full run never converges, and the answer is the same to the bit
+        assert not (run.converged or run.diverged or full.converged)
+        assert _answer(problem, window) == expected
 
 
 # every ratio specified, with 1, 3 or n - 1 references
