@@ -19,7 +19,11 @@ the public one-matrix function of that stage bit for bit, the systems'
 parts must not change when the reference-to-reference entries (which
 `run_experiment` leaves unfilled) hold any other values, and the triad
 scan must print as its pivot-block form prints on stacks with NaN, inf,
-0, negative and subnormal entries, at any block size.
+0, negative and subnormal entries, at any block size.  A Jacobi run that
+the non-convergence certificate stops, on reachable incomplete requests
+(half-missing patterns, rings and trees), must be the start of a full run
+that does not converge, and `hre_rank` must give the same answer to the
+bit with the certificate patched off.
 """
 
 from __future__ import annotations
