@@ -29,6 +29,8 @@ GOLDEN_CASES = {
     "rank_ex2_hre.json": ["rank", "--input", "example2.txt", "--method", "hre", "--json"],
     "rank_ex2_minerr.json": ["rank", "--input", "example2.txt", "--method", "min-error", "--json"],
     "rank_ex2_minerr_human.txt": ["rank", "--input", "example2.txt", "--method", "min-error", "--normalize"],
+    "rank_ex2gap_hre.json": ["rank", "--input", "example2_gap.txt", "--method", "hre", "--json"],
+    "rank_ex2gap_minerr_human.txt": ["rank", "--input", "example2_gap.txt", "--method", "min-error"],
     "rank_ex3_hre_human.txt": ["rank", "--input", "example3.txt", "--method", "hre", "--normalize"],
     "rank_ex3_ev.json": ["rank", "--input", "example3.txt", "--method", "ev", "--json"],
     "rank_ex4_hre_human.txt": ["rank", "--input", "example4.txt", "--method", "hre", "--normalize"],

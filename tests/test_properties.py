@@ -85,7 +85,7 @@ from hrerank.hre_solver import (
     synthesize,
 )
 from hrerank.matrix_core import _bad_entries, _restored, fill_known_ratios, restore_reciprocity
-from hrerank.min_error_solver import _normal, build_error_system
+from hrerank.min_error_solver import MinErrorResult, _normal, build_error_system, solve_min_error
 from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, perturb
 
 from _support import (
@@ -781,6 +781,50 @@ def test_system_parts_never_read_reference_pairs(inputs):
     overwritten = stack.copy()
     overwritten[np.ix_(range(len(stack)), known, known)] = values
     assert [bits(part) for part in _parts(overwritten, references)] == [bits(part) for part in _parts(stack, references)]
+
+
+@st.composite
+def reference_pair_forms(draw):
+    """A reachable problem (complete, half missing or a ring) with 2-4 references, in three forms that differ only
+    between two references: those ratios missing both ways, the ones the references define, and arbitrary ones."""
+    n, seed, pattern = draw(st.integers(3, 14)), draw(seeds), draw(st.sampled_from(["complete", "half", "ring"]))
+    level = draw(st.floats(0.0, 3.0))  # from about 1 on, some direct solves fail and some runs diverge
+    count = draw(st.integers(2, min(4, n - 1)))
+    if pattern == "ring":
+        problem = graph_problem(seed, n, "ring", level, count)
+    else:
+        problem = random_problem(seed, n, 0.0 if pattern == "complete" else 0.5, level, count)
+    weights = problem.references
+    pairs = [(i, j) for i in sorted(weights) for j in sorted(weights) if i < j]
+    arbitrary = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    forms = []
+    for values in ([math.nan] * len(pairs), [weights[i] / weights[j] for i, j in pairs], arbitrary):
+        grid = problem.matrix.array.copy()
+        for (i, j), value in zip(pairs, values):
+            grid[i - 1, j - 1], grid[j - 1, i - 1] = value, 1.0 / value
+        forms.append(Problem(PcMatrix._from_array(grid), weights))
+    return forms
+
+
+def _result(solve, problem):
+    """`solve`'s result with its floats as bytes and without known-known-mismatch warnings, or its exception."""
+    try:
+        result = solve(problem)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, MinErrorResult):
+        return bits(np.array(result.weights_raw.values)), result.verified_minimum
+    kept = tuple(w for w in result.warnings if not w.startswith("known-known-mismatch"))
+    return result._replace(weights_raw=bits(np.array([*result.weights_raw.values, result.error])), error=None, warnings=kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_pair_forms())
+def test_answers_never_read_reference_pairs(forms):
+    # missing, definitional or arbitrary ratios between two references: the same answer, path, flags and warnings
+    for solve in (hre_rank, solve_min_error):
+        results = [_result(solve, problem) for problem in forms]
+        assert results[1:] == results[:-1]
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
