@@ -9,7 +9,7 @@ import sys
 from .baselines import WeightVector, ev_weights, gm_weights
 from .diagnostics import cop_check, estimation_error, inconsistency_report
 from .errors import HreError, ParseError, ValidationError
-from .matrix_core import Problem, _reference_gap, is_reachable, parse_matrix, preprocess, validate
+from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -29,7 +29,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -97,9 +100,7 @@ def _cmd_rank(args) -> int:
     if error is None:  # `hre_rank` scored its answer on the same problem
         _, error = estimation_error(prepared.problem, weights)
 
-    # the prepared matrix is the restored one, unless the fill closed a gap between two references
-    restored = None if _reference_gap(problem.matrix.array, problem.references) else prepared.problem.matrix
-    indices = inconsistency_report(problem.matrix, restored)
+    indices = inconsistency_report(problem.matrix, prepared.problem.matrix)  # the matrix `preprocess` restored
     if args.json:
         payload = {
             "method": args.method,

@@ -1,11 +1,12 @@
 """Rating estimation with fixed reference weights.
 
 The averaging heuristic estimates each unknown weight as the arithmetic
-mean of neighbour-weight-times-ratio samples.  For a complete matrix its
-fixed point solves a small linear system, so the pipeline first tries a
-direct solve, falling back to the least-squares heuristic and finally to
-picking the best Jacobi iterate; incomplete matrices go straight to the
-iterative route, which simply skips samples whose ratio is unspecified.
+mean of neighbour-weight-times-ratio samples.  When every unknown's ratios
+are given its fixed point solves a small linear system, so the pipeline
+first tries a direct solve, falling back to the least-squares heuristic and
+finally to picking the best Jacobi iterate; otherwise it goes straight to
+the iterative route, which simply skips samples whose ratio is unspecified.
+A ratio between two references is never read: those weights are fixed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     SingularSystemError,
     SolveFailedError,
 )
-from .matrix_core import Prepared, Problem, _samples, preprocess
+from .matrix_core import Prepared, Problem, _samples, _system_defined, preprocess
 
 PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
@@ -122,7 +123,8 @@ def build_system(problem: Problem) -> LinearSystem:
     sum over references c of m(u, c) * weight(c) / D_u, where D_u is the
     number of u's samples (n - 1 on a complete matrix).
 
-    Expects a preprocessed problem: complete matrix, at least one reference.
+    Expects a preprocessed problem with at least one reference and every
+    unknown's ratios given.
     """
     block, b, scale = _system_parts(problem)
     return LinearSystem(_averaging(block, scale), b)
@@ -141,19 +143,20 @@ def _system_parts(problem: Problem) -> SystemParts:
     D_u counts unknown u's samples (`_samples`; n - 1 on a complete matrix)
     and the block's diagonal is zero.  The constant for u is sum over
     references c of m(u, c) * weight(c) / D_u.  Raises unless the problem
-    has references, unknowns and every ratio.
+    has references and unknowns, and IncompleteMatrixError unless the
+    system is defined: every ratio of every unknown's row (`_system_defined`).
     """
     if not problem.references:
         raise ValueError("at least one reference concept is required")
     if len(problem.references) == problem.n:
         raise ValueError("no unknown concepts: nothing to solve")
-    if not problem.matrix.is_complete():
+    if not _system_defined(problem.matrix.array, problem.references):
         raise IncompleteMatrixError("incomplete matrix: every ratio must be specified")
     return _parts(problem.matrix.array, problem.references)
 
 
 def _parts(a: np.ndarray, references: dict[int, float]) -> SystemParts:
-    """`_system_parts` of each complete matrix of a stack (..., n, n), stacked alike."""
+    """`_system_parts` of each matrix of a stack (..., n, n) whose system is defined, stacked alike."""
     rows, ratios, _, counts = _samples(a, references)
     scale = 1.0 / counts
     total = 0.0
@@ -513,12 +516,13 @@ def _woven(solved, problem: Problem) -> list[float]:
 def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOutcome:
     """Full solution pipeline: validate, repair, solve, attach provenance.
 
-    Complete matrices are solved directly; a singular or inadmissible
-    direct solution falls back to the least-squares heuristic and then to
-    the best Jacobi iterate.  The direct solve is skipped, with the same
-    warning, when `_above_one` proves that it has no positive solution.
-    Incomplete matrices use the iterative route: its limit when it
-    converges to admissible weights, otherwise again the best early iterate.
+    Where every unknown's ratios are given (`_system_defined`) the system
+    is solved directly; a singular or inadmissible direct solution falls
+    back to the least-squares heuristic and then to the best Jacobi
+    iterate.  The direct solve is skipped, with the same warning, when
+    `_above_one` proves that it has no positive solution.  Otherwise the
+    iterative route runs: its limit when it converges to admissible
+    weights, otherwise again the best early iterate.
     ``max_iterations`` is the number of early iterates examined: the first
     ones, or, when none of those has an estimate for every concept, as many
     from the first iterate that has (`_window`).  The iteration stops early,
@@ -542,11 +546,12 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
     convergence_ok: bool | None = None
     determinant_ok: bool | None = None
     raw = run = error = None
+    defined = _system_defined(prepared.matrix.array, prepared.references)  # else the iterative route
 
     if not prepared.unknown_indices:
         raw = synthesize((), prepared)
         path = "direct"
-    elif prepared.matrix.is_complete():
+    elif defined:
         system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
         try:
@@ -584,7 +589,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"
-        if not prepared.matrix.is_complete():  # the iterative route's warning announces the selection it made
+        if not defined:  # the iterative route's warning announces the selection it made
             warnings[-1] += "; selecting the best early iterate"
 
     return RankOutcome(

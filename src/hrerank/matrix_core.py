@@ -337,39 +337,24 @@ def _restored(a: np.ndarray) -> np.ndarray:
     return restored
 
 
-def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
-    """Overwrite every known-known ratio with the one its reference weights define.
+def _known_ratio_mismatches(a: np.ndarray, references: dict[int, float]) -> tuple[Issue, ...]:
+    """``a``'s known-known-mismatch warnings: ratios between two references that their weights contradict.
 
-    For reference concepts the ratio is definitional: m_ji = w_j / w_i.
-    Provided values that deviate by more than a relative 1e-6 are kept in
-    the returned issue list as known-known-mismatch warnings (survey noise
-    is worth reporting, not worth failing on).  Entries touching at least
-    one unknown concept are never modified.
+    Such a ratio is definitional, m_ij = w_i / w_j, and no solver reads it
+    (`_samples` takes the unknowns' rows).  A provided value more than a
+    relative 1e-6 off is survey noise, worth reporting, not failing on.
     """
-    rows, cols, targets, issues = _known_ratios(problem.matrix.array, problem.references)
-    if not targets:
-        return problem, ()
-    grid = problem.matrix.array.copy()
-    grid[rows, cols] = targets
-    return Problem(PcMatrix._from_array(grid), problem.references), issues
-
-
-def _known_ratios(a: np.ndarray, references: dict[int, float]) -> tuple[list[int], list[int], list[float], tuple[Issue, ...]]:
-    """Rows, columns and reference-defined ratios of the known-known entries, and ``a``'s mismatches with them."""
     known = sorted(references)
-    rows, cols, targets = [], [], []
+    issues = []
     for pos, i in enumerate(known):
         for j in known[pos + 1 :]:
             target = references[i] / references[j]
-            rows += (i - 1, j - 1)
-            cols += (j - 1, i - 1)
-            targets += (target, 1.0 / target)
-    issues = tuple(
-        Issue(f"({i + 1},{j + 1})", "known-known-mismatch", f"provided ratio {old:g} replaced by reference-defined {t:g}")
-        for i, j, old, t in zip(rows, cols, a[rows, cols].tolist() if rows else (), targets)
-        if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t)
-    )
-    return rows, cols, targets, issues
+            for row, col, t in ((i, j, target), (j, i, 1.0 / target)):
+                old = float(a[row - 1, col - 1])
+                if abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t):  # a missing (NaN) ratio compares false
+                    message = f"provided ratio {old:g} replaced by reference-defined {t:g}"
+                    issues.append(Issue(f"({row},{col})", "known-known-mismatch", message))
+    return tuple(issues)
 
 
 def is_reachable(problem: Problem) -> tuple[bool, tuple[int, ...]]:
@@ -395,11 +380,9 @@ class Prepared(NamedTuple):
     """A validated, repaired problem and its warnings, as `preprocess` returns them.
 
     Every solver accepts one in place of a `Problem` and then neither
-    validates nor repairs again.  Its matrix is the restored one, unfilled:
-    no solver reads a ratio between two references (`_samples` takes the
-    unknowns' rows), so of the known-ratio fill only its warnings are kept.
-    Only a matrix with such a ratio missing is filled, which makes it
-    complete when that was its only gap.
+    validates nor repairs again.  Its matrix is the restored one: a ratio
+    between two references stays as given, or missing, because no solver
+    reads it (`_samples` takes the unknowns' rows).
     """
 
     problem: Problem
@@ -407,14 +390,12 @@ class Prepared(NamedTuple):
 
 
 def preprocess(problem: Problem | Prepared) -> Prepared:
-    """Validation + reciprocity restoration + known-ratio fill, in that order.
+    """Validation + reciprocity restoration, and the known-known-mismatch warnings.
 
     The standard entry gate for every solver.  Raises ValidationError when
-    the report contains fatal issues; returns the repaired problem together
-    with the accumulated warnings.  The fill runs only where a ratio between
-    two references is missing (see `Prepared`); the solvers answer as on
-    the filled matrix either way.  An already prepared problem is returned
-    as it is.
+    the report contains fatal issues; returns the restored problem together
+    with the accumulated warnings, the validation's first.  An already
+    prepared problem is returned as it is.
     """
     if isinstance(problem, Prepared):
         return problem
@@ -422,18 +403,7 @@ def preprocess(problem: Problem | Prepared) -> Prepared:
     if not report.ok:
         raise ValidationError(report)
     restored = Problem(restore_reciprocity(problem.matrix), problem.references)
-    if _reference_gap(restored.matrix.array, problem.references):  # see `Prepared`
-        restored, fill_issues = fill_known_ratios(restored)
-    else:
-        fill_issues = _known_ratios(restored.matrix.array, problem.references)[3]
-    return Prepared(restored, report.warnings + fill_issues)
-
-
-def _reference_gap(a: np.ndarray, references) -> bool:
-    """Whether a ratio between two references is missing both ways, a gap that the known-ratio fill closes."""
-    known = sorted(references)
-    pairs = ((i - 1, j - 1) for p, i in enumerate(known) for j in known[p + 1 :])
-    return any(math.isnan(a[i, j]) and math.isnan(a[j, i]) for i, j in pairs)
+    return Prepared(restored, report.warnings + _known_ratio_mismatches(restored.matrix.array, problem.references))
 
 
 def _above_diagonal(n: int) -> np.ndarray:
@@ -460,6 +430,16 @@ def _samples(a: np.ndarray, references) -> tuple[np.ndarray, np.ndarray, np.ndar
     sampled = ~np.isnan(ratios)
     sampled[..., np.arange(len(rows)), rows] = False
     return rows, np.where(sampled, ratios, 0.0), sampled, sampled.sum(axis=-1)
+
+
+def _system_defined(a: np.ndarray, references) -> bool:
+    """Whether the averaging system is defined: every unknown's row, the rows `_samples` reads, has every ratio.
+
+    A ratio missing between two references leaves it defined.
+    """
+    missing = np.isnan(a).any(axis=1)
+    missing[[c - 1 for c in references]] = False
+    return not missing.any()
 
 
 def _sum_in_order(values) -> float:

@@ -42,7 +42,7 @@ class MinErrorResult(NamedTuple):
 
 
 def build_error_system(problem: Problem) -> ErrorSystem:
-    """Assemble the normal system for a preprocessed, complete problem."""
+    """Assemble the normal system for a preprocessed problem whose averaging system is defined (see `_system_parts`)."""
     block, b, scale = _system_parts(problem)
     a, s_values = _normal(block, scale)
     # a is exactly symmetric, so its columns are its rows

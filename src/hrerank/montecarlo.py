@@ -124,8 +124,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     at every level into one (L, n, n) stack, and each stage (validation's
     fatal rule, repair, both systems, their solve, the Koczkodaj scan) runs
     once on it, giving every level the bits a level-by-level pass gives.
-    The known-ratio fill is skipped: it overwrites only entries between two
-    references, which the systems never read (`_samples` takes the
+    The entries between two references are left as drawn, as `preprocess`
+    leaves them: the systems never read them (`_samples` takes the
     unknowns' rows).  A level that `validate` refuses (an entry pushed out
     of the float range), or where either heuristic fails, keeps
     both_solved=False and a nan distance; one with no defined triad records

@@ -16,7 +16,9 @@ template per violation, which the column renderers must match byte for byte.
 ``is_reciprocal`` tests whether a matrix is reciprocal, and ``entry`` reads
 one ratio of a matrix, None where it is missing.
 ``squared_error``, ``hessian`` and ``brute_force_min_error`` check the
-least-squares solver from the objective itself.
+least-squares solver from the objective itself.  ``fill_known_ratios``
+writes the ratios the references define between them, which no solver reads,
+and the known-known-mismatch warnings `preprocess` must give.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from hrerank import (
 from hrerank.diagnostics import SCAN_BLOCK
 from hrerank.hre_solver import PIVOT_TOL, RESIDUAL_TOL, _solved, build_system, solve_linear, synthesize
 from hrerank.montecarlo import _SEED_STRIDE, generate_consistent, perturb
-from hrerank.matrix_core import DIAGONAL_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
+from hrerank.matrix_core import DIAGONAL_TOL, KNOWN_RATIO_WARN_TOL, RECIPROCAL_WARN_TOL, _samples, _sum_in_order
 from hrerank.min_error_solver import ErrorSystem
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -95,6 +97,25 @@ def entry(matrix: PcMatrix, i: int, j: int) -> float | None:
     """Ratio of concept i to concept j (1-based) read from ``matrix.array``, None where it is missing."""
     v = float(matrix.array[i - 1, j - 1])
     return None if v != v else v
+
+
+def fill_known_ratios(problem: Problem) -> tuple[Problem, tuple[Issue, ...]]:
+    """``problem`` with every ratio between two references set to m_ij = w_i / w_j, and the provided ones it replaced.
+
+    Each provided ratio more than a relative 1e-6 off gives a known-known-mismatch warning, pair by pair in
+    ascending order, (i, j) before (j, i).
+    """
+    grid = [list(row) for row in problem.matrix.entries]
+    issues = []
+    for i, j in itertools.combinations(sorted(problem.references), 2):
+        target = problem.references[i] / problem.references[j]
+        for row, col, t in ((i, j, target), (j, i, 1.0 / target)):
+            old = grid[row - 1][col - 1]
+            if old is not None and abs(old - t) > KNOWN_RATIO_WARN_TOL * abs(t):
+                message = f"provided ratio {old:g} replaced by reference-defined {t:g}"
+                issues.append(Issue(f"({row},{col})", "known-known-mismatch", message))
+            grid[row - 1][col - 1] = t
+    return Problem(PcMatrix(grid), problem.references), tuple(issues)
 
 
 def consistent_matrix(weights) -> PcMatrix:

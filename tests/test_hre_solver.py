@@ -38,7 +38,9 @@ from _support import (
     assert_vector_printed,
     consistent_matrix,
     diverging_incomplete_problem,
+    entry,
     estimation_error_oracle,
+    fill_known_ratios,
     graph_problem,
     inadmissible_direct_problem,
     max_abs_diff,
@@ -102,8 +104,8 @@ class TestBuildSystem:
             build_system(_prepared(example4))
 
     def test_known_known_gap_closed_by_fill(self):
-        # the only missing pair joins two reference concepts, so the fill
-        # completes the matrix and the direct route applies
+        # the only missing pair joins two reference concepts: the prepared matrix
+        # keeps that gap, and the direct route answers as on the filled matrix
         rows = (
             (1.0, 2.0, 4.0),
             (0.5, 1.0, None),
@@ -111,9 +113,12 @@ class TestBuildSystem:
         )
         problem = Problem(PcMatrix(rows), {2: 1.0, 3: 0.5})
         prepared = _prepared(problem)
-        assert prepared.matrix.is_complete()
+        assert entry(prepared.matrix, 2, 3) is None and entry(prepared.matrix, 3, 2) is None
         outcome = hre_rank(problem)
         assert outcome.path == "direct"
+        filled = hre_rank(fill_known_ratios(problem)[0])
+        assert filled.path == "direct"
+        assert np.array(outcome.weights_raw.values).tobytes() == np.array(filled.weights_raw.values).tobytes()
 
 
 class TestLinearSystem:

@@ -16,9 +16,9 @@ from hrerank import (
     preprocess,
     validate,
 )
-from hrerank.matrix_core import fill_known_ratios, restore_reciprocity
+from hrerank.matrix_core import restore_reciprocity
 
-from _support import entry, is_reciprocal, random_reciprocal
+from _support import entry, fill_known_ratios, is_reciprocal, random_reciprocal
 
 
 class TestParse:
@@ -225,45 +225,6 @@ class TestRestoreReciprocity:
                         assert abs(a * entry(once, j, i) - 1.0) <= 1e-12
 
 
-class TestFillKnownRatios:
-    def test_example2_already_definitional(self, example2):
-        filled, issues = fill_known_ratios(example2)
-        assert issues == ()
-        assert entry(filled.matrix, 2, 3) == 5.0 / 7.0
-        assert entry(filled.matrix, 3, 2) == 1.0 / (5.0 / 7.0)
-
-    def test_single_reference_is_noop(self, example1):
-        filled, issues = fill_known_ratios(example1)
-        assert issues == ()
-        assert filled.matrix.entries == example1.matrix.entries
-
-    def test_overwrites_and_warns_on_mismatch(self, example2):
-        grid = [list(row) for row in example2.matrix.entries]
-        grid[1][2] = 1.0  # contradicts the 5/7 the references define
-        problem = Problem(PcMatrix(tuple(tuple(r) for r in grid)), example2.references)
-        filled, issues = fill_known_ratios(problem)
-        assert entry(filled.matrix, 2, 3) == 5.0 / 7.0
-        assert [i.category for i in issues] == ["known-known-mismatch"]
-        assert issues[0].location == "(2,3)"
-
-    def test_idempotent_and_preserves_unknown_entries(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            n = rng.randint(3, 6)
-            matrix = random_reciprocal(n, rng)
-            ref_count = rng.randint(2, n - 1)
-            refs = {i + 1: math.exp(rng.uniform(-1, 1)) for i in range(ref_count)}
-            problem = Problem(matrix, refs)
-            filled, _ = fill_known_ratios(problem)
-            again, issues = fill_known_ratios(filled)
-            assert issues == ()
-            assert again.matrix.entries == filled.matrix.entries
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i not in refs or j not in refs:
-                        assert entry(filled.matrix, i, j) == entry(matrix, i, j)
-
-
 class TestReachability:
     def test_example4_is_reachable(self, example4):
         restored = Problem(restore_reciprocity(example4.matrix), example4.references)
@@ -301,7 +262,9 @@ def test_preprocess_keeps_the_restored_matrix_and_the_fill_warnings(example2):
     prepared, issues = ready
     assert prepared.matrix == restore_reciprocity(problem.matrix)  # unfilled
     filled, fill_issues = fill_known_ratios(Problem(prepared.matrix, problem.references))
-    assert [i.category for i in fill_issues] == ["known-known-mismatch"] * 2
+    assert [(i.location, i.category) for i in fill_issues] == [
+        ("(2,3)", "known-known-mismatch"), ("(3,2)", "known-known-mismatch"),
+    ]
     assert issues == validate(problem).warnings + fill_issues
     # no solver reads a ratio between two references
     assert hre_rank(Prepared(filled, issues)) == hre_rank(ready)

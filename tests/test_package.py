@@ -47,16 +47,16 @@ MODULE_ONLY = {
     "JacobiRun": "hre_solver", "LinearSystem": "hre_solver", "build_system": "hre_solver",
     "check_convergence": "hre_solver", "jacobi_iterate": "hre_solver", "select_best_iterate": "hre_solver",
     "solve_linear": "hre_solver", "synthesize": "hre_solver",
-    "fill_known_ratios": "matrix_core", "restore_reciprocity": "matrix_core",
+    "restore_reciprocity": "matrix_core",
     "ErrorSystem": "min_error_solver", "build_error_system": "min_error_solver",
     "generate_consistent": "montecarlo", "perturb": "montecarlo",
 }
 
 # per-layer benchmark metrics whose label names no function: counters, ratios and process-level
-# figures, and `count_complete_triads`, a layer the package no longer has
+# figures, and `count_complete_triads` and `fill_known_ratios`, layers the package no longer has
 NOT_FUNCTIONS = (
     "hre_solver.path.", "hre_solver.direct.", "diagnostics.triads_evaluated", "cli.import_s",
-    "trace.overhead_ratio", "diagnostics.count_complete_triads.",
+    "trace.overhead_ratio", "diagnostics.count_complete_triads.", "matrix_core.fill_known_ratios.",
 )
 
 RECORDS = [

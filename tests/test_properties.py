@@ -17,7 +17,11 @@ problems (1, 3 or n - 1 references) and their dominance tests.  Every
 slice of the stacked stage kernels that `run_experiment` runs must equal
 the public one-matrix function of that stage bit for bit, the systems'
 parts must not change when the reference-to-reference entries (which
-`run_experiment` leaves unfilled) hold any other values, and the triad
+nothing fills) hold any other values, and `hre_rank` and `solve_min_error`
+must give the same answer to the bit (path, flags, step count and every
+warning but the known-known-mismatch ones), or the same error, whether the
+ratios between 2-4 references of a complete, half-missing or ring problem
+are missing both ways, definitional or arbitrary.  The triad
 scan must print as its pivot-block form prints on stacks with NaN, inf,
 0, negative and subnormal entries, at any block size.  A Jacobi run that
 the non-convergence certificate stops, on reachable incomplete requests
@@ -84,7 +88,7 @@ from hrerank.hre_solver import (
     solve_linear,
     synthesize,
 )
-from hrerank.matrix_core import _bad_entries, _restored, fill_known_ratios, restore_reciprocity
+from hrerank.matrix_core import _bad_entries, _restored, restore_reciprocity
 from hrerank.min_error_solver import MinErrorResult, _normal, build_error_system, solve_min_error
 from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, perturb
 
@@ -100,6 +104,7 @@ from _support import (
     diverging_incomplete_problem,
     estimation_error_oracle,
     estimation_error_prefix_sum,
+    fill_known_ratios,
     graph_problem,
     jacobi_loop,
     overflow_problem,
