@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompleteMatrixError, NonConvergenceError
-from .matrix_core import PcMatrix, _sum_in_order
+from .matrix_core import PcMatrix, _bad_entries, _sum_in_order
 
 POWER_EIG_TOL = 1e-12       # change in eigenvalue estimate between steps
 POWER_RESIDUAL_TOL = 1e-10  # max-norm residual required to accept a result
@@ -66,7 +66,7 @@ class EigenResult(NamedTuple):
 def _dense(matrix: PcMatrix) -> np.ndarray:
     if not matrix.is_complete():
         raise IncompleteMatrixError("incomplete matrix: every ratio must be specified")
-    if not np.all(np.isfinite(matrix.array)) or np.any(matrix.array <= 0):
+    if _bad_entries(matrix.array).any():  # the fatal-entry rule `validate` applies
         raise ValueError("matrix entries must be positive finite ratios")
     return matrix.array
 

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .baselines import WeightVector, ev_weights, gm_weights
-from .diagnostics import cop_check, estimation_error, inconsistency_report
+from .diagnostics import InconsistencyReport, cop_check, estimation_error, inconsistency_report
 from .errors import HreError, ParseError, ValidationError
 from .matrix_core import Problem, is_reachable, parse_matrix, preprocess, validate
 
@@ -16,30 +16,39 @@ EXIT_INPUT_ERROR = 1
 EXIT_SOLVER_ERROR = 2
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # bad flags are an input problem: report on stderr, exit 1 (not argparse's 2)
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
+def _converted(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:  # argparse would name the calling function in its message
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:  # argparse would name this function in its message
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _converted(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+def _noise_levels(text: str) -> tuple[float, ...]:
+    # only the conversion; `ExperimentConfig` checks the levels' range
+    return tuple(_converted(float, part) for part in text.split(",") if part != "")
+
+
 def _fmt(value: float) -> str:
     return format(value, ".6g")
+
+
+def _shown(value, render=_fmt) -> str:
+    """A printed value the request may lack: CI, K or the path."""
+    return "n/a" if value is None else render(value)
+
+
+def _print_list(title: str, items) -> None:
+    if items:
+        print(f"{title}:")
+        for item in items:
+            print(f"  - {item}")
 
 
 def _load_problem(path: str) -> Problem:
@@ -117,67 +126,55 @@ def _cmd_rank(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"method: {args.method}")
-        print(f"path: {path if path is not None else 'n/a'}")
+        print(f"path: {_shown(path, str)}")
         print("weights (normalized):" if weights.normalized else "weights:")
         for i, value in enumerate(weights.values, start=1):
             print(f"  c{i}  {_fmt(value)}")
-        print(f"CI: {_fmt(indices.saaty_ci) if indices.saaty_ci is not None else 'n/a'}")
-        print(f"K: {_fmt(indices.koczkodaj) if indices.koczkodaj is not None else 'n/a'}")
+        print(f"CI: {_shown(indices.saaty_ci)}")
+        print(f"K: {_shown(indices.koczkodaj)}")
         print(f"estimation error: {_fmt(error)}")
-        if warnings:
-            print("warnings:")
-            for w in warnings:
-                print(f"  - {w}")
+        _print_list("warnings", warnings)
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
     problem = _load_problem(args.input)
     report = validate(problem)
-    fatal = not report.ok
-
     matrix = problem.matrix
     complete = matrix.is_complete()
-    reciprocity_warnings = [i for i in report.issues if i.category == "non-reciprocal-pair"]
-    indices = inconsistency_report(matrix) if not fatal else None
+    reciprocal = not any(i.category == "non-reciprocal-pair" for i in report.issues)
+    # a fatal input is not scanned: no CI, no K, no triad
+    indices = inconsistency_report(matrix) if report.ok else InconsistencyReport(None, None, 0)
     reachable, unreachable = is_reachable(problem) if problem.references else (None, ())
+    issues = [str(i) for i in report.issues]
 
     if args.json:
         payload = {
             "n": matrix.n,
             "complete": complete,
-            "reciprocal": not reciprocity_warnings,
-            "ci": indices.saaty_ci if indices else None,
-            "koczkodaj": indices.koczkodaj if indices else None,
-            "triads_evaluated": indices.triads_evaluated if indices else 0,
+            "reciprocal": reciprocal,
+            "ci": indices.saaty_ci,
+            "koczkodaj": indices.koczkodaj,
+            "triads_evaluated": indices.triads_evaluated,
             "reachable": reachable,
             "unreachable": list(unreachable),
-            "issues": [str(i) for i in report.issues],
+            "issues": issues,
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"n: {matrix.n}")
         print(f"complete: {'yes' if complete else 'no'}")
-        print(f"reciprocal: {'yes' if not reciprocity_warnings else 'no'}")
-        if indices and indices.saaty_ci is not None:
-            print(f"CI: {_fmt(indices.saaty_ci)}")
-        else:
-            print("CI: n/a")
-        if indices and indices.koczkodaj is not None:
-            print(f"K: {_fmt(indices.koczkodaj)} (triads evaluated: {indices.triads_evaluated})")
-        else:
-            print(f"K: n/a (triads evaluated: {indices.triads_evaluated if indices else 0})")
+        print(f"reciprocal: {'yes' if reciprocal else 'no'}")
+        print(f"CI: {_shown(indices.saaty_ci)}")
+        print(f"K: {_shown(indices.koczkodaj)} (triads evaluated: {indices.triads_evaluated})")
         if reachable is None:
             print("reachability: n/a (no reference concepts)")
         elif reachable:
             print("reachability: ok")
         else:
             print(f"reachability: unreachable concepts: {', '.join(f'c{i}' for i in unreachable)}")
-        if report.issues:
-            print("issues:")
-            for issue in report.issues:
-                print(f"  - {issue}")
-    return EXIT_INPUT_ERROR if fatal else EXIT_OK
+        _print_list("issues", issues)
+    return EXIT_OK if report.ok else EXIT_INPUT_ERROR
 
 
 def _cmd_cop(args) -> int:
@@ -196,11 +193,10 @@ def _cmd_cop(args) -> int:
 def _cmd_mc(args) -> int:
     from .montecarlo import ExperimentConfig, run_experiment, summarize, write_csv  # only `mc` loads it
 
-    noise_levels = tuple(float(part) for part in args.noise.split(",") if part != "")
     config = ExperimentConfig(
         n=args.n,
         trials=args.trials,
-        noise_levels=noise_levels,
+        noise_levels=args.noise,
         reference_count=args.refs,
         seed=args.seed,
     )
@@ -216,7 +212,7 @@ def _cmd_mc(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hrerank", description="Priority weights from pairwise comparisons")
+    parser = argparse.ArgumentParser(prog="hrerank", description="Priority weights from pairwise comparisons")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rank = sub.add_parser("rank", help="derive a weight vector")
@@ -243,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="noise-vs-divergence experiment")
     mc.add_argument("--n", type=int, required=True)
     mc.add_argument("--trials", type=int, required=True)
-    mc.add_argument("--noise", required=True, help="comma-separated noise levels")
+    mc.add_argument("--noise", type=_noise_levels, required=True, help="comma-separated noise levels")
     mc.add_argument("--refs", type=int, required=True)
     mc.add_argument("--seed", type=int, required=True)
     mc.add_argument("--out", required=True, help="CSV output path")
@@ -254,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except _UsageError:
-        return EXIT_INPUT_ERROR
+    except SystemExit as exc:  # argparse printed the help (status 0) or the usage error (status 2)
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -27,7 +27,7 @@ class ValidationError(HreError):
 
 
 class IncompleteMatrixError(HreError):
-    """Operation requires every ratio to be specified."""
+    """A ratio the operation reads is missing: any ratio for EV, GM and CI; an unknown concept's ratio for the averaging systems."""
 
 
 class SingularSystemError(HreError):

@@ -151,7 +151,7 @@ def _system_parts(problem: Problem) -> SystemParts:
     if len(problem.references) == problem.n:
         raise ValueError("no unknown concepts: nothing to solve")
     if not _system_defined(problem.matrix.array, problem.references):
-        raise IncompleteMatrixError("incomplete matrix: every ratio must be specified")
+        raise IncompleteMatrixError("incomplete matrix: every ratio of an unknown concept must be specified")
     return _parts(problem.matrix.array, problem.references)
 
 

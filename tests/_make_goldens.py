@@ -17,19 +17,19 @@ from _support import GOLDEN_DIR
 from test_cli import GOLDEN_CASES, TestMc, resolve
 
 
-def capture(args) -> str:
+def capture(args, expected_code=0) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(args)
-    if code != 0:
-        raise SystemExit(f"golden command failed ({code}): {args}")
+    if code != expected_code:
+        raise SystemExit(f"golden command exited {code}, not {expected_code}: {args}")
     return buffer.getvalue()
 
 
 def run() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, args in GOLDEN_CASES.items():
-        (GOLDEN_DIR / name).write_text(capture(resolve(args)), encoding="utf-8")
+    for name, (code, args) in GOLDEN_CASES.items():
+        (GOLDEN_DIR / name).write_text(capture(resolve(args), code), encoding="utf-8")
         print(f"wrote {name}")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "mc.csv"

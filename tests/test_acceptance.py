@@ -351,10 +351,11 @@ def test_criterion_7_monte_carlo_claim():
 def test_criterion_8_cli_contract(capsys, tmp_path):
     with criterion(8, "CLI: golden outputs, determinism, exit codes"):
         for name in sorted(GOLDEN_CASES):
-            args = resolve(GOLDEN_CASES[name])
-            assert main(args) == 0
+            code, args = GOLDEN_CASES[name]
+            args = resolve(args)
+            assert main(args) == code
             first = capsys.readouterr().out
-            assert main(args) == 0
+            assert main(args) == code
             second = capsys.readouterr().out
             assert first == second == (GOLDEN_DIR / name).read_text(encoding="utf-8")
             if name.endswith(".json"):

@@ -20,28 +20,35 @@ from _support import (
     singular_direct_problem,
 )
 
-# golden cases: name -> CLI arguments (paths resolved against tests/data)
+# golden cases: name -> (exit code, CLI arguments); paths resolved against tests/data
 GOLDEN_CASES = {
-    "rank_ex1_hre_human.txt": ["rank", "--input", "example1.txt", "--method", "hre", "--normalize"],
-    "rank_ex1_hre.json": ["rank", "--input", "example1.txt", "--method", "hre", "--normalize", "--json"],
-    "rank_ex1_ev_human.txt": ["rank", "--input", "example1.txt", "--method", "ev"],
-    "rank_ex1_gm.json": ["rank", "--input", "example1.txt", "--method", "gm", "--json"],
-    "rank_ex2_hre.json": ["rank", "--input", "example2.txt", "--method", "hre", "--json"],
-    "rank_ex2_minerr.json": ["rank", "--input", "example2.txt", "--method", "min-error", "--json"],
-    "rank_ex2_minerr_human.txt": ["rank", "--input", "example2.txt", "--method", "min-error", "--normalize"],
-    "rank_ex2gap_hre.json": ["rank", "--input", "example2_gap.txt", "--method", "hre", "--json"],
-    "rank_ex2gap_minerr_human.txt": ["rank", "--input", "example2_gap.txt", "--method", "min-error"],
-    "rank_ex3_hre_human.txt": ["rank", "--input", "example3.txt", "--method", "hre", "--normalize"],
-    "rank_ex3_ev.json": ["rank", "--input", "example3.txt", "--method", "ev", "--json"],
-    "rank_ex4_hre_human.txt": ["rank", "--input", "example4.txt", "--method", "hre", "--normalize"],
-    "rank_ex4_hre.json": ["rank", "--input", "example4.txt", "--method", "hre", "--normalize", "--json"],
-    "diagnose_ex1_human.txt": ["diagnose", "--input", "example1.txt"],
-    "diagnose_ex2.json": ["diagnose", "--input", "example2.txt", "--json"],
-    "diagnose_ex3_human.txt": ["diagnose", "--input", "example3.txt"],
-    "diagnose_ex4_human.txt": ["diagnose", "--input", "example4.txt"],
-    "cop_ex1_ev_human.txt": ["cop", "--input", "example1.txt", "--weights", "ex1_ev_weights.txt"],
-    "cop_ex1_ev.json": ["cop", "--input", "example1.txt", "--weights", "ex1_ev_weights.txt", "--json"],
-    "cop_ex3_hre_human.txt": ["cop", "--input", "example3.txt", "--weights", "ex3_hre_weights.txt"],
+    "rank_ex1_hre_human.txt": (0, ["rank", "--input", "example1.txt", "--method", "hre", "--normalize"]),
+    "rank_ex1_hre.json": (0, ["rank", "--input", "example1.txt", "--method", "hre", "--normalize", "--json"]),
+    "rank_ex1_ev_human.txt": (0, ["rank", "--input", "example1.txt", "--method", "ev"]),
+    "rank_ex1_gm.json": (0, ["rank", "--input", "example1.txt", "--method", "gm", "--json"]),
+    "rank_ex2_hre.json": (0, ["rank", "--input", "example2.txt", "--method", "hre", "--json"]),
+    "rank_ex2_minerr.json": (0, ["rank", "--input", "example2.txt", "--method", "min-error", "--json"]),
+    "rank_ex2_minerr_human.txt": (0, ["rank", "--input", "example2.txt", "--method", "min-error", "--normalize"]),
+    "rank_ex2gap_hre.json": (0, ["rank", "--input", "example2_gap.txt", "--method", "hre", "--json"]),
+    "rank_ex2gap_minerr_human.txt": (0, ["rank", "--input", "example2_gap.txt", "--method", "min-error"]),
+    "rank_ex3_hre_human.txt": (0, ["rank", "--input", "example3.txt", "--method", "hre", "--normalize"]),
+    "rank_ex3_ev.json": (0, ["rank", "--input", "example3.txt", "--method", "ev", "--json"]),
+    "rank_ex4_hre_human.txt": (0, ["rank", "--input", "example4.txt", "--method", "hre", "--normalize"]),
+    "rank_ex4_hre.json": (0, ["rank", "--input", "example4.txt", "--method", "hre", "--normalize", "--json"]),
+    "rank_noref_hre_human.txt": (0, ["rank", "--input", "example1_noref.txt", "--method", "hre"]),
+    "diagnose_ex1_human.txt": (0, ["diagnose", "--input", "example1.txt"]),
+    "diagnose_ex2.json": (0, ["diagnose", "--input", "example2.txt", "--json"]),
+    "diagnose_ex3_human.txt": (0, ["diagnose", "--input", "example3.txt"]),
+    "diagnose_ex4_human.txt": (0, ["diagnose", "--input", "example4.txt"]),
+    "diagnose_noref_human.txt": (0, ["diagnose", "--input", "example1_noref.txt"]),
+    "diagnose_noref.json": (0, ["diagnose", "--input", "example1_noref.txt", "--json"]),
+    "diagnose_unreachable_human.txt": (1, ["diagnose", "--input", "unreachable.txt"]),
+    "diagnose_unreachable.json": (1, ["diagnose", "--input", "unreachable.txt", "--json"]),
+    "diagnose_nonpositive_human.txt": (1, ["diagnose", "--input", "nonpositive.txt"]),
+    "diagnose_nonpositive.json": (1, ["diagnose", "--input", "nonpositive.txt", "--json"]),
+    "cop_ex1_ev_human.txt": (0, ["cop", "--input", "example1.txt", "--weights", "ex1_ev_weights.txt"]),
+    "cop_ex1_ev.json": (0, ["cop", "--input", "example1.txt", "--weights", "ex1_ev_weights.txt", "--json"]),
+    "cop_ex3_hre_human.txt": (0, ["cop", "--input", "example3.txt", "--weights", "ex3_hre_weights.txt"]),
 }
 
 
@@ -62,14 +69,15 @@ def run_cli(args, capsys):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_output(name, capsys):
-    args = resolve(GOLDEN_CASES[name])
+    expected_code, args = GOLDEN_CASES[name]
+    args = resolve(args)
     code, out, _ = run_cli(args, capsys)
-    assert code == 0
+    assert code == expected_code
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert out == expected
     # byte-identical on a second run
     code2, out2, _ = run_cli(args, capsys)
-    assert code2 == 0 and out2 == out
+    assert code2 == expected_code and out2 == out
 
 
 FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -88,9 +96,9 @@ def run_fresh(args):
 def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
     # in process, earlier tests have imported every module; only a new interpreter shows a missing import
     csv = tmp_path / "mc.csv"
-    args = resolve(GOLDEN_CASES[name]) if name in GOLDEN_CASES else TestMc.ARGS + ["--out", str(csv)]
-    code, out, modules = run_fresh(args)
-    assert code == 0
+    expected_code, args = GOLDEN_CASES[name] if name in GOLDEN_CASES else (0, TestMc.ARGS + ["--out", str(csv)])
+    code, out, modules = run_fresh(resolve(args))
+    assert code == expected_code
     expected = (GOLDEN_DIR / name).read_bytes()
     assert out == expected
     if args[0] == "mc":
@@ -102,6 +110,18 @@ def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
         assert "hrerank.hre_solver" not in modules
     elif args[args.index("--method") + 1] == "hre" and (b"path: direct" in out or b'"path": "direct"' in out):
         assert "hrerank.min_error_solver" not in modules
+
+
+@pytest.mark.parametrize("command", [[], ["rank"], ["diagnose"], ["cop"], ["mc"]], ids=["hrerank", "rank", "diagnose", "cop", "mc"])
+def test_help_exits_zero_from_a_fresh_interpreter(command):
+    code, out, _ = run_fresh([*command, "--help"])
+    assert code == 0
+    assert out.startswith(b"usage: hrerank")
+
+
+def test_help_returns_zero_in_process(capsys):
+    code, out, err = run_cli(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: hrerank") and err == ""
 
 
 def test_import_loads_no_submodule():
@@ -122,7 +142,7 @@ def test_solver_import_raises_no_deprecation_warning():
     "name", [n for n in sorted(GOLDEN_CASES) if n.endswith(".json")]
 )
 def test_json_outputs_parse_and_keep_key_order(name, capsys):
-    _, out, _ = run_cli(resolve(GOLDEN_CASES[name]), capsys)
+    _, out, _ = run_cli(resolve(GOLDEN_CASES[name][1]), capsys)
     payload = json.loads(out)
     if name.startswith("rank"):
         assert list(payload) == ["method", "path", "weights", "normalized", "diagnostics", "warnings"]
@@ -139,8 +159,8 @@ def test_json_outputs_parse_and_keep_key_order(name, capsys):
 
 
 def test_human_and_json_agree_numerically(capsys):
-    _, human, _ = run_cli(resolve(GOLDEN_CASES["rank_ex1_hre_human.txt"]), capsys)
-    _, as_json, _ = run_cli(resolve(GOLDEN_CASES["rank_ex1_hre.json"]), capsys)
+    _, human, _ = run_cli(resolve(GOLDEN_CASES["rank_ex1_hre_human.txt"][1]), capsys)
+    _, as_json, _ = run_cli(resolve(GOLDEN_CASES["rank_ex1_hre.json"][1]), capsys)
     payload = json.loads(as_json)
     for line, value in zip(
         [l for l in human.splitlines() if l.startswith("  c")], payload["weights"]
@@ -189,6 +209,18 @@ class TestMc:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("noise, bad", [("abc", "abc"), ("0.1,x", "x")])
+    def test_noise_level_that_is_not_a_number_is_a_usage_error(self, noise, bad, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            ["mc", "--n", "5", "--trials", "2", "--noise", noise, "--refs", "1",
+             "--seed", "1", "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"hrerank mc: error: argument --noise: invalid float value: '{bad}'"
         assert not out_path.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -390,6 +422,14 @@ class TestErrorPaths:
         assert code == 2
         assert "incomplete matrix" in err
 
+    @pytest.mark.parametrize("method, rule", [
+        ("min-error", "every ratio of an unknown concept must be specified"),  # the averaging system reads those rows only
+        ("ev", "every ratio must be specified"),  # EV reads the whole matrix
+    ])
+    def test_incomplete_matrix_error_names_the_ratios_the_method_reads(self, method, rule, capsys):
+        code, out, err = run_cli(["rank", "--input", str(DATA_DIR / "example4.txt"), "--method", method], capsys)
+        assert (code, out, err) == (2, "", f"solver error: incomplete matrix: {rule}\n")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(
             ["rank", "--input", str(DATA_DIR / "bad_token.txt"), "--method", "hre"], capsys
@@ -404,10 +444,17 @@ class TestErrorPaths:
         assert code == 1
 
     def test_usage_error_is_input_error(self, capsys):
-        code, _, err = run_cli(
+        # argparse's usage line above the message varies between Python versions
+        code, out, err = run_cli(
             ["rank", "--input", str(DATA_DIR / "example1.txt"), "--method", "bogus"], capsys
         )
-        assert code == 1
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("hrerank rank: error: argument --method: invalid choice")
+
+    def test_missing_subcommand_is_input_error(self, capsys):
+        code, out, err = run_cli([], capsys)
+        assert (code, out) == (1, "")
+        assert "hrerank: error:" in err
 
     def test_wrong_weight_count(self, capsys):
         code, _, err = run_cli(
