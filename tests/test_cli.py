@@ -36,6 +36,7 @@ GOLDEN_CASES = {
     "rank_ex4_hre_human.txt": (0, ["rank", "--input", "example4.txt", "--method", "hre", "--normalize"]),
     "rank_ex4_hre.json": (0, ["rank", "--input", "example4.txt", "--method", "hre", "--normalize", "--json"]),
     "rank_noref_hre_human.txt": (0, ["rank", "--input", "example1_noref.txt", "--method", "hre"]),
+    "rank_hugecycle_hre_human.txt": (0, ["rank", "--input", "huge_cycle.txt", "--method", "hre"]),
     "diagnose_ex1_human.txt": (0, ["diagnose", "--input", "example1.txt"]),
     "diagnose_ex2.json": (0, ["diagnose", "--input", "example2.txt", "--json"]),
     "diagnose_ex3_human.txt": (0, ["diagnose", "--input", "example3.txt"]),
