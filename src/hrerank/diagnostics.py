@@ -224,7 +224,8 @@ def _errors(problem: Problem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, SCAN_BLOCK // ratios.size)  # weight rows per block
     for b0 in range(0, len(w), step):
         block = w[b0 : b0 + step]
-        deviations = np.where(sampled, np.abs(block[:, rows, None] - block[:, None, :] * ratios), 0.0)
+        with np.errstate(over="ignore"):  # a product beyond the float range is an infinite deviation
+            deviations = np.where(sampled, np.abs(block[:, rows, None] - block[:, None, :] * ratios), 0.0)
         # n x B x k, C order: summed down axis 0 in column order, as `jacobi_iterate` sums
         deviations = deviations.transpose(2, 0, 1).copy()
         # one unknown and one row make one contiguous column, which numpy adds pairwise: take its last prefix sum

@@ -1,11 +1,11 @@
 """Rating estimation with fixed reference weights.
 
 The averaging heuristic estimates each unknown weight as the arithmetic
-mean of neighbour-weight-times-ratio samples.  When every unknown's ratios
-are given its fixed point solves a small linear system, so the pipeline
-first tries a direct solve, falling back to the least-squares heuristic and
-finally to picking the best Jacobi iterate; otherwise it goes straight to
-the iterative route, which simply skips samples whose ratio is unspecified.
+mean of neighbour-weight-times-ratio samples.  Every request walks one
+ladder: direct solve, least-squares heuristic, averaging iteration, best
+early iterate.  A matrix with every unknown's ratios given enters at the
+direct solve of the fixed point's linear system; any other enters at the
+iteration, which simply skips samples whose ratio is unspecified.
 A ratio between two references is never read: those weights are fixed.
 """
 
@@ -37,7 +37,6 @@ RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_
 ADMISSIBLE_TOL = 1e-9      # admissible weights exceed this times the largest reference weight
 JACOBI_STOP_TOL = 1e-10    # relative max-norm change that counts as converged
 JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
-DIVERGENCE_LIMIT = 1e12    # any component beyond this aborts the iteration
 NONCONVERGENCE_MARGIN = 1e3  # a stopped run's bounds keep every later change this far above the stop test
 SPECTRAL_TOL = 1e-9        # a lower bound on rho(I - a) beyond 1 + this skips the direct solve
 
@@ -70,9 +69,10 @@ class JacobiRun:
     ``array`` is a read-only steps x n float64 array in which NaN marks a
     concept with no estimate yet, as in `PcMatrix.array`.  ``iterates`` is
     the same run as tuples of floats with None for NaN, built when read.
-    A run that `jacobi_iterate` stopped early, because it provably never
-    converges, is neither converged nor diverged and holds fewer rows than
-    the budget.
+    ``diverged`` means the run ended at an overflow: its last row holds an
+    infinite estimate.  A run that `jacobi_iterate` stopped early, because
+    it provably never converges, is neither converged nor diverged and
+    holds fewer rows than the budget.
     """
 
     array: np.ndarray
@@ -90,15 +90,15 @@ class RankOutcome(NamedTuple):
     ``weights_raw`` is the answer on the references' scale: they keep
     exactly their input values (``weights_raw.normalize()`` rescales it to
     unit sum), and ``error`` is its mean estimation error.  ``admissible``
-    reports whether the first-choice strategy for the problem class (direct
-    solve, or a convergent iteration) produced an admissible solution;
-    it is False whenever a fallback had to fire.  ``convergence_ok`` is the
-    diagonal-dominance test of the built system (None when no system was
-    built); ``determinant_ok`` is None until a direct solve was attempted,
-    and stays None when `_above_one` proved before it that no positive
-    solution exists.  ``iterations_used`` is the number of Jacobi steps
-    actually run (0 when none ran); a run stopped because it provably never
-    converges counts only the steps it ran.
+    is True exactly when the answer is the averaging fixed point: a direct
+    solve or a converged iteration with admissible weights.
+    ``convergence_ok`` is the diagonal-dominance test of the built system
+    (None when no system was built); ``determinant_ok`` is None until a
+    direct solve was attempted, and stays None when `_above_one` proved
+    before it that no positive solution exists.  ``iterations_used`` is the
+    number of Jacobi steps actually run (0 when none ran, at most
+    JACOBI_MAX_ITER); a run stopped because it provably never converges
+    counts only the steps it ran.
     """
 
     weights_raw: WeightVector
@@ -288,16 +288,18 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
     reachable problem every concept has an estimate after at most the
     comparison graph's diameter in steps.  Until then (the filling phase)
     each step recounts which estimates exist and how many samples each row
-    has, and is tested for divergence on its own.  From then on the counts
+    has, and is tested for an overflow on its own.  From then on the counts
     cannot change and the steps run in blocks of 2, 4, 8, ... up to 64.
     After each block the tests of all its steps are made at once, by ufunc
     reductions (``np.maximum.reduce``, ``np.logical_or.reduce``), and the
-    run is cut right after the first step that is infinite or beyond 1e12
-    in magnitude (tested first) or agrees with the step before to a
-    relative 1e-10 in the max-norm.  Later steps never change earlier ones,
-    so this is the run a test after every step gives, and the steps
-    discarded past the cut are never more than those kept.  The rows are
-    written into one buffer that grows by doubling, to ``max_r`` at most.
+    run is cut right after the first step that has an infinite estimate
+    (tested first) or agrees with the step before to a relative 1e-10 in
+    the max-norm.  Both tests scale with the references, so scaling them by
+    a power of two scales every kept step exactly, short of an overflow or
+    underflow.  Later steps never change earlier ones, so this is the run a
+    test after every step gives, and the steps discarded past the cut are
+    never more than those kept.  The rows are written into one buffer that
+    grows by doubling, to ``max_r`` at most.
 
     Each concept's samples are added one at a time in column order, as a
     sample-by-sample loop adds them, so the iterates are reproducible to
@@ -342,7 +344,7 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
     remaining steps is at the first or the last one, and `_never_converges`
     evaluates just those two: O(n) work and two scalars.  A NaN or
     infinite ratio and a power beyond the float range prove nothing.  A
-    later step beyond 1e12 would end the full run as diverged instead, and
+    later overflow would end the full run as diverged instead, and
     `hre_rank` answers a diverged run as it answers one that merely did
     not converge: from the same window.
     The bounds hold for exact steps; the computed ones round.  Each row is
@@ -391,7 +393,7 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
                 row /= divisors
                 current = row
             sizes = np.fmax.reduce(np.abs(rows), axis=1)  # fmax skips the unestimated NaNs
-            over = sizes > DIVERGENCE_LIMIT  # inf included
+            over = sizes == math.inf
             ends = over
             if tested:
                 change = np.maximum.reduce(np.abs(rows - out[steps - 1 : stop - 1]), axis=1)
@@ -516,13 +518,12 @@ def _woven(solved, problem: Problem) -> list[float]:
 def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOutcome:
     """Full solution pipeline: validate, repair, solve, attach provenance.
 
-    Where every unknown's ratios are given (`_system_defined`) the system
-    is solved directly; a singular or inadmissible direct solution falls
-    back to the least-squares heuristic and then to the best Jacobi
-    iterate.  The direct solve is skipped, with the same warning, when
-    `_above_one` proves that it has no positive solution.  Otherwise the
-    iterative route runs: its limit when it converges to admissible
-    weights, otherwise again the best early iterate.
+    One ladder, each rung tried only when the one before it failed: direct
+    solve, least-squares heuristic, iteration, best early iterate.  Where
+    every unknown's ratios are given (`_system_defined`) it starts at the
+    direct solve, skipped with the same warning when `_above_one` proves
+    that it has no positive solution; any other matrix starts at the
+    iteration, whose limit answers when it converges to admissible weights.
     ``max_iterations`` is the number of early iterates examined: the first
     ones, or, when none of those has an estimate for every concept, as many
     from the first iterate that has (`_window`).  The iteration stops early,
@@ -546,12 +547,11 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
     convergence_ok: bool | None = None
     determinant_ok: bool | None = None
     raw = run = error = None
-    defined = _system_defined(prepared.matrix.array, prepared.references)  # else the iterative route
 
     if not prepared.unknown_indices:
         raw = synthesize((), prepared)
         path = "direct"
-    elif defined:
+    elif _system_defined(prepared.matrix.array, prepared.references):  # else straight to the iteration
         system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
         try:
@@ -575,8 +575,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
                     warnings.append(min_error_solver.UNVERIFIED_MINIMUM)
             except (SingularSystemError, InadmissibleSolutionError) as exc:
                 warnings.append(f"least-squares heuristic failed: {exc}")
-                run = jacobi_iterate(prepared, max_iterations)
-    else:
+    if raw is None:
         run = jacobi_iterate(prepared, JACOBI_MAX_ITER, max_iterations)
         if run.converged and _admissible(run.array[-1], prepared):  # a converged run's last row has every estimate
             raw = WeightVector(run.array[-1].tolist())
@@ -589,8 +588,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
         except SolveFailedError as exc:  # say why each rung before it failed too
             raise SolveFailedError("; ".join([*warnings[len(issues) :], str(exc)])) from None
         path = "best-iterate"
-        if not defined:  # the iterative route's warning announces the selection it made
-            warnings[-1] += "; selecting the best early iterate"
+        warnings[-1] += "; selecting the best early iterate"
 
     return RankOutcome(
         weights_raw=raw,

@@ -1,12 +1,15 @@
 """Regenerate the CLI golden files: python tests/_make_goldens.py
 
 Review the diff before committing; these files pin the CLI contract.
+A command that emits a warning (numpy's RuntimeWarning included) is
+refused: a golden run must print nothing but its output.
 """
 
 import contextlib
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -19,10 +22,13 @@ from test_cli import GOLDEN_CASES, TestMc, resolve
 
 def capture(args, expected_code=0) -> str:
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+    with contextlib.redirect_stdout(buffer), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(args)
     if code != expected_code:
         raise SystemExit(f"golden command exited {code}, not {expected_code}: {args}")
+    if caught:
+        raise SystemExit(f"golden command warned ({caught[0].category.__name__}: {caught[0].message}): {args}")
     return buffer.getvalue()
 
 

@@ -85,12 +85,13 @@ FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] 
 
 
 def run_fresh(args):
-    """``python -m hrerank args`` in a new interpreter: (exit code, stdout bytes, hrerank modules it imported)."""
+    """``python -m hrerank args`` in a new interpreter: (exit code, stdout bytes, hrerank modules it imported, stderr lines)."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hrerank", *args],
                           env=FRESH_ENV, capture_output=True, timeout=120)
     # -X importtime writes "import time: self | cumulative | name" to stderr for each module imported
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines() if line.startswith("import time:")}
-    return proc.returncode, proc.stdout, {name for name in names if name.startswith("hrerank.")}
+    lines = proc.stderr.decode().splitlines()
+    names = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, {name for name in names if name.startswith("hrerank.")}, lines
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + ["mc_small_stdout.txt"])
@@ -98,10 +99,11 @@ def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
     # in process, earlier tests have imported every module; only a new interpreter shows a missing import
     csv = tmp_path / "mc.csv"
     expected_code, args = GOLDEN_CASES[name] if name in GOLDEN_CASES else (0, TestMc.ARGS + ["--out", str(csv)])
-    code, out, modules = run_fresh(resolve(args))
+    code, out, modules, err = run_fresh(resolve(args))
     assert code == expected_code
     expected = (GOLDEN_DIR / name).read_bytes()
     assert out == expected
+    assert not [line for line in err if "Warning:" in line]  # e.g. numpy's RuntimeWarning, printed with its source line
     if args[0] == "mc":
         assert csv.read_bytes() == (GOLDEN_DIR / "mc_small.csv").read_bytes()
         return
@@ -115,7 +117,7 @@ def test_golden_output_from_a_fresh_interpreter(name, tmp_path):
 
 @pytest.mark.parametrize("command", [[], ["rank"], ["diagnose"], ["cop"], ["mc"]], ids=["hrerank", "rank", "diagnose", "cop", "mc"])
 def test_help_exits_zero_from_a_fresh_interpreter(command):
-    code, out, _ = run_fresh([*command, "--help"])
+    code, out, _, _ = run_fresh([*command, "--help"])
     assert code == 0
     assert out.startswith(b"usage: hrerank")
 
@@ -282,7 +284,8 @@ RANK_ROUTES = [
     ("hre", "example1.txt", "direct"),
     ("hre", "example4.txt", "jacobi"),
     ("hre", "singular_direct", "min-error"),
-    ("hre", "huge", "best-iterate"),
+    ("hre", "huge", "jacobi"),
+    ("hre", "huge_cycle.txt", "best-iterate"),
     ("min-error", "example2.txt", "min-error"),
 ]
 
@@ -358,6 +361,7 @@ class TestErrorPaths:
         assert err == (
             "solver error: direct solve failed: linear system leaves the float range; "
             "least-squares heuristic failed: linear system leaves the float range; "
+            "iteration did not converge; "
             "no admissible iterate among the 1 examined: 1 with a weight that is not positive and finite\n"
         )
 
@@ -368,12 +372,13 @@ class TestErrorPaths:
         assert code == 0
         lines = out.splitlines()
         start = lines.index("weights:") + 1
-        assert lines[start : start + 3] == ["  c1  1", "  c2  5e+199", "  c3  0.5"]
+        assert lines[start : start + 3] == ["  c1  1", "  c2  3.33333e+199", "  c3  0.666667"]  # the averaging fixed point
         assert "CI: n/a" in lines and "K: 1" in lines
         code, out, _ = run_cli(["rank", "--input", str(path), "--method", "hre", "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["weights"] == [1.0, 5e199, 0.5]
+        assert payload["path"] == "jacobi"
+        assert payload["weights"] == [1.0, 3.333333333430346e199, 0.6666666666569654]
         assert payload["diagnostics"]["ci"] is None
         code, out, _ = run_cli(["diagnose", "--input", str(path)], capsys)
         assert code == 0

@@ -1,8 +1,6 @@
 import math
 import random
-import runpy
 import warnings
-from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -36,6 +34,8 @@ from hrerank.hre_solver import (
 from _support import (
     assert_printed,
     assert_vector_printed,
+    bench_problem,
+    chain_problem,
     consistent_matrix,
     diverging_incomplete_problem,
     entry,
@@ -342,14 +342,15 @@ class TestJacobiIterate:
         assert run.iterates == ((1e10, math.inf),)
 
     def test_steps_past_a_divergence_are_cut_without_warnings(self):
-        # beyond 1e12 on step 9 and inf from step 15, where 0 * inf makes NaNs: all in one block of steps
+        # inf from step 15, where 0 * inf makes NaNs in the steps after it: all in one block of steps
         problem = diverging_incomplete_problem(gain=1e44, reference=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run = jacobi_iterate(_prepared(problem), 1000)
         assert run.diverged and not run.converged
-        assert len(run.array) == 9
-        assert np.isfinite(run.array[1:]).all() and np.abs(run.array[-1]).max() > 1e12
+        assert len(run.array) == 15
+        assert np.isfinite(run.array[1:-1]).all() and np.isinf(run.array[-1]).any()
+        assert not np.isnan(run.array[-1]).any()
 
     def test_huge_budget_allocates_only_the_steps_run(self):
         prepared = _prepared(graph_problem(1, 30, "ring", 0.1, 1))
@@ -578,17 +579,35 @@ class TestHreRank:
             assert outcome.weights_raw.values == expected.weights_raw.values
             assert outcome.weights_raw.normalize().values == expected.weights_raw.normalize().values
 
-    def test_complete_route_falls_through_to_best_iterate(self):
-        # the direct solve fails its residual check; the least-squares squares overflow to inf
+    def test_complete_route_falls_through_to_jacobi(self):
+        # the direct solve fails its residual check; the least-squares squares overflow to inf;
+        # the iteration converges to the averaging fixed point (1, 1e200 / 3, 2 / 3)
         outcome = hre_rank(Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0}))
-        assert outcome.path == "best-iterate"
+        assert outcome.path == "jacobi"
+        assert outcome.admissible
         assert outcome.determinant_ok is False
         assert outcome.convergence_ok is False
-        assert outcome.iterations_used == 2
-        assert outcome.weights_raw.values == (1.0, 5e199, 0.5)
+        assert outcome.iterations_used == 36
+        assert outcome.weights_raw.values == (1.0, 3.333333333430346e199, 0.6666666666569654)
         assert outcome.warnings == (
             "direct solve failed: solution residual 5.000e-01 exceeds tolerance",
             "least-squares heuristic failed: linear system leaves the float range",
+        )
+
+    def test_complete_route_falls_through_to_best_iterate(self):
+        # no positive direct solution; the least-squares squares overflow to inf; the iteration
+        # overflows on step 3, and its first step, every unknown at 1, scores best
+        outcome = hre_rank(singular_direct_problem(1e200))
+        assert outcome.path == "best-iterate"
+        assert not outcome.admissible
+        assert outcome.determinant_ok is None  # `_above_one` skipped the elimination
+        assert outcome.convergence_ok is False
+        assert outcome.iterations_used == 3
+        assert outcome.weights_raw.values == (1.0, 1.0, 1.0, 1.0)
+        assert outcome.warnings == (
+            "direct solution has non-positive weights",
+            "least-squares heuristic failed: linear system leaves the float range",
+            "iteration did not converge; selecting the best early iterate",
         )
 
     def test_divergent_incomplete_takes_best_iterate(self):
@@ -597,17 +616,21 @@ class TestHreRank:
         assert not outcome.admissible
         assert all(v > 0 for v in outcome.weights_raw.values)
 
+    def test_consistent_chain_answers_its_exact_weights(self):
+        # a 13-concept chain whose ratios of 20 carry the estimates up to 20**12 = 4.1e15: consistent,
+        # so its 13th step repeats its 12th exactly, at any scale of the reference
+        outcome = hre_rank(chain_problem(13, 20.0))
+        assert (outcome.path, outcome.iterations_used, outcome.warnings) == ("jacobi", 13, ())
+        assert outcome.weights_raw.values == tuple(20.0**i for i in range(13))
+
     def test_failed_incomplete_ladder_says_why_no_iterate_qualified(self):
-        # a 13-concept chain whose ratios of 20 carry the estimates past 1e12 at step 10, before its
-        # last concepts have one: the run diverges, and none of its 10 iterates has every estimate
-        n = 13
-        rows = [[1.0 if i == j else 20.0 if i == j + 1 else 0.05 if j == i + 1 else None for j in range(n)]
-                for i in range(n)]
+        # the same chain with ratios of 1e200 overflows on step 2, before its third concept has an
+        # estimate: the run diverges, and neither of its 2 iterates has every estimate
         with pytest.raises(SolveFailedError) as failure:
-            hre_rank(Problem(PcMatrix(rows), {1: 1.0}))
+            hre_rank(chain_problem(6, 1e200))
         assert str(failure.value) == (
             "iteration did not converge; "
-            "no admissible iterate among the 10 examined: 10 with a concept still without an estimate"
+            "no admissible iterate among the 2 examined: 2 with a concept still without an estimate"
         )
 
     def test_slow_ring_selects_from_its_first_complete_iterate(self):
@@ -660,7 +683,7 @@ class TestHreRank:
         errors = diagnostics._errors
         monkeypatch.setattr(diagnostics, "_errors", counted)  # the scoring behind `estimation_error`
         monkeypatch.setattr(hre_solver, "_errors", counted)  # the stacked scoring of the candidates
-        complete = Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0})
+        complete = singular_direct_problem(1e200)
         for problem in (complete, diverging_incomplete_problem(), random_problem(1, 40, 0.5, 0.3, 1)):
             calls.clear()
             outcome = hre_rank(problem)
@@ -680,7 +703,7 @@ class TestHreRank:
 
         select = hre_solver.select_best_iterate
         monkeypatch.setattr(hre_solver, "select_best_iterate", counted)  # rebound as a module global
-        complete = Problem(PcMatrix([[1, 1, 1], [1, 1, 1e200], [1, 1e-200, 1]]), {1: 1.0})
+        complete = singular_direct_problem(1e200)
         for problem, path in ((complete, "best-iterate"), (diverging_incomplete_problem(), "best-iterate"),
                               (random_problem(1, 40, 0.5, 0.3, 1), "best-iterate"),
                               (example1, "direct"), (graph_problem(1, 10, "ring", 0.1, 1), "jacobi")):
@@ -767,17 +790,6 @@ class TestHreRank:
         assert checked >= 100
 
 
-# the benchmark's own input generator, loaded by path: `bench/` is a directory of scripts, not a package
-_BENCH_INPUTS = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
-
-
-def _bench_problem(label: str, seed: int = 7) -> Problem:
-    """A `lib-incomplete` request: "half-n100-noise0.3-r1" is `make_case(seed, "half", 100, 0.3, 1)`."""
-    pattern, n, noise, refs = label.split("-")
-    case = _BENCH_INPUTS["make_case"](seed, pattern, int(n[1:]), float(noise[5:]), int(refs[1:]))
-    return Problem(PcMatrix([[None if v != v else v for v in row] for row in case.matrix.tolist()]), case.references)
-
-
 def _without_certificate(problem, **options):
     """`hre_rank` with the non-convergence certificate patched off: the full 1,000-step run."""
     with patch.object(hre_solver, "_never_converges", lambda *args: False):
@@ -789,7 +801,7 @@ class TestNonConvergenceCertificate:
 
     @pytest.mark.parametrize("label", CERTIFIED)
     def test_certified_bench_runs_stop_after_16_steps(self, label):
-        problem = _bench_problem(label)
+        problem = bench_problem(label)
         run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
         assert len(run.array) == 16 and not run.converged and not run.diverged
         outcome, full = hre_rank(problem), _without_certificate(problem)
@@ -802,19 +814,19 @@ class TestNonConvergenceCertificate:
     @pytest.mark.parametrize("label", CERTIFIED)
     def test_a_wider_window_selects_from_the_same_rows(self, label):
         # 40 rows: the run stops after the block of 32 that ends at step 64, past every row the window reads
-        problem = _bench_problem(label)
+        problem = bench_problem(label)
         outcome, full = hre_rank(problem, max_iterations=40), _without_certificate(problem, max_iterations=40)
         assert outcome.iterations_used == 64
         assert np.array(outcome.weights_raw.values).tobytes() == np.array(full.weights_raw.values).tobytes()
         assert outcome._replace(iterations_used=JACOBI_MAX_ITER) == full
 
     def test_silent_on_a_converging_run(self):
-        outcome = hre_rank(_bench_problem("half-n50-noise0.1-r1"))
+        outcome = hre_rank(bench_problem("half-n50-noise0.1-r1"))
         assert (outcome.path, outcome.iterations_used) == ("jacobi", 897)
 
     def test_silent_on_a_run_one_step_short_of_converging(self):
         # the differences shrink by 0.982 a step: too slowly to prove anything, and step 1,000 misses the test
-        problem = _bench_problem("half-n100-noise0.3-r3")
+        problem = bench_problem("half-n100-noise0.3-r3")
         run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
         assert len(run.array) == JACOBI_MAX_ITER and not run.converged and not run.diverged
         change = np.abs(run.array[-1] - run.array[-2]).max() / np.abs(run.array[-1]).max()
@@ -822,14 +834,14 @@ class TestNonConvergenceCertificate:
         assert hre_rank(problem).iterations_used == JACOBI_MAX_ITER
 
     def test_direct_callers_get_the_full_run(self):
-        prepared = _prepared(_bench_problem(self.CERTIFIED[0]))
+        prepared = _prepared(bench_problem(self.CERTIFIED[0]))
         run = jacobi_iterate(prepared, JACOBI_MAX_ITER)
         assert len(run.array) == JACOBI_MAX_ITER and not run.converged and not run.diverged
         assert jacobi_iterate(prepared, JACOBI_MAX_ITER, 10).array.tobytes() == run.array[:16].tobytes()
 
     def test_ring_differences_change_sign(self):
         # a ring's differences are never all positive, so the certificate leaves its 1,000 steps alone
-        problem = _bench_problem("ring-n60-noise0.1-r1")
+        problem = bench_problem("ring-n60-noise0.1-r1")
         run = jacobi_iterate(_prepared(problem), JACOBI_MAX_ITER, 10)
         assert len(run.array) == JACOBI_MAX_ITER and not run.converged
         delta = np.diff(run.array[299:301], axis=0)

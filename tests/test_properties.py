@@ -27,7 +27,10 @@ scan must print as its pivot-block form prints on stacks with NaN, inf,
 the non-convergence certificate stops, on reachable incomplete requests
 (half-missing patterns, rings and trees), must be the start of a full run
 that does not converge, and `hre_rank` must give the same answer to the
-bit with the certificate patched off.
+bit with the certificate patched off.  Multiplying every reference of a
+connected request (complete, half missing, a ring or a chain; n 3..40,
+1-3 references, noise 0-0.5) by 2**k, |k| <= 60, must give the same path
+and every weight exactly 2**k times, or the same exception type.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from hrerank.cop_writer import write_json, write_text
 from hrerank.diagnostics import SCAN_BLOCK, _errors, _triad_scans
 from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
-    DIVERGENCE_LIMIT,
     JACOBI_MAX_ITER,
     JACOBI_STOP_TOL,
     LinearSystem,
@@ -94,6 +96,7 @@ from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, p
 
 from _support import (
     build_error_system_loop,
+    bench_problem,
     build_system_loop,
     check_convergence_loop,
     cop_check_loop,
@@ -101,6 +104,7 @@ from _support import (
     cop_payload,
     cop_report,
     cop_text_oracle,
+    chain_problem,
     diverging_incomplete_problem,
     estimation_error_oracle,
     estimation_error_prefix_sum,
@@ -239,8 +243,8 @@ one_unknown_problem = st.builds(
 FMA_EXAMPLE = (random_problem(2, 19, 0.2, 0.3, 1), 4)
 
 
-# inconsistent triangles diverge after every concept has an estimate, the overflow case in the first step;
-# the steep triangle overflows to inf, and then to NaN, a few steps after its divergence is detected
+# inconsistent triangles overflow after every concept has an estimate, the overflow case in the first step;
+# the steep triangle overflows to inf on step 15, where the steps after it turn to NaN
 diverging_problem = st.sampled_from(
     [diverging_incomplete_problem(), diverging_incomplete_problem(gain=1e44, reference=1e-300), overflow_problem()]
 )
@@ -297,11 +301,11 @@ def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block)
 # Once every concept has an estimate the steps run in blocks of 2, 4, 8, ... 64 and are tested
 # block by block; these runs end on the first, the last and a middle step of a block.
 @example(graph_problem(1, 10, "tree", 0.1, 1), 300)  # converges on the first step of a block of 2
-@example(random_problem(2, 40, 0.2, 1.0, 3), 1000)  # diverges on the first step of a block of 64
+@example(diverging_incomplete_problem(16.0, 1e254), 1000)  # overflows on the first step of a block of 64 (65)
 @example(random_problem(2, 10, 0.5, 1.0, 3), 300)  # converges on the last step of a block of 32
-@example(random_problem(1, 20, 0.5, 1.0, 1), 1000)  # diverges on the last step of a block of 64
+@example(diverging_incomplete_problem(16.0, 1e201), 1000)  # overflows on the last step of a block of 64 (128)
 @example(graph_problem(1, 10, "ring", 0.1, 1), 300)  # converges on step 23 of a block of 64
-@example(random_problem(2, 10, 0.2, 1.0, 1), 1000)  # diverges on step 38 of a block of 64
+@example(diverging_incomplete_problem(16.0, 1e223), 1000)  # overflows on step 38 of a block of 64 (102)
 # Budgets: one step has an estimate for every concept, then a block of 2 runs part, all and one past
 @example(random_problem(2, 10, 0.5, 1.0, 3), 1)
 @example(random_problem(2, 10, 0.5, 1.0, 3), 2)
@@ -312,7 +316,7 @@ def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block)
 def test_jacobi_iterates_match_loop(problem, steps):
     prepared = preprocess(problem).problem
     run = jacobi_iterate(prepared, steps)
-    iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
+    iterates, converged, diverged = jacobi_loop(prepared, steps, JACOBI_STOP_TOL)
     assert (run.converged, run.diverged) == (converged, diverged)
     assert run.iterates == tuple(iterates)  # bit for bit: the same additions in the same order
 
@@ -346,8 +350,8 @@ def test_fma_example_is_fma_sensitive():
     # the Jacobi step's sum of products must round each product and each sum; this keeps the example a tripwire
     problem, steps = FMA_EXAMPLE
     prepared = preprocess(problem).problem
-    plain = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT)
-    fused = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, DIVERGENCE_LIMIT, fused=True)
+    plain = jacobi_loop(prepared, steps, JACOBI_STOP_TOL)
+    fused = jacobi_loop(prepared, steps, JACOBI_STOP_TOL, fused=True)
     assert len(plain[0]) == steps and plain[0] != fused[0]
 
 
@@ -830,6 +834,38 @@ def test_answers_never_read_reference_pairs(forms):
     for solve in (hre_rank, solve_min_error):
         results = [_result(solve, problem) for problem in forms]
         assert results[1:] == results[:-1]
+
+
+# connected requests: complete, half missing, a ring, or a chain (`random_problem` keeps only the pairs (i, i+1))
+scalable_request = st.builds(
+    lambda pattern, seed, n, level, count: (
+        graph_problem(seed, n, "ring", level, count) if pattern == "ring"
+        else random_problem(seed, n, {"complete": 0.0, "half": 0.5, "chain": 1.0}[pattern], level, count)
+    ),
+    st.sampled_from(["complete", "half", "ring", "chain"]), seeds, sizes, st.floats(0.0, 0.5), st.integers(1, 3),
+)
+
+
+def _scaled_answer(problem, k):
+    """`hre_rank`'s path and weights with every reference times 2**k, or its exception type."""
+    try:
+        outcome = hre_rank(Problem(problem.matrix, {c: math.ldexp(w, k) for c, w in problem.references.items()}))
+    except Exception as exc:
+        return type(exc)
+    return outcome.path, outcome.weights_raw.values
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalable_request, st.integers(-60, 60))
+@example(chain_problem(13, 20.0), -40)  # exact weights up to 20**12 = 4.1e15
+@example(bench_problem("ring-n30-noise0.1-r1"), 60)
+def test_scaling_the_references_scales_the_answer(problem, k):
+    # every stop and accept test is relative to the references, so a power of two scales every weight exactly
+    base, scaled = _scaled_answer(problem, 0), _scaled_answer(problem, k)
+    if isinstance(base, type):
+        assert scaled is base
+    else:
+        assert scaled == (base[0], tuple(math.ldexp(v, k) for v in base[1]))
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
