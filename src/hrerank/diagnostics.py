@@ -12,7 +12,7 @@ from .baselines import WeightVector, principal_eigen
 from .errors import IncompleteMatrixError, NonConvergenceError
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _samples, restore_reciprocity
 
-SCAN_BLOCK = 1 << 16  # entries per block of a scan (triad ratios, COP pair masks): 512 KiB of float64
+SCAN_BLOCK = 1 << 13  # float64 entries per block of a scan: 64 KiB, under glibc's 128 KiB mmap threshold, so no block is mapped anew
 _NO_INDICES = np.empty(0, dtype=np.intp)
 
 
@@ -252,7 +252,7 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     The verdict depends on mu only through its ratios, so it is invariant
     under uniform rescaling.  Quadruples are counted with one sort of the
     judgments; violations come from boolean masks over blocks of (strict,
-    comparable) pairs of at most SCAN_BLOCK entries, or one strict pair's
+    comparable) pairs of at most 8 * SCAN_BLOCK entries, or one strict pair's
     row when there are more comparable judgments than that, in row-major
     order of (i,j), then of (k,l).  Each block keeps only the judgment
     indices of its violations; the report's columns are gathered from the
@@ -273,7 +273,7 @@ def cop_check(matrix: PcMatrix, mu: WeightVector) -> CopReport:
     checked = int(np.searchsorted(np.sort(m), m[strict], side="left").sum())
 
     blocks = [(_NO_INDICES,) * 4]  # per block: judgment indices x, y of its POP, then its POIP violations
-    step = max(1, SCAN_BLOCK // max(1, len(m)))  # strict pairs per block
+    step = max(1, 8 * SCAN_BLOCK // max(1, len(m)))  # strict pairs per block: its masks take 1 byte an entry, not 8
     for s0 in range(0, len(strict), step):
         s = strict[s0 : s0 + step]
         beats = m[s, None] > m  # the quadruples of this block

@@ -289,7 +289,8 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
     comparison graph's diameter in steps.  Until then (the filling phase)
     each step recounts which estimates exist and how many samples each row
     has, and is tested for an overflow on its own.  From then on the counts
-    cannot change and the steps run in blocks of 2, 4, 8, ... up to 64.
+    cannot change and the steps run in blocks of 2, 4, 8, 16 and 32, then
+    in blocks sized to the cut (`_block_to_cut`, up to 64 steps).
     After each block the tests of all its steps are made at once, by ufunc
     reductions (``np.maximum.reduce``, ``np.logical_or.reduce``), and the
     run is cut right after the first step that has an infinite estimate
@@ -297,9 +298,11 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
     the max-norm.  Both tests scale with the references, so scaling them by
     a power of two scales every kept step exactly, short of an overflow or
     underflow.  Later steps never change earlier ones, so this is the run a
-    test after every step gives, and the steps discarded past the cut are
-    never more than those kept.  The rows are written into one buffer that
-    grows by doubling, to ``max_r`` at most.
+    test after every step gives, whatever the blocks; the steps discarded
+    past the cut are never more than those kept, and after the doubling one
+    or two where the change shrinks steadily.  The rows go into one buffer of
+    ``min(max_r, JACOBI_MAX_ITER)`` rows, whose pages are touched only as
+    rows are written; only a larger budget grows it, by doubling.
 
     Each concept's samples are added one at a time in column order, as a
     sample-by-sample loop adds them, so the iterates are reproducible to
@@ -369,8 +372,8 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
     ratios_t[:, unknown] = ratios.T
     sampled[fixed, fixed] = True  # a reference's one sample: itself, at ratio 1
     ratios_t[fixed, fixed] = 1.0
-    out, current = np.empty((0, problem.n)), anchors  # out: the iterates, one row per step
-    steps, block, filling = 0, 2, True
+    out, current = np.empty((max(0, min(max_r, JACOBI_MAX_ITER)), problem.n)), anchors  # out: one row per step
+    steps, block, filling, doubling = 0, 2, True, True
     converged = diverged = False
     # an overflow to inf ends the run as diverged; the NaNs of steps past it are cut off
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,8 +386,8 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
                 current = np.where(known, current, 0.0)
             tested = not filling and steps > 0  # past the filling phase, with a step before to compare with
             stop = min(steps + block, max_r) if tested else steps + 1
-            if stop > len(out):
-                grown = np.empty((min(max(2 * len(out), stop, 16), max_r), problem.n))
+            if stop > len(out):  # a budget above JACOBI_MAX_ITER
+                grown = np.empty((min(2 * len(out), max_r), problem.n))
                 grown[:steps] = out[:steps]
                 out = grown
             rows = out[steps:stop]
@@ -406,13 +409,29 @@ def jacobi_iterate(problem: Problem, max_r: int, window: int | None = None) -> J
                 break
             steps = stop
             if tested:
-                if (window is not None and block < 64 and steps >= _window(out[:steps], window).stop
+                if (window is not None and doubling and steps >= _window(out[:steps], window).stop
                         and _never_converges(out[steps - 3 : steps, unknown], sizes[-1], max_r - steps)):
                     break
-                block = min(2 * block, 64)
+                doubling = doubling and block < 32
+                block = 2 * block if doubling else _block_to_cut(change, prior, sizes[-1])
+                prior = change[-1]
     array = out[:steps]
     array.flags.writeable = False
     return JacobiRun(array, converged, diverged)
+
+
+def _block_to_cut(change: np.ndarray, prior: float, size: float) -> int:
+    """Steps in `jacobi_iterate`'s next block once the doubling is over: to the step that passes the stop test, and one more.
+
+    That is where the max-norm change reaches JACOBI_STOP_TOL * ``size``
+    if it keeps shrinking per step as it did from ``prior`` to the last of
+    the block's changes ``change``: at most 64, and 64 if it did not shrink.
+    """
+    shrink = float(change[-1] / prior) ** (1 / len(change))
+    need = JACOBI_STOP_TOL * float(size) / float(change[-1])  # below 1: the last step missed the test
+    if not (0 < shrink < 1 and need > 0):
+        return 64
+    return min(math.ceil(math.log(need) / math.log(shrink)) + 1, 64)
 
 
 def _never_converges(rows: np.ndarray, size: float, remaining: int) -> bool:

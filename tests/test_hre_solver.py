@@ -24,6 +24,7 @@ from hrerank.hre_solver import (
     LinearSystem,
     _solved,
     build_system,
+    c_einsum,
     check_convergence,
     jacobi_iterate,
     select_best_iterate,
@@ -359,6 +360,20 @@ class TestJacobiIterate:
         assert bounded.converged and (run.converged, run.diverged) == (True, False)
         assert run.array.shape == bounded.array.shape
         assert run.array.tobytes() == bounded.array.tobytes()
+
+    @pytest.mark.parametrize("label", ["half-n50-noise0.3-r3", "half-n50-noise0.1-r3", "half-n100-noise0.1-r3"])
+    def test_a_converging_run_stops_at_its_cut(self, label):
+        # past the doubling a block runs to where the change, shrinking as it did, passes the test: one step more
+        computed = []
+
+        def counting(*args, **kwargs):
+            computed.append(1)
+            return c_einsum(*args, **kwargs)
+
+        with patch.object(hre_solver, "c_einsum", counting):
+            run = jacobi_iterate(_prepared(bench_problem(label)), JACOBI_MAX_ITER, 10)
+        assert run.converged and 200 < len(run.array) < JACOBI_MAX_ITER  # cut well past the blocks of 2 ... 32
+        assert len(computed) - len(run.array) <= 2
 
     def test_requires_references(self, example1):
         with pytest.raises(ValueError):

@@ -202,7 +202,7 @@ COMPLETE_STACK = np.exp(np.random.default_rng(5).uniform(-3.0, 3.0, (2, 6, 6)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(triad_stacks(), st.sampled_from([1, 7, 64, 4096, SCAN_BLOCK]))
+@given(triad_stacks(), st.sampled_from([1, 7, 64, 4096, SCAN_BLOCK, 1 << 16]))
 @example(_with_entries(COMPLETE_STACK, {(1, 0, 4): math.inf}), SCAN_BLOCK)  # complete, one inf: the counted path
 @example(_with_entries(COMPLETE_STACK, {(0, 0, 1): 0.0, (0, 0, 2): 0.0}), SCAN_BLOCK)  # finite, 0 / 0: counted too
 @example(COMPLETE_STACK[:, :3, :3].copy(), 1)  # finite and non-zero at n = 3: C(3, 3) = 1 triad each
@@ -266,7 +266,7 @@ candidate_kinds = st.lists(st.sampled_from(["weights", "nan", "low", "inf", "tie
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(solvable_problem, one_unknown_problem), candidate_kinds, seeds, st.sampled_from([1, 300, SCAN_BLOCK]))
+@given(st.one_of(solvable_problem, one_unknown_problem), candidate_kinds, seeds, st.sampled_from([1, 300, SCAN_BLOCK, 1 << 16]))
 def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block):
     prepared = preprocess(problem).problem
     rng = random.Random(seed)
@@ -298,13 +298,16 @@ def test_best_iterate_scores_match_estimation_error(problem, kinds, seed, block)
 @given(st.one_of(solvable_problem, long_path_problem, one_unknown_problem, diverging_problem), st.integers(1, 300))
 @example(graph_problem(1, 40, "ring", 0.3, 1), 300)
 @example(graph_problem(2, 40, "tree", 0.3, 3), 300)
-# Once every concept has an estimate the steps run in blocks of 2, 4, 8, ... 64 and are tested
-# block by block; these runs end on the first, the last and a middle step of a block.
+# Once every concept has an estimate the steps run in blocks of 2, 4, 8, 16 and 32, then in blocks sized
+# to the cut (64 steps while the change does not shrink), and are tested block by block; these runs end on
+# the first, the last and a middle step of a block.
 @example(graph_problem(1, 10, "tree", 0.1, 1), 300)  # converges on the first step of a block of 2
-@example(diverging_incomplete_problem(16.0, 1e254), 1000)  # overflows on the first step of a block of 64 (65)
 @example(random_problem(2, 10, 0.5, 1.0, 3), 300)  # converges on the last step of a block of 32
+@example(graph_problem(27, 12, "ring", 0.1, 1), 300)  # converges on the first step of a block of 8, after one of 64 (133)
+@example(graph_problem(6, 10, "ring", 0.1, 1), 300)  # converges on the last step of a block of 22 (89)
+@example(graph_problem(1, 10, "ring", 0.1, 1), 300)  # converges on step 23 of a block of 25 (90)
+@example(diverging_incomplete_problem(16.0, 1e254), 1000)  # overflows on the first step of a block of 64 (65)
 @example(diverging_incomplete_problem(16.0, 1e201), 1000)  # overflows on the last step of a block of 64 (128)
-@example(graph_problem(1, 10, "ring", 0.1, 1), 300)  # converges on step 23 of a block of 64
 @example(diverging_incomplete_problem(16.0, 1e223), 1000)  # overflows on step 38 of a block of 64 (102)
 # Budgets: one step has an estimate for every concept, then a block of 2 runs part, all and one past
 @example(random_problem(2, 10, 0.5, 1.0, 3), 1)
@@ -447,7 +450,7 @@ def cop_inputs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cop_inputs(), st.sampled_from([1, 7, 64, SCAN_BLOCK]))
+@given(cop_inputs(), st.sampled_from([1, 7, 64, SCAN_BLOCK, 1 << 16]))
 def test_cop_report_matches_loop(inputs, block):
     matrix, mu = inputs
     with patch.object(diagnostics, "SCAN_BLOCK", block):  # small blocks: many blocks per scan
