@@ -258,13 +258,11 @@ def main(argv=None) -> int:
         for issue in exc.report.fatal_issues:
             print(f"error: {issue}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:  # the reader closed stdout; the process entry ends quietly (`hrerank.__main__`)
+        raise
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except HreError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

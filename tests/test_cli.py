@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hrerank import WeightVector, estimation_error, ev_weights, parse_matrix, preprocess
+from hrerank.__main__ import EXIT_CLOSED_STDOUT
 from hrerank.cli import main
 
 from _support import (
@@ -605,15 +607,58 @@ def test_ev_does_not_need_references(tmp_path, capsys):
     assert "notice" not in err
 
 
-def test_large_cop_report_matches_oracles(tmp_path, capsys):
-    # the goldens hold a handful of violations; this input has thousands of both kinds
+def write_large_cop_input(tmp_path):
+    """`cop` arguments for a noisy 30-concept matrix against its EV weights: thousands of violations of both kinds."""
     matrix, _ = noisy_consistent(30, random.Random(30), 0.5)
     text = "30\n" + "".join(" ".join(map(repr, row)) + "\n" for row in matrix.array.tolist()) + "ref 1 1.0\n"
-    weights = ev_weights(matrix).values
     (tmp_path / "m.txt").write_text(text, encoding="utf-8")
-    (tmp_path / "w.txt").write_text("".join(f"{v!r}\n" for v in weights), encoding="utf-8")
-    expected = cop_check_loop(parse_matrix(text).matrix, WeightVector(weights))
+    (tmp_path / "w.txt").write_text("".join(f"{v!r}\n" for v in ev_weights(matrix).values), encoding="utf-8")
+    return ["cop", "--input", str(tmp_path / "m.txt"), "--weights", str(tmp_path / "w.txt")]
+
+
+def test_large_cop_report_matches_oracles(tmp_path, capsys):
+    # the goldens hold a handful of violations; this input has thousands of both kinds
+    args = write_large_cop_input(tmp_path)
+    matrix = parse_matrix((tmp_path / "m.txt").read_text(encoding="utf-8")).matrix
+    expected = cop_check_loop(matrix, WeightVector(ev_weights(matrix).values))
     assert len(expected.pop_violations) > 1000 and len(expected.poip_violations) > 1000
-    args = ["cop", "--input", str(tmp_path / "m.txt"), "--weights", str(tmp_path / "w.txt")]
     assert run_cli(args + ["--json"], capsys) == (0, json.dumps(cop_payload(expected), indent=2) + "\n", "")
     assert run_cli(args, capsys) == (0, cop_text_oracle(expected) + "\n", "")
+
+
+def test_large_cop_report_from_a_fresh_interpreter(tmp_path, capsys):
+    # many 64 KiB pipe buffers: the process entry's flush, heap freeze and exit keep every byte
+    args = write_large_cop_input(tmp_path) + ["--json"]
+    code, out, _, err = run_fresh(args)
+    assert code == 0 and len(out) > 1 << 16
+    assert [line for line in err if not line.startswith("import time:")] == []
+    assert run_cli(args, capsys) == (0, out.decode("utf-8"), "")
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # `hrerank cop --json ... | head -c 100`: the reader leaves while the report is still being written
+    args = write_large_cop_input(tmp_path) + ["--json"]
+    with subprocess.Popen([sys.executable, "-m", "hrerank", *args], env=FRESH_ENV,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()  # no `error:` line and no "Exception ignored" from the shutdown flush
+        assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
+    assert head.startswith(b"{") and err == b""
+
+
+def test_missing_input_is_an_input_error_from_a_fresh_interpreter(tmp_path):
+    missing = tmp_path / "absent.txt"
+    code, out, _, err = run_fresh(["rank", "--input", str(missing), "--method", "hre", "--json"])
+    assert code == 1 and out == b""
+    assert [line for line in err if not line.startswith("import time:")] == [
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_main_leaves_the_collector_as_it_found_it(name, capsys):
+    # only the process entry freezes the heap; tests and the traced benchmark call `main` in process
+    before = gc.isenabled(), gc.get_freeze_count()
+    main(resolve(GOLDEN_CASES[name][1]))
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

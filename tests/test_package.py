@@ -1,5 +1,6 @@
 """The package namespace, whose names are imported on first access, and the result records, which are named tuples."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -9,6 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
+    import tomli as tomllib
 
 import hrerank
 from hrerank import (
@@ -117,6 +123,18 @@ def test_record_is_a_frozen_named_tuple(record):
         with pytest.raises(AttributeError):
             setattr(rec, name, -1)
     assert rec == values
+
+
+def test_console_script_is_the_function_python_m_runs():
+    # the installed `hrerank` and `python -m hrerank` end the same way: one entry freezes the heap and exits
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["hrerank"].partition(":")
+    assert module == "hrerank.__main__"
+    entry = importlib.import_module(module)
+    assert inspect.isfunction(getattr(entry, name))
+    guards = [ast.unparse(node) for node in ast.parse(Path(entry.__file__).read_text(encoding="utf-8")).body
+              if isinstance(node, ast.If)]
+    assert guards == [f"if __name__ == '__main__':\n    {name}()"]
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

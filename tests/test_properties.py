@@ -849,13 +849,23 @@ scalable_request = st.builds(
 )
 
 
-def _scaled_answer(problem, k):
-    """`hre_rank`'s path and weights with every reference times 2**k, or its exception type."""
+def _scaled_answer(problem, k, solve=hre_rank):
+    """`solve`'s weights with every reference times 2**k, after `hre_rank`'s path or the least-squares minimum flag,
+    or its exception type."""
     try:
-        outcome = hre_rank(Problem(problem.matrix, {c: math.ldexp(w, k) for c, w in problem.references.items()}))
+        result = solve(Problem(problem.matrix, {c: math.ldexp(w, k) for c, w in problem.references.items()}))
     except Exception as exc:
         return type(exc)
-    return outcome.path, outcome.weights_raw.values
+    return (result.verified_minimum if isinstance(result, MinErrorResult) else result.path), result.weights_raw.values
+
+
+def _assert_scales(problem, k, solve=hre_rank):
+    # every stop and accept test is relative to the references, so a power of two scales every weight exactly
+    base, scaled = _scaled_answer(problem, 0, solve), _scaled_answer(problem, k, solve)
+    if isinstance(base, type):
+        assert scaled is base
+    else:
+        assert scaled == (base[0], tuple(math.ldexp(v, k) for v in base[1]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -863,12 +873,23 @@ def _scaled_answer(problem, k):
 @example(chain_problem(13, 20.0), -40)  # exact weights up to 20**12 = 4.1e15
 @example(bench_problem("ring-n30-noise0.1-r1"), 60)
 def test_scaling_the_references_scales_the_answer(problem, k):
-    # every stop and accept test is relative to the references, so a power of two scales every weight exactly
-    base, scaled = _scaled_answer(problem, 0), _scaled_answer(problem, k)
-    if isinstance(base, type):
-        assert scaled is base
-    else:
-        assert scaled == (base[0], tuple(math.ldexp(v, k) for v in base[1]))
+    _assert_scales(problem, k)
+
+
+# least squares needs every ratio of an unknown's row, so most requests are complete; the rest keep its refusal
+least_squares_request = st.one_of(
+    st.builds(random_problem, seed=seeds, n=sizes, missing=st.just(0.0), noise=st.floats(0.0, 0.5),
+              references=st.integers(1, 3)),
+    scalable_request,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(least_squares_request, st.integers(-60, 60))
+@example(bench_problem("complete-n50-noise0.3-r1"), 60)
+@example(bench_problem("half-n30-noise0.1-r3"), -60)  # an incomplete unknown row: the refusal keeps its type
+def test_scaling_the_references_scales_the_least_squares_answer(problem, k):
+    _assert_scales(problem, k, solve_min_error)
 
 
 # solved values around every edge of admissibility: zero, negative, tiny, subnormal, non-finite and overflowing sums
