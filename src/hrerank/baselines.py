@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompleteMatrixError, NonConvergenceError
-from .matrix_core import PcMatrix, _bad_entries, _sum_in_order
+from .matrix_core import PcMatrix, _bad_entries
 
 POWER_EIG_TOL = 1e-12       # change in eigenvalue estimate between steps
 POWER_RESIDUAL_TOL = 1e-10  # max-norm residual required to accept a result
@@ -43,17 +43,23 @@ class WeightVector:
         return len(self.values)
 
     def normalize(self) -> "WeightVector":
-        return WeightVector(_unit(self.values), normalized=True)
+        return WeightVector(_unit(np.array([self.values]))[0].tolist(), normalized=True)
 
 
-def _unit(values) -> tuple[float, ...]:
-    """Each value divided by their sum added left to right; only a sum that overflows is taken over value / largest."""
-    total = _sum_in_order(values)
-    if total == math.inf:
-        top = max(values)
-        values = [v / top for v in values]
-        total = _sum_in_order(values)
-    return tuple(v / total for v in values)
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Each row of a stack (B, n) over its sum added left to right; a sum that overflows is taken over value / largest.
+
+    A sum is the row's last prefix sum, one rounding per addition as `_sum_in_order` adds (numpy reduces a stack of
+    one pairwise).  Rows with a NaN, infinite or non-positive value give values no caller reads: no warnings.
+    """
+    with np.errstate(all="ignore"):
+        total = np.cumsum(rows, axis=1)[:, -1]
+        over = total == math.inf
+        if np.count_nonzero(over):
+            rows = rows.copy()
+            rows[over] /= rows[over].max(axis=1, keepdims=True)
+            total[over] = np.cumsum(rows[over], axis=1)[:, -1]
+        return rows / total[:, None]
 
 
 class EigenResult(NamedTuple):

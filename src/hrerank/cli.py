@@ -200,6 +200,8 @@ def _cmd_mc(args) -> int:
         reference_count=args.refs,
         seed=args.seed,
     )
+    # an unwritable --out fails here, before the first trial; appending to a file truncates nothing
+    open(args.out, "a", encoding="utf-8").close()
     records = run_experiment(config)
     write_csv(records, args.out)
     for s in summarize(records):

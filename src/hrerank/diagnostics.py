@@ -138,8 +138,8 @@ def _triad_scans(a: np.ndarray) -> list[tuple[float | None, int]]:
             j1 = min(n - 1, j0 + step)
             # q[., j, i, k] = (m_ik * m_kj) / m_ij over i < j1 - 1 and k > j0, NaN unless i < j < k and all three
             # are given (a masked m_kj or m_ij makes it NaN whatever m_ik is); no padding when the block is one j
-            q = a[:, None, : j1 - 1, j0 + 1 :] * np.swapaxes(lower[:, j0 + 1 :, j0:j1], 1, 2)[:, :, None, :]
-            q /= np.swapaxes(upper[:, : j1 - 1, j0:j1], 1, 2)[:, :, :, None]
+            q = a[:, None, : j1 - 1, j0 + 1 :] * lower[:, j0 + 1 :, j0:j1].swapaxes(1, 2)[:, :, None, :]
+            q /= upper[:, : j1 - 1, j0:j1].swapaxes(1, 2)[:, :, :, None]
             if counted:
                 count += np.count_nonzero(q == q, axis=(1, 2, 3))  # NaN compares false
             low[slot] = np.fmin.reduce(q, axis=(1, 2, 3))  # NaN for an all-NaN slice, which the combination skips

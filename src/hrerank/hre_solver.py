@@ -45,8 +45,8 @@ SPECTRAL_TOL = 1e-9        # a lower bound on rho(I - a) beyond 1 + this skips t
 class LinearSystem:
     """Dense k x k system a x = b over the unknown concepts, in ascending concept order.
 
-    ``a`` (k x k) and ``b`` (k) are read-only float64 arrays; nested tuples
-    are accepted at construction and copied.
+    ``a`` (k x k) and ``b`` (k) are read-only float64 arrays; arrays and
+    nested tuples are accepted at construction and copied.
     """
 
     a: np.ndarray
@@ -60,6 +60,15 @@ class LinearSystem:
         a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _from_arrays(cls, a: np.ndarray, b: np.ndarray) -> LinearSystem:
+        """Wrap a row-major float k x k array and a float k array the package built itself, without copying them."""
+        system = object.__new__(cls)
+        a.flags.writeable = b.flags.writeable = False
+        object.__setattr__(system, "a", a)
+        object.__setattr__(system, "b", b)
+        return system
 
 
 @dataclass(frozen=True, eq=False)  # an array field has no usable == or hash
@@ -127,14 +136,20 @@ def build_system(problem: Problem) -> LinearSystem:
     unknown's ratios given.
     """
     block, b, scale = _system_parts(problem)
-    return LinearSystem(_averaging(block, scale), b)
+    return LinearSystem._from_arrays(_averaging(block, scale), b)
 
 
 def _averaging(block: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`build_system`'s coefficients from a stack (..., k, k) of blocks and their 1 / D (..., k)."""
-    a = block * -scale[..., None]
-    a[..., range(a.shape[-1]), range(a.shape[-1])] = 1.0
+    """`build_system`'s coefficients from a stack (..., k, k) of blocks and their 1 / D (..., k), row-major."""
+    a = np.multiply(block, -scale[..., None], order="C")
+    _diagonal(a)[...] = 1.0
     return a
+
+
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """A writeable view of the diagonal of each matrix of a row-major stack (..., k, k)."""
+    k = a.shape[-1]
+    return a.reshape(*a.shape[:-2], k * k)[..., :: k + 1]
 
 
 def _system_parts(problem: Problem) -> SystemParts:
@@ -178,23 +193,24 @@ def solve_linear(system: LinearSystem) -> tuple[float, ...]:
     """
     if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
         raise SingularSystemError("linear system leaves the float range")
-    (solution,) = _solved(system.a[None], system.b[None])
-    if isinstance(solution, SingularSystemError):
-        raise solution
-    return solution
+    x, failures = _solved(system.a[None], system.b[None])
+    if failures:
+        raise failures[0]
+    return tuple(x[0].tolist())
 
 
-def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSystemError]:
+def _solved(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, SingularSystemError]]:
     """Solve a stack of systems, coefficients (B, k, k) and right-hand sides (B, k), in one pass.
 
-    Returns, in order, each system's solution, or the SingularSystemError
-    that `solve_linear` raises for it.  The systems are eliminated together
-    as one B x k x (k+1) array: each gets the operations it gets alone, in
-    the same order, so the results are the same to the bit.  A system whose
-    pivot falls below tolerance is carried to the end with the others and
-    reported by its first such column.  The infinities and NaNs its
-    near-zero pivots produce stay in its own rows; numpy's warnings about
-    them are silenced.
+    Returns the solutions (B, k), in order, and by its index the
+    SingularSystemError that `solve_linear` raises for each system that
+    failed, whose row holds whatever its elimination left.  The systems are
+    eliminated together as one B x k x (k+1) array: each gets the
+    operations it gets alone, in the same order, so the results are the
+    same to the bit.  A system whose pivot falls below tolerance is carried
+    to the end with the others and reported by its first such column.  The
+    infinities and NaNs its near-zero pivots produce stay in its own rows;
+    numpy's warnings about them are silenced.
     """
     # row-major, as `LinearSystem` holds them: the order of the products' sums depends on the layout
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -204,7 +220,7 @@ def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSy
     with np.errstate(all="ignore"):
         for col in range(k):
             offset = np.abs(u[:, col:, col]).argmax(axis=1)
-            if offset.any():  # some system's pivot lies below its diagonal: swap rows
+            if np.count_nonzero(offset):  # some system's pivot lies below its diagonal: swap rows
                 pivot = col + offset
                 rows = u[at, pivot]
                 u[at, pivot] = u[:, col]
@@ -219,19 +235,17 @@ def _solved(a: np.ndarray, b: np.ndarray) -> list[tuple[float, ...] | SingularSy
             x[:, col] = (x[:, col] - dot[:, 0, 0]) / u[:, col, col]
         residuals = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1)
         bounds = RESIDUAL_TOL * (1.0 + np.abs(b).max(axis=1))
-    pivots = np.diagonal(u, axis1=1, axis2=2)  # each column's pivot, in place after its swap
+    pivots = u.diagonal(axis1=1, axis2=2)  # each column's pivot, in place after its swap
     small = np.abs(pivots) < PIVOT_TOL
-    first = small.argmax(axis=1)
-    results: list[tuple[float, ...] | SingularSystemError] = []
-    for i, solution in enumerate(x.tolist()):
-        if small[i, first[i]]:
-            col = first[i]
-            results.append(SingularSystemError(f"pivot {pivots[i, col]:.3e} in column {col + 1} below tolerance"))
-        elif not residuals[i] <= bounds[i]:  # a NaN residual fails too
-            results.append(SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance"))
+    failed = np.logical_or.reduce(small, axis=1) | ~(residuals <= bounds)  # a NaN residual fails too
+    failures = {}
+    for i in failed.nonzero()[0].tolist():  # messages only for the systems that failed
+        if small[i].any():
+            col = int(small[i].argmax())
+            failures[i] = SingularSystemError(f"pivot {pivots[i, col]:.3e} in column {col + 1} below tolerance")
         else:
-            results.append(tuple(solution))
-    return results
+            failures[i] = SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance")
+    return x, failures
 
 
 def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
@@ -473,16 +487,11 @@ def _window(rows: np.ndarray, size: int) -> slice:
     return slice(start, start + size)
 
 
-def _admissible(values, problem: Problem) -> bool | np.ndarray:
-    """The package's one admissibility rule: every value finite and above ADMISSIBLE_TOL times the largest reference.
-
-    ``values`` is a sequence of floats, or a 2-d array whose rows are then
-    tested together, one array comparison for all of them: a bool per row.
-    """
+def _admissible(rows: np.ndarray, problem: Problem) -> np.ndarray:
+    """The package's one admissibility rule, a bool per row of a 2-d array: every value finite and above
+    ADMISSIBLE_TOL times the largest reference (a NaN fails both comparisons)."""
     low = ADMISSIBLE_TOL * max(problem.references.values())
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        return ((low < values) & (values < math.inf)).all(axis=1)
-    return all(low < v < math.inf for v in values)  # NaN fails both comparisons
+    return ((low < rows) & (rows < math.inf)).all(axis=1)
 
 
 def select_best_iterate(
@@ -522,16 +531,24 @@ def synthesize(solved: tuple[float, ...], problem: Problem) -> WeightVector:
     expected = problem.n - len(problem.references)
     if len(solved) != expected:
         raise ValueError(f"expected {expected} solved values, got {len(solved)}")
-    if not _admissible(solved, problem):
-        nonpositive = [u for u, v in zip(problem.unknown_indices, solved) if not _admissible((v,), problem)]
+    values = np.array(solved, dtype=float).reshape(-1, 1)  # each value a row of its own
+    admissible = _admissible(values, problem).tolist()
+    if not all(admissible):
+        nonpositive = [u for u, ok in zip(problem.unknown_indices, admissible) if not ok]
         raise InadmissibleSolutionError(f"non-positive solved weight for concept(s) {nonpositive}")
-    return WeightVector(_woven(solved, problem))
+    return WeightVector(_woven(values.T, problem)[0].tolist())
 
 
-def _woven(solved, problem: Problem) -> list[float]:
-    """Every concept's weight in index order: the references' own, the solved values in the unknowns' places."""
-    values = iter(solved)
-    return [problem.references[i] if i in problem.references else next(values) for i in range(1, problem.n + 1)]
+def _woven(solved: np.ndarray, problem: Problem) -> np.ndarray:
+    """Each row of a stack (B, k) of solved values woven with the reference weights into n weights in index order."""
+    rows = np.empty((len(solved), problem.n))
+    done = 0  # columns filled, by slices: an index-list assignment per trial raised a Monte Carlo run's peak memory
+    for passed, c in enumerate(sorted(problem.references)):  # the unknowns before reference c, then c
+        rows[:, done : c - 1] = solved[:, done - passed : c - 1 - passed]
+        rows[:, c - 1] = problem.references[c]
+        done = c
+    rows[:, done:] = solved[:, done - len(problem.references) :]
+    return rows
 
 
 def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOutcome:
@@ -596,7 +613,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
                 warnings.append(f"least-squares heuristic failed: {exc}")
     if raw is None:
         run = jacobi_iterate(prepared, JACOBI_MAX_ITER, max_iterations)
-        if run.converged and _admissible(run.array[-1], prepared):  # a converged run's last row has every estimate
+        if run.converged and _admissible(run.array[-1:], prepared)[0]:  # a converged run's last row has all estimates
             raw = WeightVector(run.array[-1].tolist())
             path = "jacobi"
         else:

@@ -8,6 +8,7 @@ file format and the usual decision-analysis convention.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -324,7 +325,7 @@ def restore_reciprocity(matrix: PcMatrix) -> PcMatrix:
 
 def _restored(a: np.ndarray) -> np.ndarray:
     """`restore_reciprocity` of each matrix of a stack (..., n, n), as one new stack."""
-    at = np.swapaxes(a, -1, -2)
+    at = a.swapaxes(-1, -2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         quotient = a / at
         ratio = np.sqrt(quotient)
@@ -406,10 +407,12 @@ def preprocess(problem: Problem | Prepared) -> Prepared:
     return Prepared(restored, report.warnings + _known_ratio_mismatches(restored.matrix.array, problem.references))
 
 
+@functools.lru_cache(maxsize=8)
 def _above_diagonal(n: int) -> np.ndarray:
-    """Boolean n x n mask of the strict upper triangle (i < j), rows first."""
-    index = np.arange(n)
-    return index[:, None] < index
+    """Read-only boolean n x n mask of the strict upper triangle (i < j), rows first; built once per n."""
+    mask = np.arange(n)[:, None] < np.arange(n)
+    mask.flags.writeable = False
+    return mask
 
 
 def _bad_entries(a: np.ndarray) -> np.ndarray:

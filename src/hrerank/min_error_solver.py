@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .hre_solver import LinearSystem, _dominant_columns, _system_parts, solve_linear, synthesize
+from .hre_solver import LinearSystem, _diagonal, _dominant_columns, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
 
@@ -46,16 +46,16 @@ def build_error_system(problem: Problem) -> ErrorSystem:
     block, b, scale = _system_parts(problem)
     a, s_values = _normal(block, scale)
     # a is exactly symmetric, so its columns are its rows
-    return ErrorSystem(LinearSystem(a, b), tuple(s_values.tolist()), _dominant_columns(a))
+    return ErrorSystem(LinearSystem._from_arrays(a, b), tuple(s_values.tolist()), _dominant_columns(a))
 
 
 @np.errstate(over="ignore")  # a square or a sum of squares beyond the float range is inf, which the solve refuses
 def _normal(block: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`build_error_system`'s coefficients and s values from a stack (..., k, k) of blocks and their 1 / D."""
+    """`build_error_system`'s row-major coefficients and s values from a stack (..., k, k) of blocks and their 1 / D."""
     # C-ordered sums down axis -2 add in row order (see `jacobi_iterate`); the block's diagonal is zero
     s_values = np.add.reduce(np.multiply(block, block, order="C"), axis=-2) * scale
-    a = (block + np.swapaxes(block, -1, -2)) * -scale[..., None]
-    a[..., range(a.shape[-1]), range(a.shape[-1])] = 1.0 + s_values
+    a = np.multiply(block + block.swapaxes(-1, -2), -scale[..., None], order="C")
+    _diagonal(a)[...] = 1.0 + s_values
     return a, s_values
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .baselines import WeightVector, _unit
 from .diagnostics import _triad_scans
-from .errors import HreError
 from .hre_solver import _admissible, _averaging, _parts, _solved, _woven
 from .matrix_core import PcMatrix, Problem, _above_diagonal, _bad_entries, _restored, _sum_in_order
 from .min_error_solver import _normal
@@ -88,13 +87,13 @@ def _perturbed(matrix: PcMatrix, levels, seed: int) -> np.ndarray:
     if not all(0 <= level <= _MAX_NOISE for level in levels):
         raise ValueError(f"noise level must be finite, non-negative and at most {_MAX_NOISE:.2f}")
     rng = random.Random(seed)
-    rows, cols = np.nonzero(_above_diagonal(matrix.n) & ~np.isnan(matrix.array))
+    rows, cols = (_above_diagonal(matrix.n) & ~np.isnan(matrix.array)).nonzero()
     high = np.array(levels, dtype=float)[:, None]
     # random.uniform's own a + (b - a) * u for every level and draw (in row order) as one array expression, the
     # same IEEE operations; math.exp entry by entry, not np.exp whose last bit can differ by CPU, keeps the records
     exponents = -high + (high - -high) * np.array([rng.random() for _ in rows])
     factors = np.fromiter(map(math.exp, exponents.ravel().tolist()), float, exponents.size).reshape(exponents.shape)
-    grid = np.repeat(matrix.array[None], len(levels), axis=0)
+    grid = matrix.array[None].repeat(len(levels), axis=0)
     with np.errstate(over="ignore", divide="ignore"):  # an entry out of float range is inf or 0: `validate` refuses it
         upper = grid[:, rows, cols] = matrix.array[rows, cols] * factors
         grid[:, cols, rows] = 1.0 / upper
@@ -102,16 +101,20 @@ def _perturbed(matrix: PcMatrix, levels, seed: int) -> np.ndarray:
     return grid
 
 
-def _unit_weights(solution: tuple[float, ...] | HreError, problem: Problem) -> tuple[float, ...] | None:
-    """Unit-sum weights from one solved system; None when it is singular or inadmissible.
+def _unit_rows(solutions: np.ndarray, failures: dict, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-sum weights of each row of a solved stack (B, k), and whether it counts: admissible, not one of ``failures``.
 
-    The values of ``synthesize(solution, problem).normalize()``, built as they build them; reads only n and the references.
+    A row that counts holds the values of ``synthesize(row, problem).normalize()``, built as they build them, and the
+    first one with a weight that underflowed to 0 raises `WeightVector`'s ValueError, as `normalize` does.
     """
-    if isinstance(solution, HreError) or not _admissible(solution, problem):
-        return None
-    unit = _unit(_woven(solution, problem))
-    # a weight that underflowed: WeightVector raises as `normalize` does
-    return unit if min(unit) > 0.0 else WeightVector(unit, normalized=True).values
+    counts = _admissible(solutions, problem)
+    if failures:
+        counts[list(failures)] = False
+    unit = _unit(_woven(solutions, problem))
+    underflowed = counts & np.logical_or.reduce(unit <= 0.0, axis=1)
+    if np.count_nonzero(underflowed):
+        WeightVector(unit[underflowed.argmax()].tolist(), normalized=True)  # raises
+    return unit, counts
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -122,8 +125,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     distances are directly comparable between levels (common random
     numbers).  Each trial is one stacked pass: its base matrix is perturbed
     at every level into one (L, n, n) stack, and each stage (validation's
-    fatal rule, repair, both systems, their solve, the Koczkodaj scan) runs
-    once on it, giving every level the bits a level-by-level pass gives.
+    fatal rule, repair, both systems, their solve, the unit-sum weights and
+    their distances, the Koczkodaj scan) runs once on it, giving every level
+    the bits a level-by-level pass gives.
     The entries between two references are left as drawn, as `preprocess`
     leaves them: the systems never read them (`_samples` takes the
     unknowns' rows).  A level that `validate` refuses (an entry pushed out
@@ -140,20 +144,21 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         # `validate`'s fatal rule; the base matrix is complete, so every unknown is linked to a reference (no
         # reachability search) and perturbing leaves its diagonal at 1: only an entry out of range is refused
         accepted = ~_bad_entries(noisy).any(axis=(1, 2))
-        solutions = iter(())
+        outcomes = iter(())
         if accepted.any():  # repair, both system builds and their solve, each once on the accepted levels
             block, constants, scale = _parts(_restored(noisy[accepted]), problem.references)
-            coefficients = np.stack((_averaging(block, scale), _normal(block, scale)[0]), axis=1)  # averaging first
-            solutions = iter(_solved(coefficients.reshape(-1, *block.shape[1:]), np.repeat(constants, 2, axis=0)))
-        for noise, solvable, (koczkodaj, _), records in zip(config.noise_levels, accepted, _triad_scans(noisy), by_level):
-            averaging = least_squares = None
-            if solvable:
-                averaging = _unit_weights(next(solutions), problem)
-                least_squares = _unit_weights(next(solutions), problem)
-            solved = averaging is not None and least_squares is not None
-            distance = max(abs(a - b) for a, b in zip(averaging, least_squares)) if solved else math.nan
+            coefficients = np.empty((len(block), 2, *block.shape[1:]))  # averaging first, then least squares
+            coefficients[:, 0], coefficients[:, 1] = _averaging(block, scale), _normal(block, scale)[0]
+            solutions, failures = _solved(coefficients.reshape(-1, *block.shape[1:]), constants.repeat(2, axis=0))
+            unit, counts = _unit_rows(solutions, failures, problem)
+            with np.errstate(invalid="ignore"):  # the rows that do not count may hold anything
+                distances = np.maximum.reduce(np.abs(unit[0::2] - unit[1::2]), axis=1)
+            outcomes = zip((counts[0::2] & counts[1::2]).tolist(), distances.tolist())
+        levels = zip(config.noise_levels, accepted.tolist(), _triad_scans(noisy), by_level)
+        for noise, solvable, (koczkodaj, _), records in levels:
+            solved, distance = next(outcomes) if solvable else (False, math.nan)
             koczkodaj = math.nan if koczkodaj is None else koczkodaj
-            records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj, distance, solved))
+            records.append(TrialRecord(gen_seed, config.n, noise, koczkodaj, distance if solved else math.nan, solved))
     return [record for records in by_level for record in records]
 
 

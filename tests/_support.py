@@ -7,6 +7,7 @@ array kernels: the same arithmetic in the same order, one entry at a time.
 ``run_experiment_oracle`` the Monte Carlo harness solving one system at a time,
 ``perturb_loop`` the noise drawn by `random.uniform` entry by entry,
 ``unit_weights_oracle`` its unit-sum weights through `synthesize`,
+``unit_loop`` a unit sum added value by value,
 ``estimation_error_prefix_sum`` the estimation error summed by prefix sums
 (``ordered_sum``), ``build_system_loop``, ``build_error_system_loop`` and
 ``check_convergence_loop`` the two linear systems and their dominance tests,
@@ -858,11 +859,28 @@ def solve_linear_oracle(system) -> tuple[float, ...]:
 
 def solve_stack(systems) -> list:
     """`_solved` on a list of systems of one size: each one's solution or SingularSystemError, in order."""
-    return _solved(np.stack([s.a for s in systems]), np.stack([s.b for s in systems])) if systems else []
+    if not systems:
+        return []
+    return stack_results(*_solved(np.stack([s.a for s in systems]), np.stack([s.b for s in systems])))
+
+
+def stack_results(solutions: np.ndarray, failures: dict) -> list:
+    """`_solved`'s arrays as a list: each system's solution as a tuple of floats, or its SingularSystemError."""
+    return [failures[i] if i in failures else tuple(row) for i, row in enumerate(solutions.tolist())]
+
+
+def unit_loop(values) -> tuple[float, ...]:
+    """Values over their sum added left to right, taken over value / largest only when that sum overflows."""
+    total = _sum_in_order(values)
+    if total == math.inf:
+        top = max(values)
+        values = [v / top for v in values]
+        total = _sum_in_order(values)
+    return tuple(v / total for v in values)
 
 
 def unit_weights_oracle(solution, problem: Problem) -> tuple[float, ...] | None:
-    """`montecarlo._unit_weights` through `synthesize` and `WeightVector.normalize`."""
+    """One row of `montecarlo._unit_rows` through `synthesize` and `normalize`; None where it does not count."""
     if isinstance(solution, HreError):
         return None
     try:  # an inadmissible solution raises InadmissibleSolutionError

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -261,6 +262,22 @@ class TestMc:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])  # a missing directory, a directory
+    def test_unwritable_output_fails_before_the_first_trial(self, where, tmp_path, capsys):
+        with patch("hrerank.montecarlo.run_experiment", side_effect=AssertionError("experiment ran")) as run:
+            code, out, err = run_cli(self.ARGS + ["--out", str(tmp_path / where)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        run.assert_not_called()
+
+    def test_checking_the_output_truncates_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        out_path.write_text("earlier results\n", encoding="utf-8")
+        with patch("hrerank.montecarlo.run_experiment", side_effect=ValueError("experiment failed")):
+            code, out, err = run_cli(self.ARGS + ["--out", str(out_path)], capsys)
+        assert (code, out, err) == (1, "", "error: experiment failed\n")
+        assert out_path.read_text(encoding="utf-8") == "earlier results\n"
 
 
 # inputs whose numbers leave the float range on the way to weights

@@ -53,6 +53,7 @@ from _support import (
     random_weights,
     singular_direct_problem,
     solve_stack,
+    stack_results,
     unpermute,
 )
 
@@ -140,6 +141,24 @@ class TestLinearSystem:
         assert system.a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert system.b.tolist() == [1.0, 1.0]
 
+    def test_built_systems_wrap_their_fresh_arrays(self, example1):
+        prepared = _prepared(example1)
+        built = {}
+
+        def keep(name, make):
+            def made(*args):
+                built[name] = result = make(*args)
+                return result
+            return made
+
+        with patch.object(hre_solver, "_averaging", keep("averaging", hre_solver._averaging)), \
+                patch.object(min_error_solver, "_normal", keep("normal", min_error_solver._normal)):
+            system, error = build_system(prepared), min_error_solver.build_error_system(prepared)
+        # the arrays the builders made, not copies of them
+        assert system.a is built["averaging"] and error.system.a is built["normal"][0]
+        for array in (system.a, system.b, error.system.a, error.system.b):
+            assert array.flags.c_contiguous and not array.flags.writeable
+
     def test_column_major_input_solves_like_tuples(self):
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(12, 12)) + 3.0 * np.eye(12), rng.normal(size=12)
@@ -205,7 +224,8 @@ class TestSolveSystems:
         by_columns = np.swapaxes(np.swapaxes(a, 1, 2).copy(), 1, 2)
         assert not by_columns.flags.c_contiguous
         expected = solve_stack([LinearSystem(x, y) for x, y in zip(a, b)])
-        assert [repr(result) for result in _solved(by_columns, b)] == [repr(result) for result in expected]
+        stacked = stack_results(*_solved(by_columns, b))
+        assert [repr(result) for result in stacked] == [repr(result) for result in expected]
 
 
 class TestSolveLinear:

@@ -70,6 +70,7 @@ from hrerank import (
     validate,
 )
 from hrerank import cop_writer, diagnostics, hre_solver
+from hrerank.baselines import _unit
 from hrerank.cop_writer import write_json, write_text
 from hrerank.diagnostics import SCAN_BLOCK, _errors, _triad_scans
 from hrerank.hre_solver import (
@@ -92,7 +93,7 @@ from hrerank.hre_solver import (
 )
 from hrerank.matrix_core import _bad_entries, _restored, restore_reciprocity
 from hrerank.min_error_solver import MinErrorResult, _normal, build_error_system, solve_min_error
-from hrerank.montecarlo import _perturbed, _unit_weights, generate_consistent, perturb
+from hrerank.montecarlo import _perturbed, _unit_rows, generate_consistent, perturb
 
 from _support import (
     build_error_system_loop,
@@ -119,8 +120,10 @@ from _support import (
     run_experiment_oracle,
     solve_linear_oracle,
     solve_stack,
+    stack_results,
     triad_scan_loop,
     triad_scans_pivot,
+    unit_loop,
     unit_weights_oracle,
     validate_loop,
 )
@@ -767,7 +770,7 @@ def test_stacked_kernels_match_their_one_matrix_functions(inputs, levels, seed):
         assert bits(s_values[row]) == bits(np.array(error.s_values))
         systems += [system, error.system]
     coefficients = np.stack((averaging, normal), axis=1).reshape(len(systems), *averaging.shape[1:])
-    stacked = _solved(coefficients, np.repeat(parts[1], 2, axis=0))
+    stacked = stack_results(*_solved(coefficients, np.repeat(parts[1], 2, axis=0)))
     assert [stacked_bits(result) for result in stacked] == [stacked_bits(result) for result in solve_stack(systems)]
 
 
@@ -901,36 +904,80 @@ solved_values = st.one_of(
 
 
 @st.composite
-def unit_weight_inputs(draw):
+def unit_weight_stacks(draw):
+    """A stack of 1-6 solved rows for a problem whose references sit anywhere, some of them at a tiny scale.
+
+    Rows mix admissible values, values at every edge of admissibility, large
+    values whose sum overflows, and singular systems (``failures`` as
+    `_solved` reports them, over whatever values their elimination left).
+    With references near 1e-300 a row of large values underflows.
+    """
     n = draw(st.integers(3, 12))
     matrix, weights = generate_consistent(n, draw(seeds))
-    references = {c: weights[c - 1] for c in draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))}
+    unit = draw(st.sampled_from([1.0, 1.0, 1e-300]))
+    references = {c: unit * weights[c - 1] for c in draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))}
     problem = Problem(matrix, references)
-    if draw(st.integers(0, 9)) == 0:
-        return SingularSystemError("pivot below tolerance"), problem
     k = len(problem.unknown_indices)
-    scale = draw(st.sampled_from([(1e-3, 1e3), (1e300, 1e308)]))  # the sum of large values may overflow
-    solution = list(draw(st.tuples(*[st.floats(*scale)] * k)))
-    for i in draw(st.sets(st.integers(0, k - 1))):  # some values, maybe none, at an edge of admissibility
-        solution[i] = draw(solved_values)
-    return tuple(solution), problem
+    rows, failures = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        scale = draw(st.sampled_from([(1e-3, 1e3), (1e300, 1e308)]))  # the sum of large values may overflow
+        row = list(draw(st.tuples(*[st.floats(*scale)] * k)))
+        for j in draw(st.sets(st.integers(0, k - 1))):  # some values, maybe none, at an edge of admissibility
+            row[j] = draw(solved_values)
+        if draw(st.integers(0, 9)) == 0:
+            failures[i] = SingularSystemError("pivot below tolerance")
+        rows.append(row)
+    return np.array(rows, dtype=float), failures, problem
 
 
-def unit_weights_outcome(unit_weights, solution, problem) -> str:
-    try:
-        return repr(unit_weights(solution, problem))  # repr keeps every bit of a finite float
-    except ValueError as exc:  # a sum that overflowed or a weight that underflowed
-        return repr(exc)
+# positive values: ordinary, large enough that a row's sum overflows, and small enough that a weight underflows
+unit_values = st.one_of(st.floats(1e-3, 1e3), st.floats(1e300, 1e308), st.floats(5e-324, 1e-300))
 
 
 @settings(max_examples=200, deadline=None)
-@given(unit_weight_inputs())
-@example(((1e308, 1e308), Problem(generate_consistent(3, 1)[0], {1: 1.0})))  # the sum overflows
-@example(((1.0, math.inf), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
-@example(((1.0, ADMISSIBLE_TOL), Problem(generate_consistent(3, 1)[0], {1: 1.0})))
-@example(((1.0, ADMISSIBLE_TOL), Problem(generate_consistent(3, 1)[0], {1: 0.69})))  # above the relative bound
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(st.lists(unit_values, min_size=n, max_size=n), min_size=1, max_size=6)))
+@example([[1.4, 8.5, 7.7, 2.6, 5.0, 4.5, 6.6, 7.9, 1.0, 0.4, 8.4, 1.0]])  # numpy's pairwise sum gives other bits
+@example([[1e308, 1e308, 1.0], [1.0, 2.0, 3.0]])  # one row's sum overflows
+def test_unit_adds_each_row_left_to_right(rows):
+    expected = [unit_loop(row) for row in rows]
+    assert [tuple(row) for row in _unit(np.array(rows)).tolist()] == expected
+    if min(expected[0]) > 0.0:  # else `WeightVector` refuses the underflowed weight
+        assert WeightVector(rows[0]).normalize().values == expected[0]
+
+
+def unit_rows_outcome(solutions, failures, problem) -> str:
+    """`_unit_rows` on the whole stack: each row's weights, None where it does not count, or the error it raises."""
+    try:
+        unit, counts = _unit_rows(solutions, failures, problem)
+    except ValueError as exc:  # a weight that underflowed
+        return repr(exc)
+    return repr([tuple(row) if ok else None for row, ok in zip(unit.tolist(), counts.tolist())])  # repr keeps every bit
+
+
+def unit_rows_oracle_outcome(solutions, failures, problem) -> str:
+    """`unit_weights_oracle` row by row, in order: the first row that raises decides."""
+    try:
+        return repr([unit_weights_oracle(failures[i] if i in failures else tuple(row), problem)
+                     for i, row in enumerate(solutions.tolist())])
+    except ValueError as exc:
+        return repr(exc)
+
+
+def one_row(values, references, n=3):
+    return np.array([values], dtype=float), {}, Problem(generate_consistent(n, 1)[0], references)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_weight_stacks())
+@example(one_row((1e308, 1e308), {1: 1.0}))  # the sum overflows
+@example(one_row((1.0, math.inf), {1: 1.0}))
+@example(one_row((1.0, ADMISSIBLE_TOL), {1: 1.0}))
+@example(one_row((1.0, ADMISSIBLE_TOL), {1: 0.69}))  # above the relative bound
+@example(one_row((1.4, 8.5, 7.7, 2.6, 5.0, 4.5, 6.6, 7.9, 1.0, 0.4, 8.4), {1: 1.0}, n=12))  # a pairwise sum: other bits
+@example(one_row((1e308, 1.0), {1: 1e-300}))  # the reference's weight underflows
+@example((np.array([[1.0, 2.0], [1e308, 1.0], [1e-300, 1e308]]), {},  # rows 2 and 3 underflow: concepts 2 and 1
+          Problem(generate_consistent(3, 1)[0], {2: 1e-300})))
+@example((np.array([[0.0, 1.0], [1e308, 1e308]]), {1: SingularSystemError("pivot")},
+          Problem(generate_consistent(3, 1)[0], {3: 1e-300})))  # a singular row never raises
 def test_unit_weights_match_synthesize(inputs):
-    solution, problem = inputs
-    assert unit_weights_outcome(_unit_weights, solution, problem) == unit_weights_outcome(
-        unit_weights_oracle, solution, problem
-    )
+    assert unit_rows_outcome(*inputs) == unit_rows_oracle_outcome(*inputs)
