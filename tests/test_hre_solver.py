@@ -137,6 +137,8 @@ class TestLinearSystem:
     def test_caller_arrays_are_copied(self):
         a, b = np.eye(2), np.ones(2)
         system = LinearSystem(a, b)
+        assert system.a is not a and system.b is not b
+        assert a.flags.writeable and b.flags.writeable
         a[0, 0] = b[0] = 9.0  # still the caller's to change
         assert system.a.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert system.b.tolist() == [1.0, 1.0]
