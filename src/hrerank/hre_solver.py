@@ -32,13 +32,17 @@ from .errors import (
 )
 from .matrix_core import Prepared, Problem, _samples, _system_defined, preprocess
 
-PIVOT_TOL = 1e-12          # pivot magnitude below this means "determinant is 0"
+PIVOT_TOL = 1e-12          # the elimination's test only: a pivot magnitude below this means "determinant is 0"
 RESIDUAL_TOL = 1e-9        # accepted solves satisfy |Ax-b|_inf <= tol * (1+|b|_inf)
 ADMISSIBLE_TOL = 1e-9      # admissible weights exceed this times the largest reference weight
 JACOBI_STOP_TOL = 1e-10    # relative max-norm change that counts as converged
 JACOBI_MAX_ITER = 1000     # iteration budget on the convergent path
 NONCONVERGENCE_MARGIN = 1e3  # a stopped run's bounds keep every later change this far above the stop test
 SPECTRAL_TOL = 1e-9        # a lower bound on rho(I - a) beyond 1 + this skips the direct solve
+# From this many unknowns on LAPACK solves a system, below it the elimination (`_solved`).  LAPACK is faster
+# at every size, but its last bits differ and depend on the BLAS build and the CPU: 64 lies above every size
+# whose bits the goldens, the Monte Carlo records or the benchmark's digests pin (k <= 47).
+LAPACK_MIN_K = 64
 
 
 @dataclass(frozen=True, eq=False)  # array fields have no usable == or hash
@@ -182,14 +186,15 @@ def _parts(a: np.ndarray, references: dict[int, float]) -> SystemParts:
 
 
 def solve_linear(system: LinearSystem) -> tuple[float, ...]:
-    """Gaussian elimination with partial pivoting on the augmented array [a | b].
+    """Solve one system: `_solved` on a stack of one.
 
-    Raises SingularSystemError before eliminating when a coefficient or
-    constant is beyond the float range, when some pivot drops below 1e-12 in
-    magnitude (the practical "determinant differs from 0" test) or when the
-    computed solution fails the residual bound
-    |ax - b|_inf <= 1e-9 * (1 + |b|_inf), which a NaN residual fails.  The
-    same elimination as `_solved` on a stack of one.
+    Raises SingularSystemError before solving when a coefficient or
+    constant is beyond the float range.  Otherwise it raises `_solved`'s:
+    below LAPACK_MIN_K unknowns for a pivot below 1e-12 in magnitude (the
+    practical "determinant differs from 0" test), from it on for an exactly
+    singular LAPACK factorization, and at every size for a solution that
+    fails the residual bound |ax - b|_inf <= 1e-9 * (1 + |b|_inf), which a
+    NaN residual fails.
     """
     if not (np.isfinite(system.a).all() and np.isfinite(system.b).all()):
         raise SingularSystemError("linear system leaves the float range")
@@ -200,52 +205,80 @@ def solve_linear(system: LinearSystem) -> tuple[float, ...]:
 
 
 def _solved(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, SingularSystemError]]:
-    """Solve a stack of systems, coefficients (B, k, k) and right-hand sides (B, k), in one pass.
+    """Solve a stack of systems, coefficients (B, k, k) and right-hand sides (B, k).
 
     Returns the solutions (B, k), in order, and by its index the
     SingularSystemError that `solve_linear` raises for each system that
-    failed, whose row holds whatever its elimination left.  The systems are
-    eliminated together as one B x k x (k+1) array: each gets the
-    operations it gets alone, in the same order, so the results are the
-    same to the bit.  A system whose pivot falls below tolerance is carried
-    to the end with the others and reported by its first such column.  The
-    infinities and NaNs its near-zero pivots produce stay in its own rows;
-    numpy's warnings about them are silenced.
+    failed.  Below LAPACK_MIN_K unknowns `_eliminated` solves the stack, and
+    a system fails at its first pivot below PIVOT_TOL.  From LAPACK_MIN_K on
+    LAPACK (dgesv, with the same partial pivoting) solves each system on its
+    own, since a stacked call fails the whole stack for one singular member;
+    it refuses only an exactly zero pivot, and leaves that system's row NaN.
+    Every solution must pass the residual bound, which on the LAPACK side is
+    what refuses a near-singular averaging system: as its spectral radius
+    nears 1, the solution and the residual its rounding leaves grow without
+    bound.  A well-conditioned system whose entries all lie below PIVOT_TOL
+    is refused below LAPACK_MIN_K only; the package builds none, since both
+    of its systems have a diagonal of at least 1.  Each system gets the bits
+    it gets alone; numpy's warnings about a failed one's infinities and NaNs
+    are silenced.
     """
     # row-major, as `LinearSystem` holds them: the order of the products' sums depends on the layout
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     count, k = b.shape
-    u = np.concatenate((a, b[:, :, None]), axis=2)  # eliminated in place
-    at = np.arange(count)
     with np.errstate(all="ignore"):
-        for col in range(k):
-            offset = np.abs(u[:, col:, col]).argmax(axis=1)
-            if np.count_nonzero(offset):  # some system's pivot lies below its diagonal: swap rows
-                pivot = col + offset
-                rows = u[at, pivot]
-                u[at, pivot] = u[:, col]
-                u[:, col] = rows
-            row = u[:, col]
-            # columns up to col are not read again
-            below = u[:, col + 1 :]
-            below[:, :, col + 1 :] -= (below[:, :, col] / row[:, col, None])[:, :, None] * row[:, None, col + 1 :]
-        x = u[:, :, k].copy()
-        for col in range(k - 1, -1, -1):
-            dot = u[:, col, None, col + 1 : k] @ x[:, col + 1 :, None]
-            x[:, col] = (x[:, col] - dot[:, 0, 0]) / u[:, col, col]
+        if k < LAPACK_MIN_K:
+            x, pivots = _eliminated(a, b)
+            small = np.abs(pivots) < PIVOT_TOL
+            singular = np.logical_or.reduce(small, axis=1)
+        else:
+            x, singular = np.full((count, k), np.nan), np.zeros(count, dtype=bool)
+            for i in range(count):
+                try:
+                    x[i] = np.linalg.solve(a[i], b[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
         residuals = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1)
         bounds = RESIDUAL_TOL * (1.0 + np.abs(b).max(axis=1))
-    pivots = u.diagonal(axis1=1, axis2=2)  # each column's pivot, in place after its swap
-    small = np.abs(pivots) < PIVOT_TOL
-    failed = np.logical_or.reduce(small, axis=1) | ~(residuals <= bounds)  # a NaN residual fails too
     failures = {}
-    for i in failed.nonzero()[0].tolist():  # messages only for the systems that failed
-        if small[i].any():
+    for i in (singular | ~(residuals <= bounds)).nonzero()[0].tolist():  # a NaN residual fails too
+        if not singular[i]:
+            failures[i] = SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance")
+        elif k >= LAPACK_MIN_K:
+            failures[i] = SingularSystemError("exactly singular LAPACK factorization: a pivot is exactly 0")
+        else:
             col = int(small[i].argmax())
             failures[i] = SingularSystemError(f"pivot {pivots[i, col]:.3e} in column {col + 1} below tolerance")
-        else:
-            failures[i] = SingularSystemError(f"solution residual {residuals[i]:.3e} exceeds tolerance")
     return x, failures
+
+
+def _eliminated(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination with partial pivoting of a row-major stack: the solutions (B, k) and each column's pivot.
+
+    The stack is eliminated as one B x k x (k+1) array [a | b]: each system
+    gets the operations it gets alone, in the same order, so the results are
+    the same to the bit.  A system with a near-zero pivot is carried to the
+    end with the others, its infinities and NaNs kept in its own rows.
+    """
+    count, k = b.shape
+    u = np.concatenate((a, b[:, :, None]), axis=2)  # eliminated in place
+    at = np.arange(count)
+    for col in range(k):
+        offset = np.abs(u[:, col:, col]).argmax(axis=1)
+        if np.count_nonzero(offset):  # some system's pivot lies below its diagonal: swap rows
+            pivot = col + offset
+            rows = u[at, pivot]
+            u[at, pivot] = u[:, col]
+            u[:, col] = rows
+        row = u[:, col]
+        # columns up to col are not read again
+        below = u[:, col + 1 :]
+        below[:, :, col + 1 :] -= (below[:, :, col] / row[:, col, None])[:, :, None] * row[:, None, col + 1 :]
+    x = u[:, :, k].copy()
+    for col in range(k - 1, -1, -1):
+        dot = u[:, col, None, col + 1 : k] @ x[:, col + 1 :, None]
+        x[:, col] = (x[:, col] - dot[:, 0, 0]) / u[:, col, col]
+    return x, u.diagonal(axis1=1, axis2=2)  # each column's pivot, in place after its swap
 
 
 def check_convergence(system: LinearSystem) -> tuple[bool, bool]:
@@ -591,7 +624,7 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
         system = build_system(prepared)
         convergence_ok = any(check_convergence(system))
         try:
-            if _above_one(system):  # the elimination could only end in the error below
+            if _above_one(system):  # the solve could only end in the error below
                 raise InadmissibleSolutionError
             determinant_ok = True
             raw = synthesize(solve_linear(system), prepared)
@@ -605,10 +638,8 @@ def hre_rank(problem: Problem | Prepared, *, max_iterations: int = 10) -> RankOu
             from . import min_error_solver  # deferred: it builds on this module, and a direct solve never needs it
 
             try:
-                raw, verified_minimum = min_error_solver.solve_min_error(ready)
+                raw = min_error_solver.solve_min_error(ready).weights_raw
                 path = "min-error"
-                if not verified_minimum:
-                    warnings.append(min_error_solver.UNVERIFIED_MINIMUM)
             except (SingularSystemError, InadmissibleSolutionError) as exc:
                 warnings.append(f"least-squares heuristic failed: {exc}")
     if raw is None:

@@ -2,9 +2,16 @@
 
 Replacing the absolute deviations behind the mean estimation error with
 squares turns the problem into a quadratic whose stationary point solves a
-symmetric k x k normal system.  Strict diagonal dominance of that system
-certifies the stationary point as a true minimum (the Hessian is the same
-matrix up to the positive factor 2(n-1)).
+symmetric k x k normal system.  That point is always the unique minimum.
+The objective is the sum, over each unknown u and each other concept i, of
+(mu_u - m(u, i) mu_i)^2, where a reference's mu_i is its fixed weight.
+Its Hessian is 2(n - 1) A, with A the normal matrix, and (n - 1) A is the
+Gram matrix sum v v^T of the terms' linear parts v.  The system is built
+only when every ratio of every unknown's row is given, so each unknown u
+has its r terms against the references, whose linear parts are mu_u
+alone.  Those give (n - 1) mu^T A mu >= r |mu|^2: A is positive definite
+with smallest eigenvalue at least r / (n - 1) on every input that reaches
+the solve.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import WeightVector
-from .hre_solver import LinearSystem, _diagonal, _dominant_columns, _system_parts, solve_linear, synthesize
+from .hre_solver import LinearSystem, _diagonal, _system_parts, solve_linear, synthesize
 from .matrix_core import Prepared, Problem, preprocess
 
 
@@ -30,23 +37,17 @@ class ErrorSystem(NamedTuple):
 
     system: LinearSystem
     s_values: tuple[float, ...]
-    hessian_dominant: bool
-
-
-UNVERIFIED_MINIMUM = "least-squares stationary point not verified as a minimum"
 
 
 class MinErrorResult(NamedTuple):
     weights_raw: WeightVector
-    verified_minimum: bool  # False when diagonal dominance could not certify it
 
 
 def build_error_system(problem: Problem) -> ErrorSystem:
     """Assemble the normal system for a preprocessed problem whose averaging system is defined (see `_system_parts`)."""
     block, b, scale = _system_parts(problem)
     a, s_values = _normal(block, scale)
-    # a is exactly symmetric, so its columns are its rows
-    return ErrorSystem(LinearSystem._from_arrays(a, b), tuple(s_values.tolist()), _dominant_columns(a))
+    return ErrorSystem(LinearSystem._from_arrays(a, b), tuple(s_values.tolist()))
 
 
 @np.errstate(over="ignore")  # a square or a sum of squares beyond the float range is inf, which the solve refuses
@@ -63,10 +64,8 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """Solve the normal system; `synthesize` gates the result on admissibility.
 
     Succeeds when the system is non-singular and the solved weights are
-    admissible.  When the coefficient matrix is not strictly
-    diagonally dominant the stationary point cannot be certified as a
-    minimum here; the result is still returned, flagged accordingly
-    (dominance is sufficient for positive definiteness, not necessary).
+    admissible; the solution is then the objective's minimum (see the
+    module docstring).
 
     A `Prepared` problem from `preprocess` is solved as it is.  A problem
     with no unknowns gives back its reference weights.  Raises
@@ -75,6 +74,5 @@ def solve_min_error(problem: Problem | Prepared) -> MinErrorResult:
     """
     prepared, _ = preprocess(problem)
     if not prepared.unknown_indices:
-        return MinErrorResult(synthesize((), prepared), verified_minimum=True)
-    error_system = build_error_system(prepared)
-    return MinErrorResult(synthesize(solve_linear(error_system.system), prepared), error_system.hessian_dominant)
+        return MinErrorResult(synthesize((), prepared))
+    return MinErrorResult(synthesize(solve_linear(build_error_system(prepared).system), prepared))

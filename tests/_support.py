@@ -239,13 +239,12 @@ def build_system_loop(problem: Problem) -> tuple[list[list[float]], list[float]]
     return a, b
 
 
-def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[float], list[float], bool]:
-    """The least-squares normal system entry by entry: (a, b, s_values, hessian_dominant).
+def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[float], list[float]]:
+    """The least-squares normal system entry by entry: (a, b, s_values).
 
     On a complete matrix: s[v] sums m(u, v) * m(u, v) over the other unknowns
     u in index order, times 1 / (n - 1); a[u][u] = 1 + s[u] and
     a[u][v] = -(m(u, v) + m(v, u)) / (n - 1); b is the averaging system's.
-    Dominant when every |a[u][u]| exceeds the sum of its row's other |a[u][v]|.
     """
     m = problem.matrix.entries
     unknowns = problem.unknown_indices
@@ -261,10 +260,7 @@ def build_error_system_loop(problem: Problem) -> tuple[list[list[float]], list[f
         [1.0 + s[r] if u == v else (m[u - 1][v - 1] + m[v - 1][u - 1]) * -scale for v in unknowns]
         for r, u in enumerate(unknowns)
     ]
-    dominant = all(
-        abs(row[r]) > _sum_in_order(abs(x) for c, x in enumerate(row) if c != r) for r, row in enumerate(a)
-    )
-    return a, build_system_loop(problem)[1], s, dominant
+    return a, build_system_loop(problem)[1], s
 
 
 def check_convergence_loop(system) -> tuple[bool, bool]:
@@ -300,20 +296,18 @@ def spearman(xs, ys) -> float:
 SINGULAR_T = (3.0 + math.sqrt(5.0)) / 2.0
 
 
-def singular_direct_problem(t: float = SINGULAR_T) -> Problem:
-    """Three unknowns in a cycle of ratio t, each at ratio 1 to the reference, concept 4.
+def singular_direct_problem(t: float = SINGULAR_T, k: int = 3) -> Problem:
+    """``k`` unknowns in a cycle of ratio t, every other pair of them at ratio 1, each at ratio 1 to the
+    reference, concept k + 1.
 
-    The averaging block's Perron root is (t + 1/t) / 3, with the ones
-    vector for Perron vector: exactly 1 at SINGULAR_T, above 1 for any
+    The averaging block's Perron root is (t + 1/t + k - 3) / k, with the
+    ones vector for Perron vector: exactly 1 at SINGULAR_T, above 1 for any
     larger t, where the direct solution is negative.
     """
-    rows = (
-        (1.0, t, 1.0 / t, 1.0),
-        (1.0 / t, 1.0, t, 1.0),
-        (t, 1.0 / t, 1.0, 1.0),
-        (1.0, 1.0, 1.0, 1.0),
-    )
-    return Problem(PcMatrix(rows), {4: 1.0})
+    rows = [[1.0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k):
+        rows[i][(i + 1) % k], rows[i][(i - 1) % k] = t, 1.0 / t
+    return Problem(PcMatrix(rows), {k + 1: 1.0})
 
 
 def inadmissible_direct_problem() -> Problem:

@@ -673,6 +673,14 @@ def test_missing_input_is_an_input_error_from_a_fresh_interpreter(tmp_path):
     ]
 
 
+def test_importing_the_process_entry_leaves_the_collector_as_it_found_it():
+    # only `run` imports the CLI with the collector off; importing its module, as these tests do, changes nothing
+    probe = ("import gc; gc.disable(); import hrerank.__main__ as entry; "
+             "print(gc.isenabled(), gc.get_freeze_count(), 'hrerank.cli' in __import__('sys').modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=FRESH_ENV, capture_output=True, timeout=120)
+    assert proc.stdout == b"False 0 False\n"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_main_leaves_the_collector_as_it_found_it(name, capsys):
     # only the process entry freezes the heap; tests and the traced benchmark call `main` in process

@@ -19,8 +19,10 @@ from hrerank import (
     preprocess,
 )
 from hrerank import diagnostics, hre_solver, min_error_solver
+from hrerank.cli import main
 from hrerank.hre_solver import (
     JACOBI_MAX_ITER,
+    LAPACK_MIN_K,
     LinearSystem,
     _solved,
     build_system,
@@ -52,6 +54,7 @@ from _support import (
     random_problem,
     random_weights,
     singular_direct_problem,
+    solve_linear_oracle,
     solve_stack,
     stack_results,
     unpermute,
@@ -229,6 +232,19 @@ class TestSolveSystems:
         stacked = stack_results(*_solved(by_columns, b))
         assert [repr(result) for result in stacked] == [repr(result) for result in expected]
 
+    def test_large_stack_keys_a_singular_member_by_its_index(self):
+        # LAPACK solves each member on its own: an exactly singular one fails alone, its row NaN
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, LAPACK_MIN_K, LAPACK_MIN_K)) + 30.0 * np.eye(LAPACK_MIN_K)
+        a[1, :, 7] = 0.0  # a zero column: an exactly zero pivot
+        b = rng.normal(size=(3, LAPACK_MIN_K))
+        solutions, failures = _solved(a, b)
+        assert list(failures) == [1]
+        assert str(failures[1]) == "exactly singular LAPACK factorization: a pivot is exactly 0"
+        assert np.isnan(solutions[1]).all()
+        for i in (0, 2):
+            assert tuple(solutions[i].tolist()) == solve_linear(LinearSystem(a[i], b[i]))
+
 
 class TestSolveLinear:
     def test_example2_solution(self, example2):
@@ -250,6 +266,31 @@ class TestSolveLinear:
     def test_pivoting_handles_zero_diagonal(self):
         system = LinearSystem(((0.0, 1.0), (1.0, 0.0)), (5.0, 6.0))
         assert solve_linear(system) == (6.0, 5.0)
+
+    def test_size_rule_selects_lapack_from_lapack_min_k(self):
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return solve(*args)
+
+        with patch.object(np.linalg, "solve", counted):
+            for k in (1, LAPACK_MIN_K - 1, LAPACK_MIN_K, 2 * LAPACK_MIN_K):
+                system = LinearSystem(np.eye(k) + np.tri(k, k, -1) / k, np.arange(1.0, k + 1))
+                solved = solve_linear(system)
+                if k < LAPACK_MIN_K:  # the elimination, to the bit
+                    assert solved == solve_linear_oracle(system)
+        assert calls == [LAPACK_MIN_K, 2 * LAPACK_MIN_K]
+
+    @pytest.mark.parametrize("label", ["complete-n100-noise0.3-r1", "complete-n100-noise0.3-r3"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_large_package_systems_agree_with_the_elimination(self, label, seed):
+        # both systems of a benchmark request, solved by LAPACK, within 1e-12 relative of the elimination
+        prepared = _prepared(bench_problem(label, seed))
+        for system in (build_system(prepared), min_error_solver.build_error_system(prepared).system):
+            assert len(system.b) >= LAPACK_MIN_K
+            assert max_rel_diff(solve_linear(system), solve_linear_oracle(system)) <= 1e-12
 
     def test_residual_bound_on_random_systems(self):
         rng = random.Random(53)
@@ -600,6 +641,32 @@ class TestHreRank:
         assert not outcome.admissible
         # by symmetry of the circulant block the least-squares answer is 1/4 each
         assert max_abs_diff(outcome.weights_raw.values, (0.25, 0.25, 0.25, 1.0)) <= 1e-9
+
+    def test_large_singular_system_is_refused_by_its_residual(self):
+        # LAPACK's pivots stay nonzero on the rounded circulant; its solution's residual refuses it
+        outcome = hre_rank(singular_direct_problem(k=70))
+        assert outcome.path == "min-error"
+        assert outcome.determinant_ok is False
+        assert len(outcome.warnings) == 1
+        assert outcome.warnings[0].startswith("direct solve failed: solution residual")
+        assert max_rel_diff(outcome.weights_raw.values[:-1], (outcome.weights_raw.values[0],) * 70) <= 1e-12
+
+    def test_exactly_singular_factorization_walks_the_ladder(self, tmp_path, capsys):
+        # LAPACK's error for an exactly zero pivot is a ValueError; each rung gets a SingularSystemError instead
+        weights = [1.0 + i / 10 for i in range(130)]
+        problem = Problem(consistent_matrix(weights), {i: weights[i - 1] for i in range(1, 65)})  # 66 unknowns
+        path = tmp_path / "large.txt"
+        path.write_text("\n".join([str(len(weights)), *(" ".join(map(repr, row)) for row in problem.matrix.entries),
+                                    *(f"ref {c} {w!r}" for c, w in problem.references.items())]) + "\n")
+        failed = "exactly singular LAPACK factorization: a pivot is exactly 0"
+        with patch.object(np.linalg, "solve", side_effect=np.linalg.LinAlgError("Singular matrix")):
+            outcome = hre_rank(problem)
+            assert main(["rank", "--input", str(path), "--method", "min-error"]) == 2
+        assert outcome.path == "jacobi"
+        assert outcome.determinant_ok is False
+        assert outcome.warnings == (f"direct solve failed: {failed}", f"least-squares heuristic failed: {failed}")
+        assert max_rel_diff(outcome.weights_raw.values, weights) <= 1e-9
+        assert capsys.readouterr().err == f"solver error: {failed}\n"
 
     def test_inadmissible_direct_falls_back_to_min_error(self):
         outcome = hre_rank(inadmissible_direct_problem())

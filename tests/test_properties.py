@@ -30,7 +30,12 @@ that does not converge, and `hre_rank` must give the same answer to the
 bit with the certificate patched off.  Multiplying every reference of a
 connected request (complete, half missing, a ring or a chain; n 3..40,
 1-3 references, noise 0-0.5) by 2**k, |k| <= 60, must give the same path
-and every weight exactly 2**k times, or the same exception type.
+and every weight exactly 2**k times, or the same exception type.  From
+LAPACK_MIN_K unknowns on, a solve must agree with the elimination within
+k eps times the condition number (1e-12 relative when well conditioned),
+and each kind of singular system must get its pinned outcome.  The
+least-squares normal matrix's least eigenvalue must be at least
+r / (n - 1).
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ from hrerank.hre_solver import (
     ADMISSIBLE_TOL,
     JACOBI_MAX_ITER,
     JACOBI_STOP_TOL,
+    LAPACK_MIN_K,
+    RESIDUAL_TOL,
     LinearSystem,
     _above_one,
     _averaging,
@@ -416,12 +423,20 @@ def test_systems_match_loop(problem):
     system = build_system(prepared)
     assert [system.a.tolist(), system.b.tolist()] == list(build_system_loop(prepared))
     error = build_error_system(prepared)
-    a, b, s_values, dominant = build_error_system_loop(prepared)
+    a, b, s_values = build_error_system_loop(prepared)
     assert (error.system.a.tolist(), error.system.b.tolist(), list(error.s_values)) == (a, b, s_values)
-    assert error.hessian_dominant == dominant
-    assert check_convergence(error.system) == (error.hessian_dominant,) * 2
     for built in (system, error.system):
         assert check_convergence(built) == check_convergence_loop(built)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_problem)
+def test_least_squares_normal_matrix_is_positive_definite(problem):
+    # `min_error_solver`'s theorem: the least eigenvalue is at least r / (n - 1), so the stationary point is the minimum
+    prepared = preprocess(problem).problem
+    eigenvalues = np.linalg.eigvalsh(build_error_system(prepared).system.a)
+    bound = len(prepared.references) / (prepared.n - 1)
+    assert eigenvalues[0] >= bound - 1e-12 * np.abs(eigenvalues).max()
 
 
 judgments = st.one_of(
@@ -643,6 +658,8 @@ def stacked_bits(result):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 30), seeds, st.sampled_from([0.0, 1.0, 30.0]), SINGULAR_KINDS)
+@example(LAPACK_MIN_K - 1, 5, 1.0, "")  # the largest size the elimination solves
+@example(LAPACK_MIN_K - 1, 6, 30.0, "near")
 def test_solve_linear_matches_oracle(k, seed, shift, singular):
     system = random_system(k, seed, shift, singular)
     results = []
@@ -668,6 +685,44 @@ def test_stacked_solves_match_oracle(k, members):
     # without its singular members a stack solves its other members to the same bits
     kept = [i for i, result in enumerate(stacked) if isinstance(result, tuple)]
     assert [stacked_bits(result) for result in solve_stack([systems[i] for i in kept])] == [stacked[i] for i in kept]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(LAPACK_MIN_K, 110), seeds, st.sampled_from([1.0, 30.0]))
+def test_large_solves_match_oracle(k, seed, shift):
+    # LAPACK and the elimination each err by about k eps times the condition number; at shift 30 that is below 1e-12
+    system = random_system(k, seed, shift, "")
+    solved, expected = np.array(solve_linear(system)), np.array(solve_linear_oracle(system))
+    tolerance = k * np.finfo(float).eps * np.linalg.cond(system.a, np.inf)
+    assert np.abs(solved - expected).max() <= tolerance * np.abs(expected).max()
+    if shift == 30.0:
+        assert np.abs(solved - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(LAPACK_MIN_K, 110), seeds, SINGULAR_KINDS)
+def test_large_solves_refuse_or_pass_the_residual_bound(k, seed, singular):
+    # each kind's outcome from LAPACK_MIN_K on, on well-conditioned systems (shift 30)
+    system = random_system(k, seed, 30.0, singular)
+    try:
+        solved = np.array(solve_linear(system))
+    except SingularSystemError as exc:
+        outcome = str(exc)
+    else:
+        residual = np.abs(system.a @ solved - system.b).max()
+        assert residual <= RESIDUAL_TOL * (1.0 + np.abs(system.b).max())
+        outcome = "solved"
+    if singular in ("", "tiny"):  # every entry of "tiny" is below PIVOT_TOL: the elimination refuses it
+        assert outcome == "solved"
+    elif singular == "near":
+        assert outcome.startswith("solution residual ")
+    elif singular == "repeat":  # rounding leaves the repeated row's pivot exactly 0 or tiny
+        assert outcome.startswith("solution residual ") or outcome.startswith("exactly singular LAPACK factorization")
+    else:
+        assert outcome == "linear system leaves the float range"
+    if singular == "tiny":
+        with pytest.raises(SingularSystemError, match="below tolerance"):
+            solve_linear_oracle(system)
 
 
 @st.composite
@@ -828,7 +883,7 @@ def _result(solve, problem):
     except Exception as exc:
         return type(exc), str(exc)
     if isinstance(result, MinErrorResult):
-        return bits(np.array(result.weights_raw.values)), result.verified_minimum
+        return bits(np.array(result.weights_raw.values))
     kept = tuple(w for w in result.warnings if not w.startswith("known-known-mismatch"))
     return result._replace(weights_raw=bits(np.array([*result.weights_raw.values, result.error])), error=None, warnings=kept)
 
@@ -853,13 +908,13 @@ scalable_request = st.builds(
 
 
 def _scaled_answer(problem, k, solve=hre_rank):
-    """`solve`'s weights with every reference times 2**k, after `hre_rank`'s path or the least-squares minimum flag,
-    or its exception type."""
+    """`solve`'s weights with every reference times 2**k, after `hre_rank`'s path (None for least squares), or its
+    exception type."""
     try:
         result = solve(Problem(problem.matrix, {c: math.ldexp(w, k) for c, w in problem.references.items()}))
     except Exception as exc:
         return type(exc)
-    return (result.verified_minimum if isinstance(result, MinErrorResult) else result.path), result.weights_raw.values
+    return getattr(result, "path", None), result.weights_raw.values
 
 
 def _assert_scales(problem, k, solve=hre_rank):
